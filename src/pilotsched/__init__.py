@@ -22,8 +22,7 @@ from .scheduler import (PILOT, DATA, ThresholdSolution, MdpSolution,
                         relative_value_iteration, decide, load_reward_curve,
                         save_reward_curve)
 from .simulation import (EXPECTED, REALIZED, SchedulerState, SimulationResult,
-                         step, run_policy, periodic_policy, threshold_policy,
-                         derive_streams)
+                         step, run_policy, derive_streams)
 from .config import ExperimentConfig, load_config, default_config
 
 __version__ = "0.1.0"

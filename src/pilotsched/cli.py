@@ -18,10 +18,9 @@ from .config import ExperimentConfig, default_config, load_config
 from .link_adaptation import (DEFAULT_CQI_MIDPOINTS_DB, QuadratureConfig,
                               default_mcs_table, load_bler_table, load_mcs_rates,
                               parametric_mcs_table, build_reward_curve)
-from .scheduler import (brute_force_optimal_period, load_reward_curve,
-                        relative_value_iteration, solve_threshold)
-from .simulation import EXPECTED, periodic_policy, run_policy, threshold_policy
-from .validation import run_all_checks
+from .scheduler import ConvergenceError, load_reward_curve, solve_threshold
+from .simulation import EXPECTED, run_policy
+from .validation import oracle_deviations, run_all_checks
 
 ORACLE_TOLERANCE = 1e-6
 BASELINE_PERIOD = 2
@@ -70,31 +69,33 @@ def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def _solve_report(curve, tau_max: int) -> dict:
+def _solve(curve, tau_max: int):
+    """Solve the threshold with the index window clamped to half the curve."""
     tau_eff = min(tau_max, max(1, len(curve) // 2))
-    sol = solve_threshold(curve, tol=1e-13, tau_max=tau_eff)
-    bf_period, bf_avg = brute_force_optimal_period(curve, min(200, len(curve) + 1))
-    mdp = relative_value_iteration(curve, min(200, len(curve)), tol=1e-9)
-    deviations = {
-        "beta_vs_brute_force": abs(sol.beta - bf_avg),
-        "beta_vs_rvi": abs(sol.beta - mdp.gain),
-        "brute_force_vs_rvi": abs(bf_avg - mdp.gain),
-    }
-    max_dev = max(deviations.values())
+    try:
+        return solve_threshold(curve, tol=1e-13, tau_max=tau_eff)
+    except ConvergenceError as exc:
+        raise ValueError(f"no pilot period found within the {len(curve)} tabulated ages "
+                         f"(delta_max): {exc}") from exc
+
+
+def _solve_report(curve, tau_max: int) -> dict:
+    sol = _solve(curve, tau_max)
+    dev = oracle_deviations(curve, sol)
     return {
         "beta": sol.beta,
         "hitting_age": sol.hitting_age,
         "period": sol.period,
-        "tau_max": tau_eff,
+        "tau_max": sol.tau_max,
         "oracles": {
-            "brute_force_average": bf_avg,
-            "brute_force_period": bf_period,
-            "rvi_gain": mdp.gain,
+            "brute_force_average": dev["brute_force"],
+            "brute_force_period": dev["brute_force_period"],
+            "rvi_gain": dev["rvi_gain"],
         },
-        "deviations": deviations,
-        "max_deviation": max_dev,
+        "deviations": dev["deviations"],
+        "max_deviation": dev["max_pairwise"],
         "tolerance": ORACLE_TOLERANCE,
-        "consistent": max_dev <= ORACLE_TOLERANCE,
+        "consistent": dev["max_pairwise"] <= ORACLE_TOLERANCE,
     }
 
 
@@ -114,58 +115,42 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     return report, 0 if report["consistent"] else 1
 
 
-def _sweep_snr_point(cfg: ExperimentConfig, snr_db: float, mode: str) -> list:
-    params = cfg.link_params(snr_db=snr_db)
+def _sweep_point(cfg: ExperimentConfig, axis: str, value: float, mode: str) -> list:
+    """Both policies at one grid point of `axis` ('snr_db' or 'speed_mph').
+
+    The fourth column is the mean pilot fraction on the SNR axis and the pilot
+    period on the speed axis.
+    """
+    try:
+        params = cfg.link_params(**{axis: value})
+    except ValueError as exc:
+        raise ValueError(f"{axis} {value}: {exc}") from exc
     table = build_table(cfg)
     quad = _quad(cfg)
     curve = build_reward_curve(params, table, cfg.delta_max, quad)
-    sol = solve_threshold(curve, tol=1e-13, tau_max=cfg.tau_max)
-    policies = [("threshold", threshold_policy(sol, curve)),
-                (f"periodic-{BASELINE_PERIOD}", periodic_policy(BASELINE_PERIOD))]
+    sol = _solve(curve, cfg.tau_max)
     rows = []
-    for name, policy in policies:
+    for name, period in (("threshold", sol.period),
+                         (f"periodic-{BASELINE_PERIOD}", BASELINE_PERIOD)):
         goodputs, fractions = [], []
         for seed in cfg.seeds:
-            result = run_policy(policy, params, table, cfg.horizon, seed, mode,
+            result = run_policy(period, params, table, cfg.horizon, seed, mode,
                                 reward_curve=curve, quad=quad)
             goodputs.append(result.avg_goodput)
             fractions.append(result.pilot_fraction)
-        rows.append((float(snr_db), name,
-                     sum(goodputs) / len(goodputs), sum(fractions) / len(fractions)))
+        last = sum(fractions) / len(fractions) if axis == "snr_db" else period
+        rows.append((float(value), name, sum(goodputs) / len(goodputs), last))
     return rows
 
 
-def _sweep_mobility_point(cfg: ExperimentConfig, speed_mph: float, mode: str) -> list:
-    try:
-        params = cfg.link_params(speed_mph=speed_mph)
-    except ValueError as exc:
-        raise ValueError(f"speed {speed_mph} mph: {exc}") from exc
-    table = build_table(cfg)
-    quad = _quad(cfg)
-    curve = build_reward_curve(params, table, cfg.delta_max, quad)
-    sol = solve_threshold(curve, tol=1e-13, tau_max=cfg.tau_max)
-    policies = [("threshold", threshold_policy(sol, curve), sol.period),
-                (f"periodic-{BASELINE_PERIOD}", periodic_policy(BASELINE_PERIOD),
-                 BASELINE_PERIOD)]
-    rows = []
-    for name, policy, period in policies:
-        goodputs = []
-        for seed in cfg.seeds:
-            result = run_policy(policy, params, table, cfg.horizon, seed, mode,
-                                reward_curve=curve, quad=quad)
-            goodputs.append(result.avg_goodput)
-        rows.append((float(speed_mph), name, sum(goodputs) / len(goodputs), period))
-    return rows
-
-
-def _fan_out(worker, cfg: ExperimentConfig, grid, mode: str, workers: int) -> list:
+def _fan_out(cfg: ExperimentConfig, axis: str, grid, mode: str, workers: int) -> list:
     points = sorted(grid)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, cfg, p, mode) for p in points]
+            futures = [pool.submit(_sweep_point, cfg, axis, p, mode) for p in points]
             results = [f.result() for f in futures]
     else:
-        results = [worker(cfg, p, mode) for p in points]
+        results = [_sweep_point(cfg, axis, p, mode) for p in points]
     return [row for rows in results for row in rows]
 
 
@@ -173,7 +158,7 @@ def cmd_sweep_snr(cfg: ExperimentConfig, out_dir: Path, mode: str = EXPECTED,
                   workers: int = 1) -> Path:
     if not cfg.snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty for sweep-snr")
-    rows = _fan_out(_sweep_snr_point, cfg, cfg.snr_grid_db, mode, workers)
+    rows = _fan_out(cfg, "snr_db", cfg.snr_grid_db, mode, workers)
     path = out_dir / "sweep_snr.csv"
     _write_csv(path, ["snr_db", "policy", "avg_goodput", "pilot_fraction"], rows)
     return path
@@ -183,7 +168,7 @@ def cmd_sweep_mobility(cfg: ExperimentConfig, out_dir: Path, mode: str = EXPECTE
                        workers: int = 1) -> Path:
     if not cfg.speed_grid_mph:
         raise ValueError("speed_grid_mph must be nonempty for sweep-mobility")
-    rows = _fan_out(_sweep_mobility_point, cfg, cfg.speed_grid_mph, mode, workers)
+    rows = _fan_out(cfg, "speed_mph", cfg.speed_grid_mph, mode, workers)
     path = out_dir / "sweep_mobility.csv"
     _write_csv(path, ["speed_mph", "policy", "avg_goodput", "period"], rows)
     return path
@@ -198,17 +183,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str, seed: int,
     curve = build_reward_curve(params, table, cfg.delta_max, quad)
     doc: dict = {"policy": policy_arg, "mode": mode, "seed": seed}
     if policy_arg == "threshold":
-        sol = solve_threshold(curve, tol=1e-13, tau_max=cfg.tau_max)
-        policy = threshold_policy(sol, curve)
-        doc["period"] = sol.period
+        sol = _solve(curve, cfg.tau_max)
+        period = sol.period
         doc["beta"] = sol.beta
     elif policy_arg.startswith("periodic:"):
         period = int(policy_arg.split(":", 1)[1])
-        policy = periodic_policy(period)
-        doc["period"] = period
     else:
         raise ValueError(f"unknown policy {policy_arg!r}; use 'threshold' or 'periodic:<p>'")
-    result = run_policy(policy, params, table, cfg.horizon, seed, mode,
+    doc["period"] = period
+    result = run_policy(period, params, table, cfg.horizon, seed, mode,
                         reward_curve=curve, quad=quad)
     doc.update({
         "horizon": result.horizon,

@@ -154,13 +154,15 @@ def brute_force_optimal_period(curve: RewardCurve, p_max: int) -> tuple:
 
 
 def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9,
-                             max_iter: int = 200_000) -> MdpSolution:
+                             max_iter: int | None = None) -> MdpSolution:
     """Average-reward value iteration on the age MDP, as an optimality oracle.
 
     State is the age 1..max_age; a pilot earns 0 and resets to age 1, data
     earns r(age) and moves to min(age+1, max_age).  A damping factor keeps the
     iteration convergent despite the deterministic (periodic) transitions; it
-    changes neither the gain nor the optimal policy.
+    changes neither the gain nor the optimal policy.  On a pilot cycle of
+    length p the span contracts in about 3 p^2 sweeps, so the default cap,
+    8 max_age^2 (at least 200,000), covers every period the ages allow.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -168,6 +170,8 @@ def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9
         raise ValueError(f"max_age must be >= 2, got {max_age}")
     if max_age > len(curve):
         raise ValueError(f"max_age {max_age} exceeds the tabulated curve length {len(curve)}")
+    if max_iter is None:
+        max_iter = max(200_000, 8 * max_age * max_age)
     r = curve.values[:max_age]
     damping = 0.5
     next_idx = np.minimum(np.arange(1, max_age + 1), max_age - 1)

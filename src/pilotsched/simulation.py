@@ -1,8 +1,12 @@
-"""Closed-loop slot-by-slot simulation of pilot scheduling policies.
+"""Simulation of pilot schedules, each given by its pilot period.
 
-Every run starts with a forced pilot so the CSI age is well defined.  A pilot
-slot spends the slot refreshing the observation (reward 0, age resets to 1);
-a data slot earns goodput and ages the CSI by one.  Two reward modes:
+The threshold policy pilots when the age reaches its hitting age, and the age
+resets to 1 after every pilot, so it is the periodic schedule with that
+period; the periodic baseline is one too.  Every run starts with a forced
+pilot so the CSI age is well defined.  A pilot slot spends the slot refreshing
+the observation (reward 0, age resets to 1); a data slot earns goodput and
+ages the CSI by one.  `step` is the slot-level reference of that loop.  Two
+reward modes:
 
   expected  - the slot earns the age-conditional mean goodput r(age), the
               quantity the scheduler optimizes; averages are exact cycle
@@ -10,9 +14,10 @@ a data slot earns goodput and ages the CSI by one.  Two reward modes:
   realized  - the slot earns the full physical draw: SINR from the stored
               pilot value, MCS selection, Bernoulli decoding.
 
-The fading trace, the per-slot pilot noise, and the per-slot decode draws come
-from three independent streams derived from one run seed, so paired policy
-comparisons share their randomness (common random numbers).
+Realized mode draws the fading trace, the per-slot pilot noise, and the
+per-slot decode draws from three independent streams derived from one run
+seed, so paired policy comparisons share their randomness (common random
+numbers).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ MAX_HORIZON = 50_000_000
 
 @dataclass
 class SchedulerState:
-    """Closed-loop state visible to a policy at each slot."""
+    """Slot-level state of the reference loop driven by `step`."""
 
     age: int
     last_pilot_value: complex | None
@@ -53,38 +58,6 @@ class SimulationResult:
     mode: str
     seed: int
     horizon: int
-
-
-def periodic_policy(period: int):
-    """Open-loop policy: pilot at every slot divisible by the period."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-
-    def policy(state: SchedulerState) -> str:
-        return PILOT if state.slot % period == 0 else DATA
-
-    policy.name = f"periodic-{period}"
-    return policy
-
-
-def threshold_policy(solution, curve: RewardCurve):
-    """Closed-loop policy wrapping the index-vs-threshold decision on the age.
-
-    The decision is a pure function of the age, so it is memoized per age.
-    """
-    from .scheduler import decide
-
-    cache: dict = {}
-
-    def policy(state: SchedulerState) -> str:
-        action = cache.get(state.age)
-        if action is None:
-            action = decide(state.age, solution, curve)
-            cache[state.age] = action
-        return action
-
-    policy.name = "threshold"
-    return policy
 
 
 def derive_streams(params: LinkParams, horizon: int, seed: int):
@@ -153,14 +126,18 @@ def step(state: SchedulerState, action: str, trace: FadingTrace, params: LinkPar
     return next_state, reward
 
 
-def run_policy(policy, params: LinkParams, table: McsTable, horizon: int, seed: int,
+def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, seed: int,
                mode: str, reward_curve: RewardCurve | None = None,
                quad: QuadratureConfig = QuadratureConfig()) -> SimulationResult:
-    """Simulate one policy over a fresh trace; deterministic given (seed, mode).
+    """Simulate the schedule that pilots every `period` slots; deterministic given (seed, mode).
 
-    The action/age recursion runs slot by slot (the loop is closed); rewards
-    are then evaluated in one vectorized pass, which matches step() exactly.
+    Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
+    a pilot when that age equals the period.  Rewards are evaluated in one
+    vectorized pass, which matches step() exactly.  Only realized mode draws
+    the fading trace and noise.
     """
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if horizon < 1_000:
@@ -168,27 +145,14 @@ def run_policy(policy, params: LinkParams, table: McsTable, horizon: int, seed: 
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} exceeds the supported maximum {MAX_HORIZON}")
 
-    trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, seed)
-    samples = trace.samples
-    sqrt_pp = math.sqrt(params.pilot_power)
-
-    ages = np.empty(horizon, dtype=np.int64)
-    is_pilot = np.zeros(horizon, dtype=bool)
-    state = SchedulerState(age=1, last_pilot_value=None, slot=0)
-    for t in range(horizon):
-        action = PILOT if t == 0 else policy(state)
-        ages[t] = state.age
-        if action == PILOT:
-            is_pilot[t] = True
-            state.last_pilot_value = sqrt_pp * samples[t] + pilot_noise[t]
-            state.age = 1
-        elif action == DATA:
-            if state.last_pilot_value is None:
-                raise ValueError("policy chose data before the first pilot")
-            state.age += 1
-        else:
-            raise ValueError(f"policy returned unknown action {action!r}")
-        state.slot = t + 1
+    if mode == REALIZED:
+        # drawn before the schedule arrays exist, so that they do not add to
+        # the memory peak of the trace synthesis
+        trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, seed)
+    ages = np.arange(-1, horizon - 1, dtype=np.int64) % period + 1
+    ages[0] = 1
+    is_pilot = ages == period
+    is_pilot[0] = True
 
     data_idx = np.flatnonzero(~is_pilot)
     data_ages = ages[data_idx]
@@ -201,7 +165,8 @@ def run_policy(policy, params: LinkParams, table: McsTable, horizon: int, seed: 
             rewards = reward_curve.values[data_ages - 1]
         else:
             pilot_idx = np.flatnonzero(is_pilot)
-            y_pilots = sqrt_pp * samples[pilot_idx] + pilot_noise[pilot_idx]
+            y_pilots = (math.sqrt(params.pilot_power) * trace.samples[pilot_idx]
+                        + pilot_noise[pilot_idx])
             owner = np.searchsorted(pilot_idx, data_idx, side="left") - 1
             y_sq = np.abs(y_pilots[owner]) ** 2
             unique_ages, inverse = np.unique(data_ages, return_inverse=True)

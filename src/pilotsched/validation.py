@@ -17,8 +17,8 @@ from .channel import (LinkParams, autocorrelation_lags, empirical_autocorrelatio
 from .estimation import error_variance, mmse_gain, pilot_second_moment, sinr_gain
 from .link_adaptation import (McsTable, QuadratureConfig, RewardCurve,
                               build_reward_curve, expected_goodput, max_goodput_array)
-from .scheduler import (brute_force_optimal_period, relative_value_iteration,
-                        solve_threshold)
+from .scheduler import (ThresholdSolution, brute_force_optimal_period,
+                        relative_value_iteration, solve_threshold)
 
 
 @dataclass
@@ -155,23 +155,35 @@ def random_reward_curves(count: int, rng, max_support: int = 50,
     return curves
 
 
-def scheduler_triangle_deviation(curve: RewardCurve, tau_max: int = 150,
-                                 p_max: int = 200, rvi_max_age: int = 200,
-                                 bisect_tol: float = 1e-13,
-                                 rvi_tol: float = 1e-9) -> dict:
-    """Pairwise deviations of the three solver routes on one curve."""
-    sol = solve_threshold(curve, tol=bisect_tol, tau_max=tau_max)
-    bf_period, bf_avg = brute_force_optimal_period(curve, min(p_max, len(curve) + 1))
-    mdp = relative_value_iteration(curve, min(rvi_max_age, len(curve)), tol=rvi_tol)
+def oracle_deviations(curve: RewardCurve, sol: ThresholdSolution) -> dict:
+    """Pairwise deviations of a threshold solution and both oracles on one curve.
+
+    Brute force searches every period up to len(curve) + 1 and value
+    iteration runs over all len(curve) ages, so no period the curve can
+    express escapes either oracle.
+    """
+    bf_period, bf_avg = brute_force_optimal_period(curve, len(curve) + 1)
+    mdp = relative_value_iteration(curve, len(curve), tol=1e-9)
+    deviations = {
+        "beta_vs_brute_force": abs(sol.beta - bf_avg),
+        "beta_vs_rvi": abs(sol.beta - mdp.gain),
+        "brute_force_vs_rvi": abs(bf_avg - mdp.gain),
+    }
     return {
         "beta": sol.beta,
         "brute_force": bf_avg,
         "rvi_gain": mdp.gain,
         "period": sol.period,
         "brute_force_period": bf_period,
-        "max_pairwise": max(abs(sol.beta - bf_avg), abs(sol.beta - mdp.gain),
-                            abs(bf_avg - mdp.gain)),
+        "deviations": deviations,
+        "max_pairwise": max(deviations.values()),
     }
+
+
+def scheduler_triangle_deviation(curve: RewardCurve, tau_max: int = 150) -> dict:
+    """Pairwise deviations of the three solver routes on one curve."""
+    sol = solve_threshold(curve, tol=1e-13, tau_max=tau_max)
+    return oracle_deviations(curve, sol)
 
 
 def check_scheduler_triangle(physical_curve: RewardCurve | None = None,

@@ -13,8 +13,7 @@ import pytest
 from pilotsched import (EXPECTED, REALIZED, LinkParams, MobilityParams,
                         MPH_TO_MPS, RewardCurve, build_reward_curve,
                         default_mcs_table, doppler_frequency, expected_goodput,
-                        periodic_policy, run_policy, solve_threshold,
-                        threshold_policy)
+                        run_policy, solve_threshold)
 from pilotsched.config import ExperimentConfig
 from pilotsched.validation import (check_autocorrelation_fidelity,
                                    check_orthogonality, mc_expected_goodput,
@@ -39,18 +38,17 @@ def reference_point():
 
 
 def test_criterion_1_scheduler_oracle_triangle(reference_point):
-    """Bisection, brute force (p <= 200), and RVI (200 states) agree to 1e-6."""
+    """Bisection, brute force (every period the curve covers), and RVI (every
+    tabulated age) agree to 1e-6."""
     t0 = time.perf_counter()
     params, table = reference_point
     rng = np.random.default_rng(2024)
     worst = 0.0
     for curve in random_reward_curves(20, rng, max_support=50, pad_to=200):
-        dev = scheduler_triangle_deviation(curve, tau_max=150, p_max=200,
-                                           rvi_max_age=200)
+        dev = scheduler_triangle_deviation(curve, tau_max=150)
         worst = max(worst, dev["max_pairwise"])
     physical = build_reward_curve(params, table, 600)
-    dev = scheduler_triangle_deviation(physical, tau_max=512, p_max=200,
-                                       rvi_max_age=200)
+    dev = scheduler_triangle_deviation(physical, tau_max=512)
     worst = max(worst, dev["max_pairwise"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -101,9 +99,9 @@ def test_criterion_4_policy_dominance():
     def compare(params):
         curve = build_reward_curve(params, table, 160)
         sol = solve_threshold(curve, tol=1e-13, tau_max=128)
-        thr = run_policy(threshold_policy(sol, curve), params, table, horizon,
+        thr = run_policy(sol.period, params, table, horizon,
                          seed, EXPECTED, reward_curve=curve)
-        per = run_policy(periodic_policy(2), params, table, horizon,
+        per = run_policy(2, params, table, horizon,
                          seed, EXPECTED, reward_curve=curve)
         return thr.avg_goodput - per.avg_goodput
 
@@ -130,14 +128,13 @@ def test_criterion_5_closed_loop_consistency(reference_point):
     curve = build_reward_curve(params, table, 160)
     sol = solve_threshold(curve, tol=1e-13, tau_max=128)
     horizon = 1_000_000
-    policy = threshold_policy(sol, curve)
-    exp = run_policy(policy, params, table, horizon, 42, EXPECTED, reward_curve=curve)
+    exp = run_policy(sol.period, params, table, horizon, 42, EXPECTED, reward_curve=curve)
     bound = 10 * sol.period / horizon
     beta_gap = abs(exp.avg_goodput - sol.beta)
 
     # realized mode: independent runs give a clean between-run standard error
     n_runs, sub_horizon = 8, 125_000
-    avgs = [run_policy(policy, params, table, sub_horizon, 100 + k, REALIZED,
+    avgs = [run_policy(sol.period, params, table, sub_horizon, 100 + k, REALIZED,
                        reward_curve=curve).avg_goodput for k in range(n_runs)]
     avgs = np.array(avgs)
     se = float(avgs.std(ddof=1) / math.sqrt(n_runs))

@@ -132,6 +132,36 @@ class TestSolveCommand:
         report = json.loads((out / "solve.json").read_text())
         assert report["max_deviation"] <= 1e-6
 
+    def test_slow_fading_period_beyond_200_ages_consistent(self, tmp_path):
+        # both oracles must reach period 247, past the 200 ages they once stopped at
+        cfg = write_config(tmp_path, speed=0.005, delta_max=600, tau_max=512)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        assert report["period"] == 247
+        assert report["consistent"] is True
+
+    def test_long_period_curve_consistent(self, tmp_path):
+        # r(a) = 1 - (a/9129)^2 peaks its cycle average at period 500, where value
+        # iteration over 1200 ages needs about 600,000 sweeps to converge
+        reward = tmp_path / "r.csv"
+        lines = ["age,reward"] + [f"{a},{1.0 - (a / 9129) ** 2!r}" for a in range(1, 1201)]
+        reward.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, reward_csv=str(reward), delta_max=1200, tau_max=512)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        assert report["period"] == 500
+        assert report["oracles"]["brute_force_period"] == 500
+        assert report["consistent"] is True
+
+    def test_static_channel_names_delta_max(self, tmp_path, capsys):
+        # on a constant curve no pilot period pays off, so the bisection has no root
+        cfg = write_config(tmp_path, speed=0)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "delta_max" in capsys.readouterr().err
+
     def test_rerun_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -229,11 +259,20 @@ class TestSimulateCommand:
         assert doc["mode"] == "realized"
         assert doc["pilot_fraction"] == pytest.approx(0.25, abs=1e-3)
 
+    def test_threshold_index_window_clamped(self, tmp_path):
+        # tau_max 200 would leave only ages 1..51 to scan; clamped to 125 it reaches 99
+        cfg = write_config(tmp_path, speed=0.02, delta_max=250, tau_max=200)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "simulate.json").read_text())
+        assert doc["period"] == 99
+
     def test_unknown_policy_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--policy", "greedy"]) == 2
+        for policy in ("greedy", "periodic:0"):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--policy", policy]) == 2
 
 
 class TestValidateCommand:

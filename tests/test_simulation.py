@@ -1,13 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import pilotsched.simulation as simulation
 from pilotsched import (DATA, EXPECTED, PILOT, REALIZED, RewardCurve,
-                        SchedulerState, bler, build_reward_curve,
-                        derive_streams, max_goodput, periodic_policy,
-                        run_policy, sinr, solve_threshold, step,
-                        threshold_policy)
+                        SchedulerState, build_reward_curve, decide,
+                        derive_streams, max_goodput, run_policy, sinr,
+                        solve_threshold, step)
 
 
 @pytest.fixture(scope="module")
@@ -106,62 +107,33 @@ class TestStep:
 
 
 class TestPolicies:
-    def test_periodic_pilot_pattern(self):
-        policy = periodic_policy(3)
-        actions = [policy(SchedulerState(age=1, last_pilot_value=None, slot=t))
-                   for t in range(9)]
-        assert actions == [PILOT, DATA, DATA] * 3
-
-    def test_periodic_seed_invariant(self):
-        policy = periodic_policy(4)
-        a = [policy(SchedulerState(age=(t % 4) + 1, last_pilot_value=None, slot=t))
-             for t in range(20)]
-        b = [policy(SchedulerState(age=(t % 3) + 1, last_pilot_value=1.0, slot=t))
-             for t in range(20)]
-        assert a == b  # open loop: only the slot matters
+    @pytest.mark.parametrize("curve_name", ["reference", "zero"])
+    def test_decision_rule_pilots_once_per_period(self, curve_name, request):
+        # run_policy takes the threshold policy as its period; the decision
+        # rule must send data at every younger age and a pilot at that period
+        if curve_name == "reference":
+            curve = request.getfixturevalue("reference_curve")
+            sol = request.getfixturevalue("reference_solution")
+        else:
+            curve = RewardCurve(values=np.zeros(50))
+            sol = solve_threshold(curve, tau_max=10)
+        actions = [decide(age, sol, curve) for age in range(1, sol.period + 1)]
+        assert actions == [DATA] * (sol.period - 1) + [PILOT]
 
     def test_period_one_always_pilot(self, reference_params, default_table):
-        res = run_policy(periodic_policy(1), reference_params, default_table,
+        res = run_policy(1, reference_params, default_table,
                          2000, seed=3, mode=EXPECTED)
         assert res.avg_goodput == 0.0
         assert res.pilot_fraction == 1.0
 
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            periodic_policy(0)
-
-    def test_threshold_policy_stationary(self, reference_solution, reference_curve):
-        policy = threshold_policy(reference_solution, reference_curve)
-        for age in range(1, reference_solution.period + 1):
-            a = policy(SchedulerState(age=age, last_pilot_value=None, slot=11))
-            b = policy(SchedulerState(age=age, last_pilot_value=2.0, slot=9283))
-            assert a == b
-
-    def test_threshold_matches_periodic_after_first_pilot(self, reference_params,
-                                                          default_table, reference_curve,
-                                                          reference_solution):
-        horizon = 10_000
-        trace, noise, _ = derive_streams(reference_params, horizon, seed=12)
-        thr = threshold_policy(reference_solution, reference_curve)
-        per = periodic_policy(reference_solution.period)
-        state_t = SchedulerState(age=1, last_pilot_value=None, slot=0)
-        state_p = SchedulerState(age=1, last_pilot_value=None, slot=0)
-        for t in range(horizon):
-            a_t = PILOT if t == 0 else thr(state_t)
-            a_p = PILOT if t == 0 else per(state_p)
-            assert a_t == a_p
-            state_t, _ = step(state_t, a_t, trace, reference_params, default_table,
-                              EXPECTED, pilot_noise=complex(noise[t]),
-                              reward_curve=reference_curve)
-            state_p, _ = step(state_p, a_p, trace, reference_params, default_table,
-                              EXPECTED, pilot_noise=complex(noise[t]),
-                              reward_curve=reference_curve)
+    def test_invalid_period(self, reference_params, default_table):
+        with pytest.raises(ValueError, match="period"):
+            run_policy(0, reference_params, default_table, 2000, seed=1, mode=EXPECTED)
 
     def test_degenerate_zero_curve_always_pilot(self, reference_params, default_table):
         curve = RewardCurve(values=np.zeros(50))
         sol = solve_threshold(curve, tau_max=10)
-        policy = threshold_policy(sol, curve)
-        res = run_policy(policy, reference_params, default_table, 2000, seed=4,
+        res = run_policy(sol.period, reference_params, default_table, 2000, seed=4,
                          mode=EXPECTED, reward_curve=curve)
         assert res.pilot_fraction == 1.0
         assert res.avg_goodput == 0.0
@@ -171,7 +143,7 @@ class TestRunPolicy:
     def test_threshold_average_matches_beta(self, reference_params, default_table,
                                             reference_curve, reference_solution):
         horizon = 200_000
-        res = run_policy(threshold_policy(reference_solution, reference_curve), reference_params,
+        res = run_policy(reference_solution.period, reference_params,
                          default_table, horizon, seed=42, mode=EXPECTED,
                          reward_curve=reference_curve)
         assert abs(res.avg_goodput - reference_solution.beta) <= \
@@ -180,23 +152,23 @@ class TestRunPolicy:
     def test_periodic_average_closed_form(self, reference_params, default_table, reference_curve):
         horizon = 100_000
         for period in (2, 5):
-            res = run_policy(periodic_policy(period), reference_params, default_table,
+            res = run_policy(period, reference_params, default_table,
                              horizon, seed=42, mode=EXPECTED, reward_curve=reference_curve)
             closed_form = float(reference_curve.values[:period - 1].sum()) / period
             assert abs(res.avg_goodput - closed_form) <= 10 * period / horizon
 
     def test_periodic_pilot_fraction(self, reference_params, default_table, reference_curve):
         horizon = 10_000
-        res = run_policy(periodic_policy(2), reference_params, default_table,
+        res = run_policy(2, reference_params, default_table,
                          horizon, seed=1, mode=EXPECTED, reward_curve=reference_curve)
         assert abs(res.pilot_fraction - 0.5) <= 1.0 / horizon
 
     def test_deterministic_given_seed(self, reference_params, default_table, reference_curve,
                                       reference_solution):
-        policy = threshold_policy(reference_solution, reference_curve)
-        a = run_policy(policy, reference_params, default_table, 5000, seed=9,
+        period = reference_solution.period
+        a = run_policy(period, reference_params, default_table, 5000, seed=9,
                        mode=REALIZED, reward_curve=reference_curve)
-        b = run_policy(policy, reference_params, default_table, 5000, seed=9,
+        b = run_policy(period, reference_params, default_table, 5000, seed=9,
                        mode=REALIZED, reward_curve=reference_curve)
         assert a.avg_goodput == b.avg_goodput
         assert a.age_histogram == b.age_histogram
@@ -205,17 +177,17 @@ class TestRunPolicy:
                                                            default_table, reference_curve,
                                                            reference_solution):
         # expected-mode rewards depend only on the age sequence for these policies
-        policy = threshold_policy(reference_solution, reference_curve)
-        a = run_policy(policy, reference_params, default_table, 5000, seed=1,
+        period = reference_solution.period
+        a = run_policy(period, reference_params, default_table, 5000, seed=1,
                        mode=EXPECTED, reward_curve=reference_curve)
-        b = run_policy(policy, reference_params, default_table, 5000, seed=2,
+        b = run_policy(period, reference_params, default_table, 5000, seed=2,
                        mode=EXPECTED, reward_curve=reference_curve)
         assert a.avg_goodput == b.avg_goodput
 
     def test_histogram_invariants(self, reference_params, default_table, reference_curve,
                                   reference_solution):
         horizon = 5000
-        res = run_policy(threshold_policy(reference_solution, reference_curve), reference_params,
+        res = run_policy(reference_solution.period, reference_params,
                          default_table, horizon, seed=3, mode=EXPECTED,
                          reward_curve=reference_curve)
         assert sum(res.age_histogram.values()) == horizon
@@ -225,12 +197,12 @@ class TestRunPolicy:
 
     def test_short_horizon_rejected(self, reference_params, default_table):
         with pytest.raises(ValueError, match="horizon"):
-            run_policy(periodic_policy(2), reference_params, default_table,
+            run_policy(2, reference_params, default_table,
                        999, seed=1, mode=EXPECTED)
 
     def test_excessive_horizon_rejected(self, reference_params, default_table):
         with pytest.raises(ValueError, match="maximum"):
-            run_policy(periodic_policy(2), reference_params, default_table,
+            run_policy(2, reference_params, default_table,
                        60_000_000, seed=1, mode=EXPECTED)
 
     def test_matches_step_loop_exactly(self, reference_params, default_table, reference_curve,
@@ -238,17 +210,18 @@ class TestRunPolicy:
         # the vectorized reward pass must reproduce the one-slot reference path
         horizon = 2000
         for mode in (EXPECTED, REALIZED):
-            for policy_fn in (threshold_policy(reference_solution, reference_curve),
-                              periodic_policy(3)):
-                res = run_policy(policy_fn, reference_params, default_table, horizon,
+            for period in (reference_solution.period, 3):
+                res = run_policy(period, reference_params, default_table, horizon,
                                  seed=17, mode=mode, reward_curve=reference_curve)
                 trace, noise, uniforms = derive_streams(reference_params, horizon, seed=17)
                 state = SchedulerState(age=1, last_pilot_value=None, slot=0)
                 total = 0.0
                 pilots = 0
+                histogram = Counter()
                 for t in range(horizon):
-                    action = PILOT if t == 0 else policy_fn(state)
+                    action = PILOT if t % period == 0 else DATA
                     pilots += action == PILOT
+                    histogram[state.age] += 1
                     state, reward = step(state, action, trace, reference_params,
                                          default_table, mode,
                                          pilot_noise=complex(noise[t]),
@@ -257,14 +230,28 @@ class TestRunPolicy:
                     total += reward
                 assert res.avg_goodput == pytest.approx(total / horizon, abs=1e-12)
                 assert res.pilot_fraction == pilots / horizon
+                assert res.age_histogram == dict(histogram)
+
+    def test_expected_mode_draws_no_streams(self, monkeypatch, reference_params,
+                                            default_table, reference_curve):
+        def refuse(*args, **kwargs):
+            raise AssertionError("expected mode must not draw the random streams")
+
+        monkeypatch.setattr(simulation, "derive_streams", refuse)
+        res = run_policy(4, reference_params, default_table, 10_000, seed=1,
+                         mode=EXPECTED, reward_curve=reference_curve)
+        assert res.pilot_fraction == 0.25
+        with pytest.raises(AssertionError, match="random streams"):
+            run_policy(4, reference_params, default_table, 10_000, seed=1,
+                       mode=REALIZED, reward_curve=reference_curve)
 
     def test_realized_matches_expected_in_mean(self, reference_params, default_table,
                                                reference_curve, reference_solution):
         horizon = 200_000
-        policy = threshold_policy(reference_solution, reference_curve)
-        exp = run_policy(policy, reference_params, default_table, horizon, seed=42,
+        period = reference_solution.period
+        exp = run_policy(period, reference_params, default_table, horizon, seed=42,
                          mode=EXPECTED, reward_curve=reference_curve)
-        real = run_policy(policy, reference_params, default_table, horizon, seed=42,
+        real = run_policy(period, reference_params, default_table, horizon, seed=42,
                           mode=REALIZED, reward_curve=reference_curve)
         # batched standard error: cycles are weakly correlated through fading
         assert abs(real.avg_goodput - exp.avg_goodput) <= 0.01
@@ -272,10 +259,10 @@ class TestRunPolicy:
     def test_threshold_dominates_periodic_sample(self, reference_params, default_table,
                                                  reference_curve, reference_solution):
         horizon = 100_000
-        thr = run_policy(threshold_policy(reference_solution, reference_curve), reference_params,
+        thr = run_policy(reference_solution.period, reference_params,
                          default_table, horizon, seed=7, mode=EXPECTED,
                          reward_curve=reference_curve)
         for period in (1, 2, 3, 5, 8, 13, 21, 30):
-            per = run_policy(periodic_policy(period), reference_params, default_table,
+            per = run_policy(period, reference_params, default_table,
                              horizon, seed=7, mode=EXPECTED, reward_curve=reference_curve)
             assert thr.avg_goodput >= per.avg_goodput - 1e-3
