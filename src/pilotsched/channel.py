@@ -180,20 +180,23 @@ def bessel_j0(x):
     return out.reshape(arr.shape)
 
 
-def autocorrelation(delta: int, params: LinkParams) -> float:
-    """Channel autocovariance rho0 * J0(2*pi*f_d*T_s*delta) at integer lag delta."""
-    if delta < 0:
+def autocorrelation(delta, params: LinkParams):
+    """Channel autocovariance rho0 * J0(2*pi*f_d*T_s*delta) at integer lag(s) delta.
+
+    Accepts a scalar lag (returns a float) or an array of lags (returns an
+    array of the same shape).
+    """
+    if np.any(np.asarray(delta) < 0):
         raise ValueError(f"lag must be >= 0, got {delta}")
     arg = 2.0 * math.pi * params.normalized_doppler * delta
     return params.channel_variance * bessel_j0(arg)
 
 
 def autocorrelation_lags(n_lags: int, params: LinkParams) -> np.ndarray:
-    """Vectorized autocovariance at lags 0 .. n_lags-1."""
+    """Autocovariance at lags 0 .. n_lags-1."""
     if n_lags < 1:
         raise ValueError("n_lags must be >= 1")
-    args = 2.0 * math.pi * params.normalized_doppler * np.arange(n_lags)
-    return params.channel_variance * bessel_j0(args)
+    return autocorrelation(np.arange(n_lags), params)
 
 
 def generate_fading_trace(params: LinkParams, length: int, seed: int) -> FadingTrace:

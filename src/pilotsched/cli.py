@@ -18,9 +18,9 @@ from .config import ExperimentConfig, default_config, load_config
 from .link_adaptation import (DEFAULT_CQI_MIDPOINTS_DB, QuadratureConfig,
                               default_mcs_table, load_bler_table, load_mcs_rates,
                               parametric_mcs_table, build_reward_curve)
-from .scheduler import ConvergenceError, load_reward_curve, solve_threshold
+from .scheduler import load_reward_curve
 from .simulation import EXPECTED, run_policy
-from .validation import oracle_deviations, run_all_checks
+from .validation import oracle_deviations, run_all_checks, solve_clamped
 
 ORACLE_TOLERANCE = 1e-6
 BASELINE_PERIOD = 2
@@ -69,18 +69,8 @@ def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def _solve(curve, tau_max: int):
-    """Solve the threshold with the index window clamped to half the curve."""
-    tau_eff = min(tau_max, max(1, len(curve) // 2))
-    try:
-        return solve_threshold(curve, tol=1e-13, tau_max=tau_eff)
-    except ConvergenceError as exc:
-        raise ValueError(f"no pilot period found within the {len(curve)} tabulated ages "
-                         f"(delta_max): {exc}") from exc
-
-
 def _solve_report(curve, tau_max: int) -> dict:
-    sol = _solve(curve, tau_max)
+    sol = solve_clamped(curve, tau_max)
     dev = oracle_deviations(curve, sol)
     return {
         "beta": sol.beta,
@@ -128,7 +118,7 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, value: float, mode: str) -> l
     table = build_table(cfg)
     quad = _quad(cfg)
     curve = build_reward_curve(params, table, cfg.delta_max, quad)
-    sol = _solve(curve, cfg.tau_max)
+    sol = solve_clamped(curve, cfg.tau_max)
     rows = []
     for name, period in (("threshold", sol.period),
                          (f"periodic-{BASELINE_PERIOD}", BASELINE_PERIOD)):
@@ -183,7 +173,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str, seed: int,
     curve = build_reward_curve(params, table, cfg.delta_max, quad)
     doc: dict = {"policy": policy_arg, "mode": mode, "seed": seed}
     if policy_arg == "threshold":
-        sol = _solve(curve, cfg.tau_max)
+        sol = solve_clamped(curve, cfg.tau_max)
         period = sol.period
         doc["beta"] = sol.beta
     elif policy_arg.startswith("periodic:"):

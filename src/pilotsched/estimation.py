@@ -5,12 +5,17 @@ of the current channel is a scalar gain times y; the residual error variance
 depends on the age only.  The SINR of a data transmission made with that
 estimate factors as sinr_gain(age) * |y|^2, which is what makes the expected
 goodput a one-dimensional integral downstream.
+
+mmse_gain, error_variance and sinr_gain take a scalar age (and return a
+float) or an array of ages (and return an array of the same shape).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import LinkParams, autocorrelation
 
@@ -34,26 +39,29 @@ class ChannelEstimate:
     error_variance: float
 
 
-def mmse_gain(age: int, params: LinkParams) -> float:
-    """Scalar MMSE gain sqrt(P_p) * rho(age) / (P_p * rho0 + noise_var).
+def _mmse_terms(rho, params: LinkParams) -> tuple:
+    """(MMSE gain, residual error variance) for the autocovariance rho = rho(age)."""
+    den = pilot_second_moment(params)
+    return (math.sqrt(params.pilot_power) * rho / den,
+            params.channel_variance - params.pilot_power * rho * rho / den)
+
+
+def mmse_gain(age, params: LinkParams):
+    """MMSE gain sqrt(P_p) * rho(age) / (P_p * rho0 + noise_var).
 
     age = 0 is the fresh-pilot limit, allowed for reference computations;
     negative ages are rejected.
     """
-    if age < 0:
+    if np.any(np.asarray(age) < 0):
         raise ValueError(f"age must be >= 0, got {age}")
-    rho = autocorrelation(age, params)
-    return math.sqrt(params.pilot_power) * rho / (
-        params.pilot_power * params.channel_variance + params.noise_variance)
+    return _mmse_terms(autocorrelation(age, params), params)[0]
 
 
-def error_variance(age: int, params: LinkParams) -> float:
+def error_variance(age, params: LinkParams):
     """Variance of the estimation residual, rho0 - P_p*rho(age)^2/(P_p*rho0 + noise)."""
-    if age < 0:
+    if np.any(np.asarray(age) < 0):
         raise ValueError(f"age must be >= 0, got {age}")
-    rho = autocorrelation(age, params)
-    return params.channel_variance - params.pilot_power * rho * rho / (
-        params.pilot_power * params.channel_variance + params.noise_variance)
+    return _mmse_terms(autocorrelation(age, params), params)[1]
 
 
 def estimate_channel(obs: PilotObservation, params: LinkParams) -> ChannelEstimate:
@@ -76,14 +84,14 @@ def sinr(age: int, y: complex, params: LinkParams) -> float:
     return sinr_gain(age, params) * abs(y) ** 2
 
 
-def sinr_gain(age: int, params: LinkParams) -> float:
+def sinr_gain(age, params: LinkParams):
     """Factor g(age) such that sinr(age, y) == g(age) * |y|^2 exactly."""
-    if age < 1:
+    if np.any(np.asarray(age) < 1):
         raise ValueError(f"age must be >= 1 at a data slot, got {age}")
     if params.noise_variance <= 0:
         raise ValueError("noise variance must be strictly positive")
-    gain = mmse_gain(age, params)
-    den = params.data_power * error_variance(age, params) + params.noise_variance
+    gain, err = _mmse_terms(autocorrelation(age, params), params)
+    den = params.data_power * err + params.noise_variance
     return params.data_power * gain * gain / den
 
 

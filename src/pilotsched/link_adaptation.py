@@ -6,6 +6,8 @@ over all MCS entries whose BLER stays below e_max, and the age curve r(d) is
 the exponential-measure integral of that maximum, evaluated by deterministic
 composite Gauss-Legendre quadrature split at the MCS feasibility thresholds
 (the integrand jumps there, so plain Gauss rules would stall at low accuracy).
+All ages of a curve are integrated together, in fixed-size chunks of
+panel x node points.
 """
 
 from __future__ import annotations
@@ -56,6 +58,19 @@ class LogisticBlerCurve:
             z = np.clip(self.slope_per_db * (snr_db - self.midpoint_db), -700, 700)
             out[pos] = 1.0 / (1.0 + np.exp(z))
         return float(out[0]) if scalar else out
+
+    def threshold(self, e_max: float) -> float:
+        """Smallest linear SINR x with self(x) <= e_max.
+
+        Inverts the logistic in closed form, then steps one float at a time
+        to where this implementation's rounded curve crosses e_max.
+        """
+        x = 10.0 ** ((self.midpoint_db + math.log(1.0 / e_max - 1.0) / self.slope_per_db) / 10.0)
+        while self(x) > e_max:
+            x = math.nextafter(x, math.inf)
+        while self(math.nextafter(x, 0.0)) <= e_max:
+            x = math.nextafter(x, 0.0)
+        return x
 
     def fingerprint_key(self) -> str:
         return f"logistic({self.slope_per_db!r},{self.midpoint_db!r})"
@@ -130,30 +145,37 @@ class McsTable:
     def feasibility_thresholds(self) -> np.ndarray:
         """Smallest linear SINR at which each entry meets the BLER ceiling.
 
-        Found by bisection on the monotone curve; +inf when the entry never
-        qualifies within the search range.
+        0 when the entry qualifies already at 1e-18 and +inf when it does not
+        qualify at 1e18.  In between, a curve with a `threshold(e_max)` method
+        answers itself; any other curve is bisected.
         """
+        lo, hi = 1e-18, 1e18
         out = np.empty(len(self.entries))
         for i, entry in enumerate(self.entries):
-            lo, hi = 1e-18, 1e18
             if bler(lo, entry) <= self.e_max:
                 out[i] = 0.0
-                continue
-            if bler(hi, entry) > self.e_max:
+            elif bler(hi, entry) > self.e_max:
                 out[i] = np.inf
-                continue
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if bler(mid, entry) <= self.e_max:
-                    hi = mid
-                else:
-                    lo = mid
-            out[i] = hi
+            else:
+                threshold = getattr(entry.bler_curve, "threshold", None)
+                out[i] = (threshold(self.e_max) if threshold is not None
+                          else _bisect_threshold(entry, self.e_max, lo, hi))
         return out
 
     def fingerprint_key(self) -> str:
         parts = [f"{e.index}:{e.rate!r}:{_curve_key(e.bler_curve)}" for e in self.entries]
         return f"e_max={self.e_max!r};" + ";".join(parts)
+
+
+def _bisect_threshold(entry: McsEntry, e_max: float, lo: float, hi: float) -> float:
+    """Geometric bisection for the smallest SINR in (lo, hi] meeting e_max."""
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if bler(mid, entry) <= e_max:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _curve_key(curve) -> str:
@@ -171,45 +193,37 @@ def bler(snr_linear: float, entry: McsEntry) -> float:
 
 
 def max_goodput(snr_linear: float, table: McsTable):
-    """Best rate * (1 - BLER) over entries within the ceiling.
+    """Best rate * (1 - BLER) over entries within the ceiling, at one SINR.
 
     Returns (goodput, entry); (0.0, None) when no entry qualifies.
     """
     if snr_linear < 0:
         raise ValueError("SINR must be nonnegative")
-    best = 0.0
-    chosen = None
-    for entry in table.entries:
-        e = bler(snr_linear, entry)
-        if e <= table.e_max:
-            g = entry.rate * (1.0 - e)
-            if g > best:
-                best = g
-                chosen = entry
-    return best, chosen
+    goodput, chosen, _ = max_goodput_array(snr_linear, table)
+    index = int(chosen)
+    return float(goodput), (table.entries[index] if index >= 0 else None)
 
 
-def max_goodput_array(snr_linear: np.ndarray, table: McsTable):
-    """Vectorized max_goodput over an SINR array.
+def max_goodput_array(snr_linear, table: McsTable):
+    """Best rate * (1 - BLER) over entries within the ceiling, per SINR.
 
-    Returns (goodput, chosen_index, chosen_bler); chosen_index is -1 and
-    chosen_bler is 1.0 where no entry is feasible.
+    Returns (goodput, chosen_index, chosen_bler), each shaped like the input;
+    chosen_index is -1 and chosen_bler is 1.0 where no entry is feasible.
+    Ties go to the first entry.  Memory is a few arrays the size of the input.
     """
     eta = np.asarray(snr_linear, dtype=float)
-    n_entries = len(table.entries)
-    blers = np.empty((n_entries, eta.size))
+    flat = eta.ravel()
+    best = np.full(flat.shape, -1.0)
+    chosen = np.full(flat.shape, -1)
+    chosen_bler = np.ones(flat.shape)
     for i, entry in enumerate(table.entries):
-        blers[i] = np.clip(entry.bler_curve(eta.ravel()), 0.0, 1.0)
-    rates = np.array([e.rate for e in table.entries])
-    goodput = rates[:, None] * (1.0 - blers)
-    goodput[blers > table.e_max] = -1.0
-    chosen = np.argmax(goodput, axis=0)
-    best = goodput[chosen, np.arange(eta.size)]
-    infeasible = best < 0
-    best[infeasible] = 0.0
-    chosen_bler = blers[chosen, np.arange(eta.size)]
-    chosen_bler[infeasible] = 1.0
-    chosen[infeasible] = -1
+        e = np.clip(entry.bler_curve(flat), 0.0, 1.0)
+        goodput = entry.rate * (1.0 - e)
+        better = (e <= table.e_max) & (goodput > best)
+        np.copyto(best, goodput, where=better)
+        np.copyto(chosen_bler, e, where=better)
+        np.copyto(chosen, i, where=better)
+    best[chosen < 0] = 0.0
     return best.reshape(eta.shape), chosen.reshape(eta.shape), chosen_bler.reshape(eta.shape)
 
 
@@ -266,48 +280,90 @@ def _gauss_legendre(n: int):
     return _GL_CACHE[n]
 
 
-def expected_goodput(age: int, params: LinkParams, table: McsTable,
-                     quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """Expected slot goodput at CSI age `age`, integrated over the pilot draw.
+# Panel x node points handed to one max_goodput_array call, and ages whose
+# panels are laid out at once.  They keep every working array near 32 KB
+# whatever the curve length: with 2^14 points and 1,024 ages, the peak RSS of
+# five 600-age curves and their solves in one process rose by 1.4 MB over
+# the per-panel loop; at these sizes it stays level, at the same speed.
+_CHUNK_POINTS = 1 << 12
+_AGE_BLOCK = 1 << 8
+
+
+def _panels(scale: np.ndarray, thresholds: np.ndarray, quad: QuadratureConfig) -> tuple:
+    """Quadrature panels on the u-axis for ages with SINR scales `scale`.
+
+    u is |y|^2 in units of its mean, and `thresholds` are the sorted finite
+    feasibility thresholds.  Each age's u-range runs from its lowest
+    threshold to u_end; it is cut at every threshold inside, and each piece
+    is split evenly into panels no longer than quad.max_panel.  Returns
+    (owner, lo, hi): the index into `scale` of each panel's age and its
+    u-interval, ages in order and panels in increasing u within an age.
+    Ages with scale 0, or whose range is empty, get no panels.
+    """
+    live = np.flatnonzero(scale > 0)
+    cuts = thresholds / scale[live, None]      # ascending along each row
+    u_start = cuts[:, 0]
+    # exp(-u) underflows past ~745
+    u_end = np.minimum(np.maximum(quad.tail, u_start + 30.0), 700.0)
+    inner = (cuts > u_start[:, None]) & (cuts < u_end[:, None])
+    inner[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    nonempty = (u_start < u_end)[:, None]
+    keep = np.hstack([nonempty, inner & nonempty, nonempty])
+    row, _ = np.nonzero(keep)
+    points = np.hstack([u_start[:, None], cuts, u_end[:, None]])[keep]
+    same = row[:-1] == row[1:]
+    a, b, owner = points[:-1][same], points[1:][same], live[row[:-1][same]]
+
+    # numpy.linspace(a, b, n + 1) per piece: edge k is k * ((b - a) / n) + a,
+    # and the last edge is b itself
+    n = np.maximum(1, np.ceil((b - a) / quad.max_panel)).astype(np.int64)
+    piece = np.repeat(np.arange(n.size), n)
+    k = np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)
+    step = (b - a) / n
+    lo = k * step[piece] + a[piece]
+    hi = np.where(k + 1 == n[piece], b[piece], (k + 1) * step[piece] + a[piece])
+    return owner[piece], lo, hi
+
+
+def _expected_goodputs(ages: np.ndarray, params: LinkParams, table: McsTable,
+                       quad: QuadratureConfig) -> np.ndarray:
+    """r(age) for every age in `ages` (all >= 1) by composite Gauss-Legendre quadrature.
 
     E[G(sinr_gain(age) * X)] with X exponential of mean P_p*rho0 + noise_var.
-    The u-axis (X in units of its mean) is partitioned at every feasibility
-    threshold and integrated panel-by-panel with Gauss-Legendre nodes; the
-    region below the lowest threshold contributes exactly zero.
+    The region below the lowest feasibility threshold contributes exactly
+    zero.  Panels of all ages are evaluated together in chunks; each panel's
+    weighted sum is added to its age in panel order, so an age's value does
+    not depend on which other ages are tabulated with it.
     """
+    scale = sinr_gain(ages, params) * pilot_second_moment(params)
+    thresholds = table.feasibility_thresholds
+    thresholds = np.sort(thresholds[np.isfinite(thresholds)])
+    values = np.zeros(ages.size)
+    if thresholds.size == 0:
+        return values
+    x_ref, w_ref = _gauss_legendre(quad.nodes)
+    per_chunk = max(1, _CHUNK_POINTS // quad.nodes)
+    for first in range(0, ages.size, _AGE_BLOCK):
+        owner, lo, hi = _panels(scale[first:first + _AGE_BLOCK], thresholds, quad)
+        owner += first
+        for start in range(0, owner.size, per_chunk):
+            sl = slice(start, start + per_chunk)
+            hw = 0.5 * (hi[sl] - lo[sl])
+            u = (0.5 * (lo[sl] + hi[sl]))[:, None] + hw[:, None] * x_ref
+            g, _, _ = max_goodput_array(u * scale[owner[sl], None], table)
+            rows = g * np.exp(-u)
+            # one dot product per panel, as a single-panel sum would take it
+            sums = np.array([np.dot(w_ref, row) for row in rows])
+            np.add.at(values, owner[sl], hw * sums)
+    return values
+
+
+def expected_goodput(age: int, params: LinkParams, table: McsTable,
+                     quad: QuadratureConfig = QuadratureConfig()) -> float:
+    """Expected slot goodput at CSI age `age`, integrated over the pilot draw."""
     if age < 1:
         raise ValueError(f"age must be >= 1, got {age}")
-    gain = sinr_gain(age, params)
-    if gain <= 0.0:
-        return 0.0
-    mean = pilot_second_moment(params)
-    scale = gain * mean
-
-    thresholds = table.feasibility_thresholds / scale  # in u units
-    finite = thresholds[np.isfinite(thresholds)]
-    if finite.size == 0:
-        return 0.0
-    u_start = float(finite.min())
-    u_end = min(max(quad.tail, u_start + 30.0), 700.0)  # exp(-u) underflows past ~745
-    if u_start >= u_end:
-        return 0.0
-
-    cuts = np.unique(np.concatenate(
-        ([u_start, u_end], finite[(finite > u_start) & (finite < u_end)])))
-    panels = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n_sub = max(1, int(math.ceil((b - a) / quad.max_panel)))
-        edges = np.linspace(a, b, n_sub + 1)
-        panels.extend(zip(edges[:-1], edges[1:]))
-
-    x_ref, w_ref = _gauss_legendre(quad.nodes)
-    total = 0.0
-    for a, b in panels:
-        hw = 0.5 * (b - a)
-        u = 0.5 * (a + b) + hw * x_ref
-        g, _, _ = max_goodput_array(u * scale, table)
-        total += hw * float(np.dot(w_ref, g * np.exp(-u)))
-    return total
+    return float(_expected_goodputs(np.array([age]), params, table, quad)[0])
 
 
 def build_reward_curve(params: LinkParams, table: McsTable, max_age: int,
@@ -317,7 +373,7 @@ def build_reward_curve(params: LinkParams, table: McsTable, max_age: int,
         raise ValueError(f"max_age must be >= 1, got {max_age}")
     if max_age > MAX_TABULATED_AGES:
         raise ValueError(f"max_age {max_age} exceeds the configured bound {MAX_TABULATED_AGES}")
-    values = np.array([expected_goodput(d, params, table, quad) for d in range(1, max_age + 1)])
+    values = _expected_goodputs(np.arange(1, max_age + 1), params, table, quad)
     key = (f"params={params!r};table={table.fingerprint_key()};"
            f"quad=({quad.nodes},{quad.tail!r},{quad.max_panel!r});max_age={max_age}")
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]

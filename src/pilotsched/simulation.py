@@ -170,7 +170,7 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
             owner = np.searchsorted(pilot_idx, data_idx, side="left") - 1
             y_sq = np.abs(y_pilots[owner]) ** 2
             unique_ages, inverse = np.unique(data_ages, return_inverse=True)
-            gains = np.array([sinr_gain(int(a), params) for a in unique_ages])
+            gains = sinr_gain(unique_ages, params)
             eta = gains[inverse] * y_sq
             rewards = np.empty(data_idx.size)
             rate_of = np.array([e.rate for e in table.entries])

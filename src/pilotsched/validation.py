@@ -17,8 +17,9 @@ from .channel import (LinkParams, autocorrelation_lags, empirical_autocorrelatio
 from .estimation import error_variance, mmse_gain, pilot_second_moment, sinr_gain
 from .link_adaptation import (McsTable, QuadratureConfig, RewardCurve,
                               build_reward_curve, expected_goodput, max_goodput_array)
-from .scheduler import (ThresholdSolution, brute_force_optimal_period,
-                        relative_value_iteration, solve_threshold)
+from .scheduler import (ConvergenceError, ThresholdSolution,
+                        brute_force_optimal_period, relative_value_iteration,
+                        solve_threshold)
 
 
 @dataclass
@@ -180,10 +181,23 @@ def oracle_deviations(curve: RewardCurve, sol: ThresholdSolution) -> dict:
     }
 
 
+def solve_clamped(curve: RewardCurve, tau_max: int) -> ThresholdSolution:
+    """Solve the threshold with the index window clamped to half the curve.
+
+    A curve too short to hold the optimal pilot period raises a ValueError
+    naming delta_max, the config field that sets the curve length.
+    """
+    tau_eff = min(tau_max, max(1, len(curve) // 2))
+    try:
+        return solve_threshold(curve, tol=1e-13, tau_max=tau_eff)
+    except ConvergenceError as exc:
+        raise ValueError(f"no pilot period found within the {len(curve)} tabulated ages "
+                         f"(delta_max): {exc}") from exc
+
+
 def scheduler_triangle_deviation(curve: RewardCurve, tau_max: int = 150) -> dict:
     """Pairwise deviations of the three solver routes on one curve."""
-    sol = solve_threshold(curve, tol=1e-13, tau_max=tau_max)
-    return oracle_deviations(curve, sol)
+    return oracle_deviations(curve, solve_clamped(curve, tau_max))
 
 
 def check_scheduler_triangle(physical_curve: RewardCurve | None = None,

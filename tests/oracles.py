@@ -1,11 +1,18 @@
 """Independent reference computations backing the frozen expected values.
 
 These deliberately avoid the package's own code paths: the Bessel oracle is an
-arbitrary-precision power series, and the scheduler oracles are plain Python
-loops over the definitions.
+arbitrary-precision power series, the scheduler oracles are plain Python
+loops over the definitions, and the reward-curve oracle integrates one age
+and one quadrature panel at a time, with the MCS feasibility thresholds found
+by bisection and the best MCS by an argmax over all entries.
 """
 
+import math
 from decimal import Decimal, getcontext
+
+import numpy as np
+
+from pilotsched.estimation import pilot_second_moment, sinr_gain
 
 
 def j0_series(x: float, digits: int = 30) -> float:
@@ -50,3 +57,92 @@ def best_period_brute(values, p_max: int):
         if avg > best_avg:
             best_p, best_avg = p, avg
     return best_p, best_avg
+
+
+def bisect_thresholds(table):
+    """Smallest linear SINR at which each entry meets the BLER ceiling, by
+    200 geometric bisection steps on [1e-18, 1e18]; 0 or +inf outside it."""
+    def curve_bler(x, entry):
+        return float(np.clip(entry.bler_curve(x), 0.0, 1.0))
+
+    out = np.empty(len(table.entries))
+    for i, entry in enumerate(table.entries):
+        lo, hi = 1e-18, 1e18
+        if curve_bler(lo, entry) <= table.e_max:
+            out[i] = 0.0
+            continue
+        if curve_bler(hi, entry) > table.e_max:
+            out[i] = np.inf
+            continue
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if curve_bler(mid, entry) <= table.e_max:
+                hi = mid
+            else:
+                lo = mid
+        out[i] = hi
+    return out
+
+
+def max_goodput_matrix(eta, table):
+    """Best feasible rate * (1 - BLER) by argmax over an (entries, points) matrix.
+
+    Returns (goodput, chosen_index, chosen_bler) like max_goodput_array.
+    """
+    eta = np.asarray(eta, dtype=float)
+    blers = np.empty((len(table.entries), eta.size))
+    for i, entry in enumerate(table.entries):
+        blers[i] = np.clip(entry.bler_curve(eta.ravel()), 0.0, 1.0)
+    rates = np.array([e.rate for e in table.entries])
+    goodput = rates[:, None] * (1.0 - blers)
+    goodput[blers > table.e_max] = -1.0
+    chosen = np.argmax(goodput, axis=0)
+    best = goodput[chosen, np.arange(eta.size)]
+    infeasible = best < 0
+    best[infeasible] = 0.0
+    chosen_bler = blers[chosen, np.arange(eta.size)]
+    chosen_bler[infeasible] = 1.0
+    chosen[infeasible] = -1
+    return best.reshape(eta.shape), chosen.reshape(eta.shape), chosen_bler.reshape(eta.shape)
+
+
+def reward_curve_panels(ages, params, table, quad):
+    """r(age) at each of `ages` by composite Gauss-Legendre quadrature, one
+    age and one panel at a time.
+
+    The u-axis (|y|^2 in units of its mean) is cut at every feasibility
+    threshold, each piece is split into panels no longer than quad.max_panel,
+    and each panel's weighted sum is added to the age's total in order.
+    """
+    feasibility = bisect_thresholds(table)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(quad.nodes)
+    out = []
+    for age in ages:
+        gain = sinr_gain(int(age), params)
+        if gain <= 0.0:
+            out.append(0.0)
+            continue
+        scale = gain * pilot_second_moment(params)
+        thresholds = feasibility / scale
+        finite = thresholds[np.isfinite(thresholds)]
+        if finite.size == 0:
+            out.append(0.0)
+            continue
+        u_start = float(finite.min())
+        u_end = min(max(quad.tail, u_start + 30.0), 700.0)
+        if u_start >= u_end:
+            out.append(0.0)
+            continue
+        cuts = np.unique(np.concatenate(
+            ([u_start, u_end], finite[(finite > u_start) & (finite < u_end)])))
+        total = 0.0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            n_sub = max(1, int(math.ceil((b - a) / quad.max_panel)))
+            edges = np.linspace(a, b, n_sub + 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                hw = 0.5 * (hi - lo)
+                u = 0.5 * (lo + hi) + hw * x_ref
+                g, _, _ = max_goodput_matrix(u * scale, table)
+                total += hw * float(np.dot(w_ref, g * np.exp(-u)))
+        out.append(total)
+    return np.array(out)

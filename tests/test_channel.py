@@ -107,6 +107,15 @@ class TestAutocorrelation:
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=10.0)
         with pytest.raises(ValueError):
             autocorrelation(-1, p)
+        with pytest.raises(ValueError):
+            autocorrelation(np.array([3, -1]), p)
+
+    def test_lag_array_matches_scalar_lags(self):
+        p = LinkParams(1.0, 1.0, 1.0, channel_variance=0.9, doppler_hz=37.0)
+        lags = np.arange(0, 700, 7).reshape(10, 10)
+        got = autocorrelation(lags, p)
+        assert got.shape == lags.shape
+        assert np.array_equal(got, [[autocorrelation(int(d), p) for d in row] for row in lags])
 
 
 class TestLinkParamsValidation:

@@ -161,6 +161,21 @@ class TestSinrGain:
         assert sinr_gain(10, p) == expected
 
 
+class TestAgeArrays:
+    def test_array_matches_scalar_ages(self, reference_params):
+        ages = np.arange(0, 800)
+        for fn, lowest in ((mmse_gain, 0), (error_variance, 0), (sinr_gain, 1)):
+            valid = ages[ages >= lowest]
+            got = fn(valid, reference_params)
+            assert np.array_equal(got, [fn(int(a), reference_params) for a in valid])
+
+    def test_invalid_age_in_array_rejected(self, unit_params):
+        with pytest.raises(ValueError, match="data slot"):
+            sinr_gain(np.array([1, 2, 0]), unit_params)
+        with pytest.raises(ValueError):
+            mmse_gain(np.array([0, -1]), unit_params)
+
+
 class TestStatisticalProperties:
     def test_orthogonality_monte_carlo(self, reference_params):
         rng = np.random.default_rng(11)

@@ -4,17 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import bisect_thresholds, max_goodput_matrix, reward_curve_panels
 from pilotsched import (LinkParams, LogisticBlerCurve, McsEntry, McsTable,
                         QuadratureConfig, RewardCurve, TabulatedBlerCurve,
                         autocorrelation, bler, build_reward_curve,
-                        default_mcs_table, expected_goodput, load_bler_table,
-                        load_mcs_rates, max_goodput)
+                        default_mcs_table, expected_goodput, link_adaptation,
+                        load_bler_table, load_mcs_rates, max_goodput)
+from pilotsched.config import ExperimentConfig
+from pilotsched.link_adaptation import max_goodput_array
 from pilotsched.validation import mc_expected_goodput
 
 
 def single_entry_table(rate: float, curve, e_max: float = 0.1) -> McsTable:
     return McsTable(entries=[McsEntry(index=1, rate=rate, bler_curve=curve)],
                     e_max=e_max)
+
+
+def tabulated_default_table(tmp_path) -> McsTable:
+    """The default logistic curves sampled every 2 dB and loaded as a BLER CSV."""
+    rows = ["cqi,snr_db,bler"]
+    for entry in default_mcs_table().entries:
+        for snr_db in range(-30, 42, 2):
+            rows.append(f"{entry.index},{snr_db!r},{entry.bler_curve(10 ** (snr_db / 10))!r}")
+    path = tmp_path / "bler.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return load_bler_table(path)
 
 
 class TestBler:
@@ -83,6 +97,58 @@ class TestMaxGoodput:
     def test_bounded_by_max_rate(self, default_table):
         for x in np.geomspace(1e-3, 1e9, 100):
             assert max_goodput(float(x), default_table)[0] <= default_table.max_rate
+
+
+class TestMaxGoodputArray:
+    def test_matches_argmax_over_all_entries(self, default_table, rng):
+        eta = np.concatenate([[0.0, 1e-300, 1e300],
+                              rng.lognormal(0.0, 4.0, 4997)]).reshape(50, 100)
+        for got, want in zip(max_goodput_array(eta, default_table),
+                             max_goodput_matrix(eta, default_table)):
+            assert got.shape == eta.shape
+            assert np.array_equal(got, want)
+
+    def test_scalar_bler_callables_broadcast_and_ties_go_first(self):
+        # goodput 1 * (1 - 0) == 2 * (1 - 0.5): the first entry wins the tie
+        table = McsTable(entries=[
+            McsEntry(index=1, rate=1.0, bler_curve=lambda eta: 0.0),
+            McsEntry(index=2, rate=2.0, bler_curve=lambda eta: 0.5),
+        ], e_max=0.6)
+        eta = np.linspace(0.0, 10.0, 12).reshape(3, 4)
+        for got, want in zip(max_goodput_array(eta, table), max_goodput_matrix(eta, table)):
+            assert got.shape == (3, 4)
+            assert np.array_equal(got, want)
+        assert np.all(max_goodput_array(eta, table)[1] == 0)
+
+
+class TestFeasibilityThresholds:
+    @pytest.mark.parametrize("e_max", [0.3, 0.1, 0.01, 1e-3])
+    def test_logistic_closed_form_matches_bisection(self, e_max):
+        table = default_mcs_table(e_max=e_max)
+        assert np.array_equal(table.feasibility_thresholds, bisect_thresholds(table))
+
+    def test_tabulated_matches_bisection(self, tmp_path):
+        table = tabulated_default_table(tmp_path)
+        assert np.array_equal(table.feasibility_thresholds, bisect_thresholds(table))
+
+    def test_out_of_range_and_bare_callables(self):
+        # never feasible below 1e18 -> inf; feasible already at 1e-18 -> 0;
+        # a callable without a threshold method is bisected
+        table = McsTable(entries=[
+            McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -500.0)),
+            McsEntry(index=2, rate=2.0, bler_curve=lambda eta: 0.5 if eta < 7.0 else 0.0),
+            McsEntry(index=3, rate=3.0, bler_curve=LogisticBlerCurve(0.7, 12.3)),
+            McsEntry(index=4, rate=4.0, bler_curve=LogisticBlerCurve(1.5, 500.0)),
+        ])
+        thresholds = table.feasibility_thresholds
+        assert thresholds[0] == 0.0 and thresholds[3] == np.inf
+        assert thresholds[1] == pytest.approx(7.0, rel=1e-15)
+        assert np.array_equal(thresholds, bisect_thresholds(table))
+
+    def test_threshold_is_the_crossing_float(self):
+        curve = LogisticBlerCurve(1.5, 4.4)
+        x = curve.threshold(0.1)
+        assert curve(x) <= 0.1 < curve(math.nextafter(x, 0.0))
 
 
 class TestMcsTableValidation:
@@ -189,6 +255,49 @@ class TestBuildRewardCurve:
         c = build_reward_curve(reference_params, default_table, 40)
         assert np.all(c.values >= 0)
         assert np.all(c.values <= default_table.max_rate)
+
+
+# Operating points spanning the SNR axis at 15 mph and the speed axis at 20 dB,
+# down to a slow 0.155 mph point
+CURVE_POINTS = [(-4.5, 15.0), (24.5, 15.0), (20.0, 2.1), (20.0, 59.0), (20.0, 0.155)]
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("snr_db,speed_mph", CURVE_POINTS)
+    def test_matches_per_panel_oracle(self, snr_db, speed_mph, default_table):
+        params = ExperimentConfig(snr_db=snr_db, speed=speed_mph).link_params()
+        curve = build_reward_curve(params, default_table, 600)
+        ages = np.arange(1, 601, 3)
+        want = reward_curve_panels(ages, params, default_table, QuadratureConfig())
+        assert np.array_equal(curve.values[ages - 1], want)
+
+    def test_matches_oracle_for_loaded_bler_table(self, tmp_path, reference_params):
+        table = tabulated_default_table(tmp_path)
+        curve = build_reward_curve(reference_params, table, 60)
+        want = reward_curve_panels(range(1, 61), reference_params, table, QuadratureConfig())
+        assert np.array_equal(curve.values, want)
+
+    def test_matches_oracle_with_finer_panels(self, reference_params, default_table):
+        quad = QuadratureConfig(nodes=128, max_panel=2.0)
+        curve = build_reward_curve(reference_params, default_table, 60, quad)
+        want = reward_curve_panels(range(1, 61), reference_params, default_table, quad)
+        assert np.array_equal(curve.values, want)
+
+    def test_age_value_independent_of_curve_length(self, reference_params, default_table):
+        full = build_reward_curve(reference_params, default_table, 600).values
+        for k in (1, 2, 37, 255, 599):
+            assert np.array_equal(full[:k],
+                                  build_reward_curve(reference_params, default_table, k).values)
+        for age in (1, 17, 600):
+            assert expected_goodput(age, reference_params, default_table) == full[age - 1]
+
+    def test_age_value_independent_of_chunking(self, monkeypatch, reference_params,
+                                               default_table):
+        want = build_reward_curve(reference_params, default_table, 300).values
+        monkeypatch.setattr(link_adaptation, "_CHUNK_POINTS", 3 * 64 + 5)
+        monkeypatch.setattr(link_adaptation, "_AGE_BLOCK", 7)
+        got = build_reward_curve(reference_params, default_table, 300).values
+        assert np.array_equal(got, want)
 
 
 class TestLoadBlerTable:
