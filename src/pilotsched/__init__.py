@@ -12,8 +12,8 @@ from .estimation import (PilotObservation, ChannelEstimate, mmse_gain,
                          estimate_channel, sinr, sinr_gain, error_variance,
                          pilot_second_moment)
 from .link_adaptation import (McsEntry, McsTable, RewardCurve, QuadratureConfig,
-                              LogisticBlerCurve, TabulatedBlerCurve, bler,
-                              max_goodput, expected_goodput, build_reward_curve,
+                              LogisticBlerCurve, TabulatedBlerCurve,
+                              max_goodput_array, expected_goodput, build_reward_curve,
                               load_bler_table, load_mcs_rates, default_mcs_table,
                               parametric_mcs_table)
 from .scheduler import (PILOT, DATA, ThresholdSolution, MdpSolution,

@@ -192,13 +192,6 @@ def autocorrelation(delta, params: LinkParams):
     return params.channel_variance * bessel_j0(arg)
 
 
-def autocorrelation_lags(n_lags: int, params: LinkParams) -> np.ndarray:
-    """Autocovariance at lags 0 .. n_lags-1."""
-    if n_lags < 1:
-        raise ValueError("n_lags must be >= 1")
-    return autocorrelation(np.arange(n_lags), params)
-
-
 def generate_fading_trace(params: LinkParams, length: int, seed: int) -> FadingTrace:
     """Draw one stationary complex Gaussian trace with the Jakes autocovariance.
 
@@ -224,7 +217,7 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int) -> FadingT
     else:
         m = 1 << max(2, int(2 * length - 1).bit_length())
         half = m // 2
-        r = autocorrelation_lags(half + 1, params)
+        r = autocorrelation(np.arange(half + 1), params)
         cov = np.empty(m)
         cov[:half + 1] = r
         cov[half + 1:] = r[half - 1:0:-1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .channel import (LinkParams, MobilityParams, MPH_TO_MPS, doppler_frequency)
@@ -20,6 +21,18 @@ _KNOWN_KEYS = {
     "delta_max", "tau_max", "horizon", "seeds", "quad_nodes",
     "snr_grid_db", "speed_grid_mph", "output_dir",
 }
+
+_REAL_FIELDS = ("pilot_power", "data_power", "channel_variance", "noise_variance", "snr_db",
+                "speed", "carrier_hz", "sample_period_s")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return ((_is_int(value) and abs(value) <= sys.float_info.max)
+            or (isinstance(value, float) and math.isfinite(value)))
 
 
 @dataclass
@@ -46,6 +59,18 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not _is_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("snr_grid_db", "speed_grid_mph"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, list) and all(_is_real(v) for v in grid)):
+                raise ValueError(f"{name} must be a list of finite numbers, got {grid!r}")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(_is_int(s) and s >= 0 for s in self.seeds)):
+            raise ValueError(
+                f"seeds must be a nonempty list of nonnegative integers, got {self.seeds!r}")
         if (self.noise_variance is None) == (self.snr_db is None):
             raise ValueError("exactly one of 'noise_variance' and 'snr_db' must be given")
         if self.noise_variance is not None and self.noise_variance <= 0:
@@ -55,10 +80,9 @@ class ExperimentConfig:
         if self.speed < 0:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
         for name in ("delta_max", "tau_max", "horizon", "quad_nodes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.seeds:
-            raise ValueError("seeds must be a nonempty list")
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.tau_max >= self.delta_max:
             raise ValueError(
                 f"tau_max ({self.tau_max}) must be smaller than delta_max ({self.delta_max}) "

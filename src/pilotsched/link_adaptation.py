@@ -47,28 +47,20 @@ class LogisticBlerCurve:
         self.slope_per_db = slope_per_db
         self.midpoint_db = midpoint_db
 
-    def __call__(self, snr_linear):
-        snr = np.asarray(snr_linear, dtype=float)
-        scalar = snr.ndim == 0
-        snr = np.atleast_1d(snr)
-        out = np.ones_like(snr)
-        pos = snr > 0
-        if pos.any():
-            snr_db = 10.0 * np.log10(snr[pos])
-            z = np.clip(self.slope_per_db * (snr_db - self.midpoint_db), -700, 700)
-            out[pos] = 1.0 / (1.0 + np.exp(z))
-        return float(out[0]) if scalar else out
+    def __call__(self, snr_db):
+        z = np.clip(self.slope_per_db * (snr_db - self.midpoint_db), -700, 700)
+        return 1.0 / (1.0 + np.exp(z))
 
     def threshold(self, e_max: float) -> float:
-        """Smallest linear SINR x with self(x) <= e_max.
+        """Smallest linear SINR x with self(_to_db(x)) <= e_max.
 
         Inverts the logistic in closed form, then steps one float at a time
         to where this implementation's rounded curve crosses e_max.
         """
         x = 10.0 ** ((self.midpoint_db + math.log(1.0 / e_max - 1.0) / self.slope_per_db) / 10.0)
-        while self(x) > e_max:
+        while self(_to_db(x)) > e_max:
             x = math.nextafter(x, math.inf)
-        while self(math.nextafter(x, 0.0)) <= e_max:
+        while self(_to_db(math.nextafter(x, 0.0))) <= e_max:
             x = math.nextafter(x, 0.0)
         return x
 
@@ -77,9 +69,11 @@ class LogisticBlerCurve:
 
 
 class TabulatedBlerCurve:
-    """Piecewise-linear interpolation of measured BLER points, linear in dB.
+    """Piecewise-linear interpolation of measured BLER points in dB.
 
-    Queries outside the grid clamp to the endpoint values.
+    The grid must increase strictly and the BLER values must lie in [0, 1]
+    and not increase along it.  Queries outside the grid clamp to the
+    endpoint values.
     """
 
     def __init__(self, snr_db: np.ndarray, bler: np.ndarray):
@@ -87,17 +81,16 @@ class TabulatedBlerCurve:
         self.bler = np.asarray(bler, dtype=float)
         if len(self.snr_db) < 1 or len(self.snr_db) != len(self.bler):
             raise ValueError("grid and BLER arrays must be equal-length and nonempty")
+        if not np.all(np.diff(self.snr_db) > 0):
+            raise ValueError("snr_db grid must be strictly increasing")
+        if not np.all((self.bler >= 0.0) & (self.bler <= 1.0)):
+            raise ValueError("BLER values must lie in [0, 1]")
+        rises = np.flatnonzero(np.diff(self.bler) > 0)
+        if rises.size:
+            raise ValueError(f"BLER is not nonincreasing at snr_db {self.snr_db[rises[0] + 1]}")
 
-    def __call__(self, snr_linear):
-        snr = np.asarray(snr_linear, dtype=float)
-        scalar = snr.ndim == 0
-        snr = np.atleast_1d(snr)
-        out = np.full_like(snr, self.bler[0])
-        pos = snr > 0
-        if pos.any():
-            snr_db = 10.0 * np.log10(snr[pos])
-            out[pos] = np.interp(snr_db, self.snr_db, self.bler)
-        return float(out[0]) if scalar else out
+    def __call__(self, snr_db):
+        return np.interp(snr_db, self.snr_db, self.bler)
 
     def fingerprint_key(self) -> str:
         return f"table({self.snr_db.tolist()!r},{self.bler.tolist()!r})"
@@ -109,7 +102,7 @@ class McsEntry:
 
     index: int
     rate: float
-    bler_curve: object  # callable: linear SINR -> BLER
+    bler_curve: object  # callable: SINR in dB (array) -> BLER in [0, 1]
 
     def __post_init__(self):
         if not 1 <= self.index <= 15:
@@ -152,14 +145,15 @@ class McsTable:
         lo, hi = 1e-18, 1e18
         out = np.empty(len(self.entries))
         for i, entry in enumerate(self.entries):
-            if bler(lo, entry) <= self.e_max:
+            curve = entry.bler_curve
+            if curve(_to_db(lo)) <= self.e_max:
                 out[i] = 0.0
-            elif bler(hi, entry) > self.e_max:
+            elif curve(_to_db(hi)) > self.e_max:
                 out[i] = np.inf
             else:
-                threshold = getattr(entry.bler_curve, "threshold", None)
+                threshold = getattr(curve, "threshold", None)
                 out[i] = (threshold(self.e_max) if threshold is not None
-                          else _bisect_threshold(entry, self.e_max, lo, hi))
+                          else _bisect_threshold(curve, self.e_max, lo, hi))
         return out
 
     def fingerprint_key(self) -> str:
@@ -167,11 +161,20 @@ class McsTable:
         return f"e_max={self.e_max!r};" + ";".join(parts)
 
 
-def _bisect_threshold(entry: McsEntry, e_max: float, lo: float, hi: float) -> float:
+def _to_db(snr_linear) -> np.ndarray:
+    """10*log10 of a linear SINR; -inf where it is not positive."""
+    x = np.asarray(snr_linear, dtype=float)
+    out = np.full(x.shape, -np.inf)
+    np.log10(x, out=out, where=x > 0)
+    out *= 10.0
+    return out
+
+
+def _bisect_threshold(curve, e_max: float, lo: float, hi: float) -> float:
     """Geometric bisection for the smallest SINR in (lo, hi] meeting e_max."""
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if bler(mid, entry) <= e_max:
+        if curve(_to_db(mid)) <= e_max:
             hi = mid
         else:
             lo = mid
@@ -183,27 +186,6 @@ def _curve_key(curve) -> str:
     return key() if key is not None else repr(curve)
 
 
-def bler(snr_linear: float, entry: McsEntry) -> float:
-    """Evaluate one entry's BLER at a linear SINR, clamped to [0, 1]."""
-    arr = np.asarray(snr_linear, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("SINR must be nonnegative")
-    value = entry.bler_curve(snr_linear)
-    return float(np.clip(value, 0.0, 1.0)) if np.ndim(value) == 0 else np.clip(value, 0.0, 1.0)
-
-
-def max_goodput(snr_linear: float, table: McsTable):
-    """Best rate * (1 - BLER) over entries within the ceiling, at one SINR.
-
-    Returns (goodput, entry); (0.0, None) when no entry qualifies.
-    """
-    if snr_linear < 0:
-        raise ValueError("SINR must be nonnegative")
-    goodput, chosen, _ = max_goodput_array(snr_linear, table)
-    index = int(chosen)
-    return float(goodput), (table.entries[index] if index >= 0 else None)
-
-
 def max_goodput_array(snr_linear, table: McsTable):
     """Best rate * (1 - BLER) over entries within the ceiling, per SINR.
 
@@ -212,12 +194,12 @@ def max_goodput_array(snr_linear, table: McsTable):
     Ties go to the first entry.  Memory is a few arrays the size of the input.
     """
     eta = np.asarray(snr_linear, dtype=float)
-    flat = eta.ravel()
-    best = np.full(flat.shape, -1.0)
-    chosen = np.full(flat.shape, -1)
-    chosen_bler = np.ones(flat.shape)
+    snr_db = _to_db(eta.ravel())
+    best = np.full(snr_db.shape, -1.0)
+    chosen = np.full(snr_db.shape, -1)
+    chosen_bler = np.ones(snr_db.shape)
     for i, entry in enumerate(table.entries):
-        e = np.clip(entry.bler_curve(flat), 0.0, 1.0)
+        e = entry.bler_curve(snr_db)
         goodput = entry.rate * (1.0 - e)
         better = (e <= table.e_max) & (goodput > best)
         np.copyto(best, goodput, where=better)
@@ -480,15 +462,11 @@ def load_bler_table(path, rate_config=None) -> McsTable:
 
     entries = []
     for cqi in sorted(curves):
-        snr_grid, bler_vals = curves[cqi]
-        for i in range(1, len(bler_vals)):
-            if bler_vals[i] > bler_vals[i - 1]:
-                raise ValueError(
-                    f"{path}: BLER curve for cqi {cqi} is not nonincreasing "
-                    f"at snr_db {snr_grid[i]}")
+        try:
+            curve = TabulatedBlerCurve(*curves[cqi])
+        except ValueError as exc:
+            raise ValueError(f"{path}: BLER curve for cqi {cqi}: {exc}") from exc
         if cqi not in rates:
             raise ValueError(f"{path}: no configured rate for cqi {cqi}")
-        entries.append(McsEntry(index=cqi, rate=rates[cqi],
-                                bler_curve=TabulatedBlerCurve(np.array(snr_grid),
-                                                              np.array(bler_vals))))
+        entries.append(McsEntry(index=cqi, rate=rates[cqi], bler_curve=curve))
     return McsTable(entries=entries, e_max=e_max)

@@ -29,9 +29,8 @@ import numpy as np
 
 from .channel import LinkParams, FadingTrace, generate_fading_trace
 from .estimation import sinr, sinr_gain
-from .link_adaptation import (McsTable, QuadratureConfig, RewardCurve,
-                              build_reward_curve, expected_goodput,
-                              max_goodput, max_goodput_array, bler)
+from .link_adaptation import (MAX_TABULATED_AGES, McsTable, QuadratureConfig, RewardCurve,
+                              _expected_goodputs, expected_goodput, max_goodput_array)
 from .scheduler import PILOT, DATA
 
 EXPECTED = "expected"
@@ -112,13 +111,11 @@ def step(state: SchedulerState, action: str, trace: FadingTrace, params: LinkPar
             reward = expected_goodput(state.age, params, table)
     else:
         eta = sinr(state.age, state.last_pilot_value, params)
-        goodput, entry = max_goodput(eta, table)
-        if entry is None:
-            reward = 0.0
-        else:
-            if decode_uniform is None:
-                raise ValueError("a realized data slot needs a decode draw")
-            reward = entry.rate if decode_uniform < 1.0 - bler(eta, entry) else 0.0
+        _, chosen, chosen_bler = max_goodput_array(eta, table)
+        if chosen >= 0 and decode_uniform is None:
+            raise ValueError("a realized data slot needs a decode draw")
+        success = chosen >= 0 and decode_uniform < 1.0 - chosen_bler
+        reward = table.entries[int(chosen)].rate if success else 0.0
 
     next_state = SchedulerState(age=state.age + 1,
                                 last_pilot_value=state.last_pilot_value,
@@ -160,9 +157,15 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
     if data_idx.size:
         if mode == EXPECTED:
             max_needed = int(data_ages.max())
-            if reward_curve is None or len(reward_curve) < max_needed:
-                reward_curve = build_reward_curve(params, table, max_needed, quad)
-            rewards = reward_curve.values[data_ages - 1]
+            values = reward_curve.values if reward_curve is not None else np.empty(0)
+            if values.size < max_needed:
+                if max_needed > MAX_TABULATED_AGES:
+                    raise ValueError(f"period {period} needs r(age) up to age {max_needed}, "
+                                     f"beyond the bound {MAX_TABULATED_AGES}")
+                # r(age) does not depend on the other ages tabulated with it
+                missing = np.arange(values.size + 1, max_needed + 1)
+                values = np.concatenate([values, _expected_goodputs(missing, params, table, quad)])
+            rewards = values[data_ages - 1]
         else:
             pilot_idx = np.flatnonzero(is_pilot)
             y_pilots = (math.sqrt(params.pilot_power) * trace.samples[pilot_idx]

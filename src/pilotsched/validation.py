@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (LinkParams, autocorrelation_lags, empirical_autocorrelation,
+from .channel import (LinkParams, autocorrelation, empirical_autocorrelation,
                       generate_fading_trace)
 from .estimation import error_variance, mmse_gain, pilot_second_moment, sinr_gain
 from .link_adaptation import (McsTable, QuadratureConfig, RewardCurve,
@@ -36,7 +36,7 @@ def check_autocorrelation_fidelity(params: LinkParams, length: int = 1_000_000,
     """Empirical lag autocovariance of a generated trace vs the Jakes curve."""
     trace = generate_fading_trace(params, length, seed)
     empirical = empirical_autocorrelation(trace, max_lag)
-    theory = autocorrelation_lags(max_lag + 1, params)
+    theory = autocorrelation(np.arange(max_lag + 1), params)
     rmse = float(np.sqrt(np.mean((empirical - theory) ** 2)))
     limit = rmse_limit_frac * params.channel_variance
     return CheckResult(
@@ -50,7 +50,7 @@ def check_autocorrelation_fidelity(params: LinkParams, length: int = 1_000_000,
 def draw_joint_channel_pair(params: LinkParams, age: int, n: int, rng) -> tuple:
     """Sample (h_past, h_now) jointly complex Gaussian with the Jakes covariance."""
     rho0 = params.channel_variance
-    rho = autocorrelation_lags(age + 1, params)[age]
+    rho = autocorrelation(np.arange(age + 1), params)[age]
     h_past = math.sqrt(rho0 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     resid_var = rho0 - rho * rho / rho0
     innov = math.sqrt(max(resid_var, 0.0) / 2.0) * (

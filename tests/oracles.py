@@ -63,7 +63,7 @@ def bisect_thresholds(table):
     """Smallest linear SINR at which each entry meets the BLER ceiling, by
     200 geometric bisection steps on [1e-18, 1e18]; 0 or +inf outside it."""
     def curve_bler(x, entry):
-        return float(np.clip(entry.bler_curve(x), 0.0, 1.0))
+        return float(entry.bler_curve(10.0 * np.log10(x)))
 
     out = np.empty(len(table.entries))
     for i, entry in enumerate(table.entries):
@@ -88,11 +88,15 @@ def max_goodput_matrix(eta, table):
     """Best feasible rate * (1 - BLER) by argmax over an (entries, points) matrix.
 
     Returns (goodput, chosen_index, chosen_bler) like max_goodput_array.
+    A linear SINR of 0 is -inf dB.
     """
     eta = np.asarray(eta, dtype=float)
+    snr_db = np.full(eta.size, -np.inf)
+    pos = eta.ravel() > 0
+    snr_db[pos] = 10.0 * np.log10(eta.ravel()[pos])
     blers = np.empty((len(table.entries), eta.size))
     for i, entry in enumerate(table.entries):
-        blers[i] = np.clip(entry.bler_curve(eta.ravel()), 0.0, 1.0)
+        blers[i] = entry.bler_curve(snr_db)
     rates = np.array([e.rate for e in table.entries])
     goodput = rates[:, None] * (1.0 - blers)
     goodput[blers > table.e_max] = -1.0

@@ -61,6 +61,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="speed_unit"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides,command,field", [
+        ({"seeds": 3}, ["simulate"], "seeds"),
+        ({"seeds": [1.5]}, ["simulate", "--mode", "realized"], "seeds"),
+        ({"seeds": [-1]}, ["simulate", "--mode", "realized"], "seeds"),
+        ({"snr_db": "20"}, ["simulate"], "snr_db"),
+        ({"snr_grid_db": ["x"]}, ["sweep-snr"], "snr_grid_db"),
+        ({"delta_max": 20.5, "tau_max": 10}, ["goodput-curve"], "delta_max"),
+    ])
+    def test_mistyped_value_names_field(self, tmp_path, capsys, overrides, command, field):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_mph_conversion(self):
         cfg = ExperimentConfig(snr_db=20.0, speed=10.0, speed_unit="mph")
         assert cfg.speed_mps == 10 * 0.44704

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import bisect_thresholds, max_goodput_matrix, reward_curve_panels
 from pilotsched import (LinkParams, LogisticBlerCurve, McsEntry, McsTable,
                         QuadratureConfig, RewardCurve, TabulatedBlerCurve,
-                        autocorrelation, bler, build_reward_curve,
-                        default_mcs_table, expected_goodput, link_adaptation,
-                        load_bler_table, load_mcs_rates, max_goodput)
+                        autocorrelation, build_reward_curve, default_mcs_table,
+                        expected_goodput, link_adaptation, load_bler_table,
+                        load_mcs_rates, max_goodput_array)
 from pilotsched.config import ExperimentConfig
-from pilotsched.link_adaptation import max_goodput_array
 from pilotsched.validation import mc_expected_goodput
 
 
@@ -25,7 +24,7 @@ def tabulated_default_table(tmp_path) -> McsTable:
     rows = ["cqi,snr_db,bler"]
     for entry in default_mcs_table().entries:
         for snr_db in range(-30, 42, 2):
-            rows.append(f"{entry.index},{snr_db!r},{entry.bler_curve(10 ** (snr_db / 10))!r}")
+            rows.append(f"{entry.index},{snr_db!r},{float(entry.bler_curve(snr_db))!r}")
     path = tmp_path / "bler.csv"
     path.write_text("\n".join(rows) + "\n")
     return load_bler_table(path)
@@ -33,40 +32,46 @@ def tabulated_default_table(tmp_path) -> McsTable:
 
 class TestBler:
     def test_zero_sinr_is_one(self, default_table):
+        # a linear SINR of 0 is -inf dB
         for entry in default_table.entries:
-            assert bler(0.0, entry) >= 1.0 - 1e-6
+            assert entry.bler_curve(-np.inf) == 1.0
 
     def test_midpoint_is_half(self):
-        curve = LogisticBlerCurve(1.5, midpoint_db=3.0)
-        entry = McsEntry(index=1, rate=1.0, bler_curve=curve)
-        assert bler(10 ** (3.0 / 10.0), entry) == pytest.approx(0.5, abs=1e-12)
+        assert LogisticBlerCurve(1.5, midpoint_db=3.0)(3.0) == 0.5
 
     def test_monotone_nonincreasing_grid(self, default_table):
-        grid = np.geomspace(1e-6, 1e6, 1000)
+        grid = np.linspace(-60.0, 60.0, 1000)
         for entry in default_table.entries:
-            vals = [bler(float(x), entry) for x in grid]
-            assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+            assert np.all(np.diff(entry.bler_curve(grid)) <= 1e-15)
 
     def test_limits(self, default_table):
         for entry in default_table.entries:
-            assert bler(1e12, entry) <= 1e-6
-            assert bler(1e-12, entry) >= 1.0 - 1e-6
+            assert entry.bler_curve(120.0) <= 1e-6
+            assert entry.bler_curve(-120.0) >= 1.0 - 1e-6
 
-    def test_negative_sinr_rejected(self, default_table):
-        with pytest.raises(ValueError):
-            bler(-0.5, default_table.entries[0])
-
-    @given(st.floats(min_value=1e-9, max_value=1e9))
+    @given(st.floats(min_value=-90.0, max_value=90.0))
     @settings(max_examples=60, deadline=None)
-    def test_in_unit_interval(self, eta):
-        entry = default_mcs_table().entries[7]
-        assert 0.0 <= bler(eta, entry) <= 1.0
+    def test_in_unit_interval(self, snr_db):
+        curve = default_mcs_table().entries[7].bler_curve
+        assert 0.0 <= curve(snr_db) <= 1.0
+
+
+class TestTabulatedBlerCurve:
+    @pytest.mark.parametrize("grid,values,match", [
+        ([0.0, 10.0], [0.9, 1.5], r"\[0, 1\]"),
+        ([0.0, 10.0], [-0.1, 0.0], r"\[0, 1\]"),
+        ([0.0, 5.0, 10.0], [0.9, 0.5, 0.6], "nonincreasing at snr_db 10.0"),
+        ([0.0, 0.0], [0.9, 0.5], "strictly increasing"),
+    ])
+    def test_bad_points_rejected_at_construction(self, grid, values, match):
+        with pytest.raises(ValueError, match=match):
+            TabulatedBlerCurve(np.array(grid), np.array(values))
 
 
 class TestMaxGoodput:
     def test_zero_sinr_infeasible(self, default_table):
-        goodput, chosen = max_goodput(0.0, default_table)
-        assert goodput == 0.0 and chosen is None
+        goodput, chosen, chosen_bler = max_goodput_array(0.0, default_table)
+        assert goodput == 0.0 and chosen == -1 and chosen_bler == 1.0
 
     def test_single_entry_hand_value(self):
         # rate 2, bler 0.05 at the probe point, e_max 0.1 -> 2 * 0.95 = 1.9
@@ -75,28 +80,27 @@ class TestMaxGoodput:
         # invert: bler = 0.05 at z where 1/(1+e^z) = 0.05 -> z = ln(19)
         eta_db = math.log(19.0) / 1.5
         eta = 10 ** (eta_db / 10.0)
-        goodput, chosen = max_goodput(eta, table)
-        assert chosen is table.entries[0]
+        goodput, chosen, _ = max_goodput_array(eta, table)
+        assert chosen == 0
         assert goodput == pytest.approx(1.9, rel=1e-9)
 
     def test_constraint_excludes_high_rate(self):
         # (R=1, bler 0) and (R=4, bler 0.5): the 4*0.5=2 entry is infeasible
         table = McsTable(entries=[
-            McsEntry(index=1, rate=1.0, bler_curve=lambda eta: 0.0),
-            McsEntry(index=2, rate=4.0, bler_curve=lambda eta: 0.5),
+            McsEntry(index=1, rate=1.0, bler_curve=lambda snr_db: 0.0),
+            McsEntry(index=2, rate=4.0, bler_curve=lambda snr_db: 0.5),
         ], e_max=0.1)
-        goodput, chosen = max_goodput(5.0, table)
+        goodput, chosen, _ = max_goodput_array(5.0, table)
         assert goodput == 1.0
-        assert chosen.index == 1
+        assert chosen == 0
 
     def test_nondecreasing_in_eta(self, default_table):
-        grid = np.geomspace(1e-4, 1e4, 400)
-        vals = [max_goodput(float(x), default_table)[0] for x in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        goodput, _, _ = max_goodput_array(np.geomspace(1e-4, 1e4, 400), default_table)
+        assert np.all(np.diff(goodput) >= -1e-12)
 
     def test_bounded_by_max_rate(self, default_table):
-        for x in np.geomspace(1e-3, 1e9, 100):
-            assert max_goodput(float(x), default_table)[0] <= default_table.max_rate
+        goodput, _, _ = max_goodput_array(np.geomspace(1e-3, 1e9, 100), default_table)
+        assert np.all(goodput <= default_table.max_rate)
 
 
 class TestMaxGoodputArray:
@@ -111,8 +115,8 @@ class TestMaxGoodputArray:
     def test_scalar_bler_callables_broadcast_and_ties_go_first(self):
         # goodput 1 * (1 - 0) == 2 * (1 - 0.5): the first entry wins the tie
         table = McsTable(entries=[
-            McsEntry(index=1, rate=1.0, bler_curve=lambda eta: 0.0),
-            McsEntry(index=2, rate=2.0, bler_curve=lambda eta: 0.5),
+            McsEntry(index=1, rate=1.0, bler_curve=lambda snr_db: 0.0),
+            McsEntry(index=2, rate=2.0, bler_curve=lambda snr_db: 0.5),
         ], e_max=0.6)
         eta = np.linspace(0.0, 10.0, 12).reshape(3, 4)
         for got, want in zip(max_goodput_array(eta, table), max_goodput_matrix(eta, table)):
@@ -134,9 +138,11 @@ class TestFeasibilityThresholds:
     def test_out_of_range_and_bare_callables(self):
         # never feasible below 1e18 -> inf; feasible already at 1e-18 -> 0;
         # a callable without a threshold method is bisected
+        step_db = 10.0 * math.log10(7.0)
         table = McsTable(entries=[
             McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -500.0)),
-            McsEntry(index=2, rate=2.0, bler_curve=lambda eta: 0.5 if eta < 7.0 else 0.0),
+            McsEntry(index=2, rate=2.0,
+                     bler_curve=lambda snr_db: 0.5 if snr_db < step_db else 0.0),
             McsEntry(index=3, rate=3.0, bler_curve=LogisticBlerCurve(0.7, 12.3)),
             McsEntry(index=4, rate=4.0, bler_curve=LogisticBlerCurve(1.5, 500.0)),
         ])
@@ -148,19 +154,20 @@ class TestFeasibilityThresholds:
     def test_threshold_is_the_crossing_float(self):
         curve = LogisticBlerCurve(1.5, 4.4)
         x = curve.threshold(0.1)
-        assert curve(x) <= 0.1 < curve(math.nextafter(x, 0.0))
+        below = math.nextafter(x, 0.0)
+        assert curve(10.0 * np.log10(x)) <= 0.1 < curve(10.0 * np.log10(below))
 
 
 class TestMcsTableValidation:
     def test_non_increasing_rates_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             McsTable(entries=[
-                McsEntry(index=1, rate=2.0, bler_curve=lambda e: 0.5),
-                McsEntry(index=2, rate=1.0, bler_curve=lambda e: 0.5),
+                McsEntry(index=1, rate=2.0, bler_curve=lambda snr_db: 0.5),
+                McsEntry(index=2, rate=1.0, bler_curve=lambda snr_db: 0.5),
             ])
 
     def test_bad_e_max_rejected(self):
-        entry = McsEntry(index=1, rate=1.0, bler_curve=lambda e: 0.5)
+        entry = McsEntry(index=1, rate=1.0, bler_curve=lambda snr_db: 0.5)
         with pytest.raises(ValueError):
             McsTable(entries=[entry], e_max=0.0)
         with pytest.raises(ValueError):
@@ -181,8 +188,8 @@ class TestExpectedGoodput:
         assert expected_goodput(7, p, default_mcs_table()) == 0.0
 
     def test_always_feasible_single_entry(self, reference_params):
-        # bler 0 for eta > 0: r(age) = R for any age with rho != 0
-        table = single_entry_table(3.0, lambda eta: np.zeros_like(np.asarray(eta, dtype=float)))
+        # bler 0 at every SINR: r(age) = R for any age with rho != 0
+        table = single_entry_table(3.0, lambda snr_db: np.zeros_like(snr_db))
         val = expected_goodput(1, reference_params, table)
         assert val == pytest.approx(3.0, rel=1e-12)
 
@@ -310,13 +317,14 @@ class TestLoadBlerTable:
         path = self._write(tmp_path, "cqi,snr_db,bler\n1,0.0,0.9\n1,10.0,0.01\n")
         table = load_bler_table(path)
         entry = next(e for e in table.entries if e.index == 1)
-        assert bler(10 ** 0.5, entry) == pytest.approx(0.455, abs=1e-12)
+        assert entry.bler_curve(5.0) == pytest.approx(0.455, abs=1e-12)
 
     def test_clamped_extrapolation(self, tmp_path):
         path = self._write(tmp_path, "cqi,snr_db,bler\n1,0.0,0.9\n1,10.0,0.01\n")
         entry = load_bler_table(path).entries[0]
-        assert bler(10 ** (-1.0), entry) == 0.9   # -10 dB, below the grid
-        assert bler(10 ** 3.0, entry) == 0.01     # +30 dB, above the grid
+        assert entry.bler_curve(-10.0) == 0.9       # below the grid
+        assert entry.bler_curve(-np.inf) == 0.9     # a linear SINR of 0
+        assert entry.bler_curve(30.0) == 0.01       # above the grid
 
     def test_empty_file_rejected(self, tmp_path):
         path = self._write(tmp_path, "")

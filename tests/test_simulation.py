@@ -7,7 +7,7 @@ import pytest
 import pilotsched.simulation as simulation
 from pilotsched import (DATA, EXPECTED, PILOT, REALIZED, RewardCurve,
                         SchedulerState, build_reward_curve, decide,
-                        derive_streams, max_goodput, run_policy, sinr,
+                        derive_streams, max_goodput_array, run_policy, sinr,
                         solve_threshold, step)
 
 
@@ -69,8 +69,8 @@ class TestStep:
         y = 1.1 - 0.4j
         age = 2
         eta = sinr(age, y, reference_params)
-        goodput, entry = max_goodput(eta, default_table)
-        assert entry is not None
+        goodput, chosen, _ = max_goodput_array(eta, default_table)
+        assert chosen >= 0
         rng = np.random.default_rng(31)
         state = SchedulerState(age=age, last_pilot_value=y, slot=0)
         draws = np.array([
@@ -156,6 +156,25 @@ class TestRunPolicy:
                              horizon, seed=42, mode=EXPECTED, reward_curve=reference_curve)
             closed_form = float(reference_curve.values[:period - 1].sum()) / period
             assert abs(res.avg_goodput - closed_form) <= 10 * period / horizon
+
+    def test_expected_mode_integrates_only_ages_beyond_curve(self, monkeypatch,
+                                                              reference_params, default_table):
+        # period 2400 over a 600-age curve needs r(601..2399) and nothing else
+        curve = build_reward_curve(reference_params, default_table, 600)
+        kernel, asked = simulation._expected_goodputs, []
+
+        def recording_kernel(ages, *args):
+            asked.append(ages.copy())
+            return kernel(ages, *args)
+
+        monkeypatch.setattr(simulation, "_expected_goodputs", recording_kernel)
+        res = run_policy(2400, reference_params, default_table, 5000, seed=1,
+                         mode=EXPECTED, reward_curve=curve)
+        assert len(asked) == 1 and np.array_equal(asked[0], np.arange(601, 2400))
+        full = build_reward_curve(reference_params, default_table, 2399)
+        assert res.avg_goodput == run_policy(2400, reference_params, default_table, 5000,
+                                             seed=1, mode=EXPECTED,
+                                             reward_curve=full).avg_goodput
 
     def test_periodic_pilot_fraction(self, reference_params, default_table, reference_curve):
         horizon = 10_000
