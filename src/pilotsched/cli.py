@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from .config import ExperimentConfig, default_config, load_config
 from .link_adaptation import (DEFAULT_CQI_MIDPOINTS_DB, QuadratureConfig,
                               default_mcs_table, load_bler_table, load_mcs_rates,
                               parametric_mcs_table, build_reward_curve)
-from .scheduler import load_reward_curve
+from .scheduler import load_reward_curve, save_reward_curve
 from .simulation import EXPECTED, run_policy
 from .validation import oracle_deviations, run_all_checks, solve_clamped
 
@@ -64,8 +65,7 @@ def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> Path:
     table = build_table(cfg)
     curve = build_reward_curve(params, table, cfg.delta_max, _quad(cfg))
     path = out_dir / "goodput_curve.csv"
-    _write_csv(path, ["age", "reward"],
-               [(age, float(r)) for age, r in enumerate(curve.values, start=1)])
+    save_reward_curve(curve, path)
     return path
 
 
@@ -164,9 +164,10 @@ def cmd_sweep_mobility(cfg: ExperimentConfig, out_dir: Path, mode: str = EXPECTE
     return path
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str, seed: int,
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
                  policy_arg: str = "threshold") -> Path:
-    """Run one policy at the configured operating point and dump the result."""
+    """Run one policy at the configured point with the first configured seed."""
+    seed = cfg.seeds[0]
     params = cfg.link_params()
     table = build_table(cfg)
     quad = _quad(cfg)
@@ -253,7 +254,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
-            cfg.seeds = [args.seed]
+            # replace() reruns the config checks on the overridden seeds
+            cfg = dataclasses.replace(cfg, seeds=[args.seed])
         out_dir = Path(args.out if args.out else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -274,8 +276,7 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
             return 0
         if args.command == "simulate":
-            seed = args.seed if args.seed is not None else cfg.seeds[0]
-            path = cmd_simulate(cfg, out_dir, args.mode, seed, args.policy)
+            path = cmd_simulate(cfg, out_dir, args.mode, args.policy)
             print(f"wrote {path}")
             return 0
         if args.command == "validate":

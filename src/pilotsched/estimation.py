@@ -13,30 +13,10 @@ float) or an array of ages (and return an array of the same shape).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LinkParams, autocorrelation
-
-
-@dataclass(frozen=True)
-class PilotObservation:
-    """Received pilot amplitude and how many slots ago it was received."""
-
-    value: complex
-    age: int
-
-    def __post_init__(self):
-        if self.age < 1:
-            raise ValueError(f"pilot age must be >= 1, got {self.age}")
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    estimate: complex
-    estimate_variance: float
-    error_variance: float
 
 
 def _mmse_terms(rho, params: LinkParams) -> tuple:
@@ -64,28 +44,12 @@ def error_variance(age, params: LinkParams):
     return _mmse_terms(autocorrelation(age, params), params)[1]
 
 
-def estimate_channel(obs: PilotObservation, params: LinkParams) -> ChannelEstimate:
-    """MMSE reconstruction of the current channel from one aged pilot."""
-    gain = mmse_gain(obs.age, params)
-    est = gain * obs.value
-    return ChannelEstimate(
-        estimate=est,
-        estimate_variance=gain * gain * abs(obs.value) ** 2,
-        error_variance=error_variance(obs.age, params),
-    )
-
-
-def sinr(age: int, y: complex, params: LinkParams) -> float:
-    """SINR of a data slot whose channel estimate comes from pilot y at the given age.
-
-    P_d * gain^2 * |y|^2 / (P_d * error_variance + noise); computed through
-    sinr_gain so the factorization sinr == sinr_gain * |y|^2 is exact.
-    """
-    return sinr_gain(age, params) * abs(y) ** 2
-
-
 def sinr_gain(age, params: LinkParams):
-    """Factor g(age) such that sinr(age, y) == g(age) * |y|^2 exactly."""
+    """SINR per unit |y|^2 of a data slot estimated from a pilot `age` slots old.
+
+    The slot's SINR is sinr_gain(age) * |y|^2, with
+    sinr_gain = P_d * gain^2 / (P_d * error_variance + noise).
+    """
     if np.any(np.asarray(age) < 1):
         raise ValueError(f"age must be >= 1 at a data slot, got {age}")
     if params.noise_variance <= 0:

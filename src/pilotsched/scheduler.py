@@ -11,7 +11,6 @@ policies, and relative value iteration on the age MDP.
 from __future__ import annotations
 
 import csv
-import logging
 import warnings
 from dataclasses import dataclass
 
@@ -19,12 +18,11 @@ import numpy as np
 
 from .link_adaptation import RewardCurve
 
-log = logging.getLogger(__name__)
-
 PILOT = "pilot"
 DATA = "data"
 
 DEFAULT_TAU_MAX = 512
+_INDEX_BLOCK_ELEMENTS = 1 << 18
 
 
 class HorizonExhaustedError(ValueError):
@@ -57,38 +55,48 @@ class MdpSolution:
     policy: tuple  # action per age 1..max_age
 
 
-def index_gamma(age: int, curve: RewardCurve, tau_max: int = DEFAULT_TAU_MAX) -> float:
-    """Best average of r over a forward window of 1 .. tau_max slots from `age`."""
-    if age < 1:
-        raise ValueError(f"age must be >= 1, got {age}")
+def index_gamma(curve: RewardCurve, tau_max: int = DEFAULT_TAU_MAX) -> np.ndarray:
+    """gamma(age) for ages 1 .. len(curve) - tau_max + 1, as gamma[age - 1].
+
+    gamma(age) is the best average of r over a forward window of 1 .. tau_max
+    slots starting at `age`.  Ages are evaluated in blocks of at most
+    _INDEX_BLOCK_ELEMENTS window averages, so memory stays bounded on long
+    curves.  One RuntimeWarning counts the ages whose best window is the
+    longest allowed: there the truncated index may underestimate the supremum.
+    """
     if tau_max < 1:
         raise ValueError(f"tau_max must be >= 1, got {tau_max}")
-    if age + tau_max - 1 > len(curve):
-        raise ValueError(
-            f"index window [{age}, {age + tau_max - 1}] exceeds the tabulated "
-            f"curve of length {len(curve)}")
+    n_ages = len(curve) - tau_max + 1
+    if n_ages < 1:
+        raise ValueError(f"index window of {tau_max} slots exceeds the tabulated "
+                         f"curve of length {len(curve)}")
     cs = curve.cumulative
     taus = np.arange(1, tau_max + 1)
-    averages = (cs[age - 1 + taus] - cs[age - 1]) / taus
-    best = int(np.argmax(averages))
-    if best == tau_max - 1 and tau_max > 1:
+    gamma = np.empty(n_ages)
+    at_bound = 0
+    rows = max(1, _INDEX_BLOCK_ELEMENTS // tau_max)
+    for start in range(0, n_ages, rows):
+        base = np.arange(start, min(start + rows, n_ages))  # age - 1
+        averages = (cs[base[:, None] + taus] - cs[base][:, None]) / taus
+        best = np.argmax(averages, axis=1)
+        gamma[base] = averages[np.arange(base.size), best]
+        at_bound += int(np.count_nonzero(best == tau_max - 1))
+    if at_bound and tau_max > 1:
         warnings.warn(
-            f"index window argmax hit tau_max={tau_max} at age {age}; "
+            f"index window argmax hit tau_max={tau_max} at {at_bound} of {n_ages} ages; "
             "the truncated index may underestimate the true supremum",
             RuntimeWarning, stacklevel=2)
-    return float(averages[best])
+    return gamma
 
 
-def hitting_age(beta: float, curve: RewardCurve, tau_max: int = DEFAULT_TAU_MAX) -> int:
-    """Smallest age whose index is at or below beta."""
-    last = len(curve) - tau_max + 1
-    if last < 1:
-        raise ValueError(f"tau_max {tau_max} exceeds the curve length {len(curve)}")
-    for age in range(1, last + 1):
-        if index_gamma(age, curve, tau_max) <= beta:
-            return age
-    raise HorizonExhaustedError(
-        f"horizon exhausted: no age in 1..{last} has index <= {beta!r}")
+def hitting_age(beta: float, gamma: np.ndarray) -> int:
+    """Smallest age whose index gamma[age - 1] is at or below beta."""
+    below = gamma <= beta
+    first = int(np.argmax(below))
+    if not below[first]:
+        raise HorizonExhaustedError(
+            f"horizon exhausted: no age in 1..{len(gamma)} has index <= {beta!r}")
+    return first + 1
 
 
 def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
@@ -106,13 +114,14 @@ def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
     cs = curve.cumulative
     if not np.any(vals > 0):
         return ThresholdSolution(beta=0.0, hitting_age=1, period=1, tau_max=tau_max)
+    gamma = index_gamma(curve, tau_max)
 
     lo, hi = 0.0, float(vals.max())
     h_mid = None
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         try:
-            h_mid = hitting_age(mid, curve, tau_max)
+            h_mid = hitting_age(mid, gamma)
         except HorizonExhaustedError:
             lo = mid
             continue
@@ -131,7 +140,7 @@ def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
     h = h_mid
     for _ in range(5):
         beta = float(cs[h - 1]) / h
-        h_next = hitting_age(beta, curve, tau_max)
+        h_next = hitting_age(beta, gamma)
         if h_next == h:
             return ThresholdSolution(beta=beta, hitting_age=h, period=h, tau_max=tau_max)
         h = h_next
@@ -194,19 +203,6 @@ def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9
         f"relative value iteration did not converge within {max_iter} iterations")
 
 
-def decide(age: int, solution: ThresholdSolution, curve: RewardCurve) -> str:
-    """Pilot when the index at this age is at or below the threshold, else data.
-
-    Ages whose index window runs off the tabulated curve fall back to pilot.
-    """
-    try:
-        gamma = index_gamma(age, curve, solution.tau_max)
-    except ValueError:
-        log.warning("age %d outside the evaluable index range; falling back to pilot", age)
-        return PILOT
-    return PILOT if gamma <= solution.beta else DATA
-
-
 def load_reward_curve(path) -> RewardCurve:
     """Read an `age,reward` CSV with consecutive ages starting at 1."""
     values = []
@@ -220,14 +216,21 @@ def load_reward_curve(path) -> RewardCurve:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            age, reward = int(row[0]), float(row[1])
+            try:
+                age_text, reward_text = row
+                age, reward = int(age_text), float(reward_text)
+            except ValueError as exc:
+                raise ValueError(f"{path} row {line_no}: malformed row {row}") from exc
             if age != len(values) + 1:
                 raise ValueError(
                     f"{path} row {line_no}: ages must be consecutive from 1, got {age}")
             values.append(reward)
     if not values:
         raise ValueError(f"{path}: reward curve contains no data rows")
-    return RewardCurve(values=np.array(values), fingerprint=f"csv:{path}")
+    try:
+        return RewardCurve(values=np.array(values), fingerprint=f"csv:{path}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_reward_curve(curve: RewardCurve, path) -> None:

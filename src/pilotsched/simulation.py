@@ -5,14 +5,15 @@ resets to 1 after every pilot, so it is the periodic schedule with that
 period; the periodic baseline is one too.  Every run starts with a forced
 pilot so the CSI age is well defined.  A pilot slot spends the slot refreshing
 the observation (reward 0, age resets to 1); a data slot earns goodput and
-ages the CSI by one.  `step` is the slot-level reference of that loop.  Two
-reward modes:
+ages the CSI by one.  All slots are evaluated together as arrays.  Two reward
+modes:
 
   expected  - the slot earns the age-conditional mean goodput r(age), the
               quantity the scheduler optimizes; averages are exact cycle
               averages up to the truncated final cycle.
-  realized  - the slot earns the full physical draw: SINR from the stored
-              pilot value, MCS selection, Bernoulli decoding.
+  realized  - the slot earns the full physical draw: SINR
+              sinr_gain(age) * |y|^2 from the last pilot observation y,
+              MCS selection, Bernoulli decoding.
 
 Realized mode draws the fading trace, the per-slot pilot noise, and the
 per-slot decode draws from three independent streams derived from one run
@@ -27,26 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkParams, FadingTrace, generate_fading_trace
-from .estimation import sinr, sinr_gain
+from .channel import LinkParams, generate_fading_trace
+from .estimation import sinr_gain
 from .link_adaptation import (MAX_TABULATED_AGES, McsTable, QuadratureConfig, RewardCurve,
-                              _expected_goodputs, expected_goodput, max_goodput_array)
-from .scheduler import PILOT, DATA
+                              _expected_goodputs, max_goodput_array)
 
 EXPECTED = "expected"
 REALIZED = "realized"
 MODES = (EXPECTED, REALIZED)
 
 MAX_HORIZON = 50_000_000
-
-
-@dataclass
-class SchedulerState:
-    """Slot-level state of the reference loop driven by `step`."""
-
-    age: int
-    last_pilot_value: complex | None
-    slot: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,51 +67,21 @@ def derive_streams(params: LinkParams, horizon: int, seed: int):
     return trace, pilot_noise, decode_uniforms
 
 
-def step(state: SchedulerState, action: str, trace: FadingTrace, params: LinkParams,
-         table: McsTable, mode: str, *, pilot_noise: complex | None = None,
-         decode_uniform: float | None = None,
-         reward_curve: RewardCurve | None = None):
-    """Advance the closed loop by one slot; returns (next_state, slot_reward).
+def _realized_rewards(eta: np.ndarray, uniforms: np.ndarray, table: McsTable) -> np.ndarray:
+    """Per-slot realized rewards of data slots with SINR `eta` and decode draws `uniforms`.
 
-    A pilot observes y = sqrt(P_p) * h_t + n_t with the supplied fresh noise
-    sample and earns 0.  A data slot earns r(age) in expected mode, or the
-    Bernoulli-decoded rate of the SINR-selected MCS in realized mode.
+    Each slot sends the best feasible MCS for its SINR and earns its rate when
+    the draw falls below 1 - BLER, else 0; a slot with no feasible MCS earns 0.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if state.slot >= len(trace):
-        raise ValueError(f"slot {state.slot} beyond the trace length {len(trace)}")
-
-    if action == PILOT:
-        if pilot_noise is None:
-            raise ValueError("a pilot slot needs a fresh noise sample")
-        y = math.sqrt(params.pilot_power) * trace.samples[state.slot] + pilot_noise
-        next_state = SchedulerState(age=1, last_pilot_value=y, slot=state.slot + 1)
-        return next_state, 0.0
-
-    if action != DATA:
-        raise ValueError(f"unknown action {action!r}")
-    if state.last_pilot_value is None:
-        raise ValueError("data slot before the first pilot of the run; "
-                         "every run must begin with a pilot")
-
-    if mode == EXPECTED:
-        if reward_curve is not None and state.age <= len(reward_curve):
-            reward = reward_curve.value(state.age)
-        else:
-            reward = expected_goodput(state.age, params, table)
-    else:
-        eta = sinr(state.age, state.last_pilot_value, params)
-        _, chosen, chosen_bler = max_goodput_array(eta, table)
-        if chosen >= 0 and decode_uniform is None:
-            raise ValueError("a realized data slot needs a decode draw")
-        success = chosen >= 0 and decode_uniform < 1.0 - chosen_bler
-        reward = table.entries[int(chosen)].rate if success else 0.0
-
-    next_state = SchedulerState(age=state.age + 1,
-                                last_pilot_value=state.last_pilot_value,
-                                slot=state.slot + 1)
-    return next_state, reward
+    rewards = np.empty(eta.size)
+    rate_of = np.array([e.rate for e in table.entries])
+    chunk = 1 << 20
+    for start in range(0, eta.size, chunk):
+        sl = slice(start, min(start + chunk, eta.size))
+        _, chosen, chosen_bler = max_goodput_array(eta[sl], table)
+        success = (chosen >= 0) & (uniforms[sl] < 1.0 - chosen_bler)
+        rewards[sl] = np.where(success, rate_of[np.maximum(chosen, 0)], 0.0)
+    return rewards
 
 
 def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, seed: int,
@@ -130,8 +91,8 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
 
     Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
     a pilot when that age equals the period.  Rewards are evaluated in one
-    vectorized pass, which matches step() exactly.  Only realized mode draws
-    the fading trace and noise.
+    vectorized pass over the data slots.  Only realized mode draws the fading
+    trace and noise.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -174,16 +135,7 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
             y_sq = np.abs(y_pilots[owner]) ** 2
             unique_ages, inverse = np.unique(data_ages, return_inverse=True)
             gains = sinr_gain(unique_ages, params)
-            eta = gains[inverse] * y_sq
-            rewards = np.empty(data_idx.size)
-            rate_of = np.array([e.rate for e in table.entries])
-            chunk = 1 << 20
-            for start in range(0, data_idx.size, chunk):
-                sl = slice(start, min(start + chunk, data_idx.size))
-                gp, chosen, chosen_bler = max_goodput_array(eta[sl], table)
-                rates = np.where(chosen >= 0, rate_of[np.maximum(chosen, 0)], 0.0)
-                success = decode_uniforms[data_idx[sl]] < 1.0 - chosen_bler
-                rewards[sl] = np.where((chosen >= 0) & success, rates, 0.0)
+            rewards = _realized_rewards(gains[inverse] * y_sq, decode_uniforms[data_idx], table)
         total_reward = float(rewards.sum())
 
     pilot_count = int(is_pilot.sum())

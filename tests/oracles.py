@@ -2,17 +2,22 @@
 
 These deliberately avoid the package's own code paths: the Bessel oracle is an
 arbitrary-precision power series, the scheduler oracles are plain Python
-loops over the definitions, and the reward-curve oracle integrates one age
-and one quadrature panel at a time, with the MCS feasibility thresholds found
-by bisection and the best MCS by an argmax over all entries.
+loops over the definitions or the index evaluated one age at a time, and the
+reward-curve oracle integrates one age and one quadrature panel at a time,
+with the MCS feasibility thresholds found by bisection and the best MCS by an
+argmax over all entries.  `step` advances the closed loop one slot at a time,
+the slot-level reference for the array pass of `run_policy`.
 """
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 
 import numpy as np
 
+from pilotsched import DATA, EXPECTED, PILOT, expected_goodput, max_goodput_array
 from pilotsched.estimation import pilot_second_moment, sinr_gain
+from pilotsched.simulation import MODES
 
 
 def j0_series(x: float, digits: int = 30) -> float:
@@ -47,6 +52,16 @@ def gamma_brute(values, age: int, tau_max: int) -> float:
         if best is None or avg > best:
             best = avg
     return best
+
+
+def index_gamma_per_age(age: int, curve, tau_max: int) -> float:
+    """gamma(age) alone, with the float operations of the array index: the
+    cumulative-sum differences, the division by the window lengths, and the
+    value at the first argmax."""
+    cs = curve.cumulative
+    taus = np.arange(1, tau_max + 1)
+    averages = (cs[age - 1 + taus] - cs[age - 1]) / taus
+    return float(averages[int(np.argmax(averages))])
 
 
 def best_period_brute(values, p_max: int):
@@ -150,3 +165,63 @@ def reward_curve_panels(ages, params, table, quad):
                 total += hw * float(np.dot(w_ref, g * np.exp(-u)))
         out.append(total)
     return np.array(out)
+
+
+@dataclass
+class SchedulerState:
+    """Slot-level state of the reference loop driven by `step`."""
+
+    age: int
+    last_pilot_value: complex | None
+    slot: int
+
+
+def decide(age: int, solution, gamma) -> str:
+    """The threshold rule: pilot when gamma(age) is at or below beta, else data."""
+    return PILOT if gamma[age - 1] <= solution.beta else DATA
+
+
+def step(state: SchedulerState, action: str, trace, params, table, mode: str, *,
+         pilot_noise: complex | None = None, decode_uniform: float | None = None,
+         reward_curve=None):
+    """Advance the closed loop by one slot; returns (next_state, slot_reward).
+
+    A pilot observes y = sqrt(P_p) * h_t + n_t with the supplied fresh noise
+    sample and earns 0.  A data slot earns r(age) in expected mode, or the
+    Bernoulli-decoded rate of the MCS selected at SINR sinr_gain(age) * |y|^2
+    in realized mode.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if state.slot >= len(trace):
+        raise ValueError(f"slot {state.slot} beyond the trace length {len(trace)}")
+
+    if action == PILOT:
+        if pilot_noise is None:
+            raise ValueError("a pilot slot needs a fresh noise sample")
+        y = math.sqrt(params.pilot_power) * trace.samples[state.slot] + pilot_noise
+        return SchedulerState(age=1, last_pilot_value=y, slot=state.slot + 1), 0.0
+
+    if action != DATA:
+        raise ValueError(f"unknown action {action!r}")
+    if state.last_pilot_value is None:
+        raise ValueError("data slot before the first pilot of the run; "
+                         "every run must begin with a pilot")
+
+    if mode == EXPECTED:
+        if reward_curve is not None and state.age <= len(reward_curve):
+            reward = reward_curve.value(state.age)
+        else:
+            reward = expected_goodput(state.age, params, table)
+    else:
+        eta = sinr_gain(state.age, params) * abs(state.last_pilot_value) ** 2
+        _, chosen, chosen_bler = max_goodput_array(eta, table)
+        if chosen >= 0 and decode_uniform is None:
+            raise ValueError("a realized data slot needs a decode draw")
+        success = chosen >= 0 and decode_uniform < 1.0 - chosen_bler
+        reward = table.entries[int(chosen)].rate if success else 0.0
+
+    next_state = SchedulerState(age=state.age + 1,
+                                last_pilot_value=state.last_pilot_value,
+                                slot=state.slot + 1)
+    return next_state, reward

@@ -75,6 +75,14 @@ class TestConfig:
         assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["goodput-curve", "solve", "sweep-snr",
+                                         "sweep-mobility", "simulate", "validate"])
+    def test_seed_override_validated(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "seeds" in capsys.readouterr().err
+
     def test_mph_conversion(self):
         cfg = ExperimentConfig(snr_db=20.0, speed=10.0, speed_unit="mph")
         assert cfg.speed_mps == 10 * 0.44704
@@ -138,6 +146,23 @@ class TestSolveCommand:
         report = json.loads((out / "solve.json").read_text())
         assert report["beta"] == 0.0
         assert report["period"] == 1
+
+    @pytest.mark.parametrize("row", ["2", "2,abc", "2,1.0,9"])
+    def test_malformed_reward_row_named(self, tmp_path, capsys, row):
+        reward = tmp_path / "r.csv"
+        reward.write_text(f"age,reward\n1,1.0\n{row}\n")
+        cfg = write_config(tmp_path, reward_csv=str(reward))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{reward} row 3: malformed row" in capsys.readouterr().err
+
+    def test_rejected_reward_value_names_file(self, tmp_path, capsys):
+        reward = tmp_path / "r.csv"
+        reward.write_text("age,reward\n1,1.0\n2,nan\n")
+        cfg = write_config(tmp_path, reward_csv=str(reward))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{reward}: reward values must be finite" in capsys.readouterr().err
 
     def test_physical_point_consistent(self, tmp_path):
         cfg = write_config(tmp_path)

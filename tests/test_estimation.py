@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pilotsched import (LinkParams, PilotObservation, autocorrelation,
-                        estimate_channel, error_variance, mmse_gain,
-                        pilot_second_moment, sinr, sinr_gain)
+from pilotsched import (LinkParams, autocorrelation, error_variance, mmse_gain,
+                        pilot_second_moment, sinr_gain)
+from pilotsched.simulation import _realized_rewards
 from pilotsched.validation import draw_joint_channel_pair
 
 
@@ -53,25 +53,32 @@ class TestMmseGain:
 
 
 class TestEstimateChannel:
-    def test_zero_observation(self, unit_params):
-        est = estimate_channel(PilotObservation(value=0.0, age=2), unit_params)
-        assert est.estimate == 0.0
-        assert est.estimate_variance == 0.0
+    """The MMSE estimate mmse_gain(age) * y and its error variance."""
+
+    def test_zero_observation(self, unit_params, default_table):
+        # a zero pilot observation gives SINR 0: no MCS is feasible, so the
+        # realized slot earns nothing even with a decode draw of 0
+        eta = np.full(3, sinr_gain(2, unit_params) * abs(0.0) ** 2)
+        assert np.array_equal(_realized_rewards(eta, np.zeros(3), default_table), np.zeros(3))
 
     def test_hand_example_full_substitution(self):
         # P_p = noise = rho0 = 1, rho ~ 0.5, y = 2:
         #   estimate = 0.5, estimate_variance = 0.0625 * 4 = 0.25,
         #   error_variance = 1 - 0.25/2 = 0.875
         p, age = find_age_with_rho(0.5, tol=2e-3)
-        est = estimate_channel(PilotObservation(value=2.0 + 0.0j, age=age), p)
-        assert est.estimate == pytest.approx(0.5, abs=3e-3)
-        assert est.estimate_variance == pytest.approx(0.25, abs=3e-3)
-        assert est.error_variance == pytest.approx(0.875, abs=2e-3)
+        gain = mmse_gain(age, p)
+        assert gain * 2.0 == pytest.approx(0.5, abs=3e-3)
+        assert gain * gain * 2.0 ** 2 == pytest.approx(0.25, abs=3e-3)
+        assert error_variance(age, p) == pytest.approx(0.875, abs=2e-3)
 
     def test_error_variance_age_only(self, unit_params):
-        a = estimate_channel(PilotObservation(value=1.0 + 2.0j, age=3), unit_params)
-        b = estimate_channel(PilotObservation(value=-4.0 + 0.5j, age=3), unit_params)
-        assert a.error_variance == b.error_variance
+        # the residual variance is a function of rho(age) alone
+        for age in range(1, 20):
+            rho = autocorrelation(age, unit_params)
+            assert error_variance(age, unit_params) == pytest.approx(
+                unit_params.channel_variance
+                - unit_params.pilot_power * rho * rho / pilot_second_moment(unit_params),
+                rel=1e-12, abs=1e-15)
 
     def test_error_variance_within_bounds(self, unit_params):
         for age in range(1, 60):
@@ -89,34 +96,33 @@ class TestEstimateChannel:
         errs = [e for _, e in points]
         assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
 
-    def test_age_zero_observation_rejected(self):
+    def test_negative_age_rejected(self, unit_params):
         with pytest.raises(ValueError):
-            PilotObservation(value=1.0, age=0)
-
-    def test_complex_estimate(self, unit_params):
-        y = 1.0 - 1.0j
-        est = estimate_channel(PilotObservation(value=y, age=1), unit_params)
-        assert est.estimate == mmse_gain(1, unit_params) * y
+            error_variance(-1, unit_params)
+        with pytest.raises(ValueError):
+            error_variance(np.array([0, -1]), unit_params)
 
 
 class TestSinr:
+    """The data-slot SINR sinr_gain(age) * |y|^2 that realized mode evaluates."""
+
     def test_hand_example(self):
         # P_p = P_d = noise = rho0 = 1, rho ~ 0.5, |y|^2 = 2 -> 0.125/1.875 = 1/15
         p, age = find_age_with_rho(0.5, tol=2e-3)
         y = math.sqrt(2.0)
-        assert sinr(age, y, p) == pytest.approx(1.0 / 15.0, abs=1e-3)
+        assert sinr_gain(age, p) * abs(y) ** 2 == pytest.approx(1.0 / 15.0, abs=1e-3)
 
     def test_zero_correlation_zero_sinr(self):
         p, age = find_age_with_rho(0.0, tol=5e-3)
-        assert sinr(age, 3.0 + 4.0j, p) <= 1e-3
+        assert sinr_gain(age, p) * abs(3.0 + 4.0j) ** 2 <= 1e-3
 
     def test_nondecreasing_in_y_magnitude(self, unit_params):
-        vals = [sinr(2, complex(m, 0), unit_params) for m in np.linspace(0, 10, 50)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        vals = sinr_gain(2, unit_params) * np.abs(np.linspace(0, 10, 50) + 0j) ** 2
+        assert np.all(np.diff(vals) >= 0)
 
     def test_age_zero_rejected(self, unit_params):
         with pytest.raises(ValueError):
-            sinr(0, 1.0, unit_params)
+            sinr_gain(0, unit_params)
 
 
 class TestSinrGain:
@@ -126,7 +132,8 @@ class TestSinrGain:
         assert sinr_gain(age, p) == pytest.approx(1.0 / 30.0, abs=1e-3)
 
     def test_factorization_exact(self, rng):
-        # sinr == sinr_gain * |y|^2 bitwise, for random operating points
+        # sinr_gain == P_d * gain^2 / (P_d * error_variance + noise) bitwise,
+        # for random operating points
         for _ in range(100):
             fd = float(rng.uniform(1.0, 400.0))
             p = LinkParams(pilot_power=float(rng.uniform(0.1, 5.0)),
@@ -135,8 +142,9 @@ class TestSinrGain:
                            channel_variance=float(rng.uniform(0.2, 3.0)),
                            doppler_hz=fd, sample_period=1e-3)
             age = int(rng.integers(1, 40))
-            y = complex(rng.normal(), rng.normal())
-            assert sinr(age, y, p) == sinr_gain(age, p) * abs(y) ** 2
+            gain = mmse_gain(age, p)
+            assert sinr_gain(age, p) == p.data_power * gain * gain / (
+                p.data_power * error_variance(age, p) + p.noise_variance)
 
     def test_monotone_in_rho_magnitude(self):
         # at fixed powers, larger |rho| means larger sinr_gain

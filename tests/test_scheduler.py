@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import best_period_brute, gamma_brute
+import pilotsched.scheduler as scheduler
+from oracles import best_period_brute, gamma_brute, index_gamma_per_age
 from pilotsched import (DATA, PILOT, ConvergenceError, HorizonExhaustedError,
-                        RewardCurve, brute_force_optimal_period, decide,
-                        hitting_age, index_gamma, load_reward_curve,
-                        relative_value_iteration, save_reward_curve,
-                        solve_threshold)
+                        RewardCurve, brute_force_optimal_period, hitting_age,
+                        index_gamma, load_reward_curve, relative_value_iteration,
+                        save_reward_curve, solve_threshold)
 
 
 def curve_of(*values, pad: int = 0) -> RewardCurve:
@@ -21,18 +21,19 @@ HAND_CURVE = curve_of(1.0, 1.0, 1.0, pad=47)  # optimum: period 4, beta 3/4
 class TestIndexGamma:
     def test_constant_curve(self):
         c = curve_of(*[2.5] * 30)
-        for age in (1, 5, 20):
-            assert index_gamma(age, c, tau_max=10) == 2.5
+        gamma = index_gamma(c, tau_max=10)
+        assert len(gamma) == 21
+        assert np.all(gamma == 2.5)
 
     def test_single_spike(self):
         # r = (2, 0, 0, ...): tau = 1 maximizes at age 1
         c = curve_of(2.0, pad=19)
-        assert index_gamma(1, c, tau_max=10) == 2.0
+        assert index_gamma(c, tau_max=10)[0] == 2.0
 
     def test_later_spike_widens_window(self):
         # r = (1, 3, 0, ...): the two-slot window averages 2, beating tau=1
         c = curve_of(1.0, 3.0, pad=18)
-        assert index_gamma(1, c, tau_max=10) == 2.0
+        assert index_gamma(c, tau_max=10)[0] == 2.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matches_brute_force(self, rng):
@@ -42,32 +43,50 @@ class TestIndexGamma:
             c = RewardCurve(values=values)
             age = int(rng.integers(1, 20))
             tau_max = int(rng.integers(1, 40 - age + 2))
-            assert index_gamma(age, c, tau_max) == pytest.approx(
+            assert index_gamma(c, tau_max)[age - 1] == pytest.approx(
                 gamma_brute(values.tolist(), age, tau_max), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_per_age_formula_exactly(self, rng, monkeypatch):
+        # every block size gives the per-age values bit for bit, at both
+        # extremes of the window bound
+        for _ in range(50):
+            length = int(rng.integers(1, 80))
+            values = rng.uniform(0, 5, size=length)
+            values[rng.random(length) < 0.3] = 0.0
+            c = RewardCurve(values=values)
+            for tau_max in (1, length, int(rng.integers(1, length + 1))):
+                monkeypatch.setattr(scheduler, "_INDEX_BLOCK_ELEMENTS",
+                                    int(rng.integers(1, 4 * tau_max + 1)))
+                want = [index_gamma_per_age(age, c, tau_max)
+                        for age in range(1, length - tau_max + 2)]
+                assert np.array_equal(index_gamma(c, tau_max), want)
 
     def test_window_overflow_rejected(self):
         c = curve_of(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="exceeds"):
-            index_gamma(2, c, tau_max=3)
+            index_gamma(c, tau_max=4)
 
     def test_boundary_argmax_warns(self):
-        # strictly increasing curve: the best window is always the longest
+        # strictly increasing curve: the best window is always the longest,
+        # and one warning counts all 11 ages
         c = RewardCurve(values=np.arange(1.0, 21.0))
-        with pytest.warns(RuntimeWarning, match="tau_max"):
-            index_gamma(1, c, tau_max=10)
+        with pytest.warns(RuntimeWarning, match="tau_max=10 at 11 of 11 ages") as record:
+            index_gamma(c, tau_max=10)
+        assert len(record) == 1
 
 
 class TestHittingAge:
     def test_immediate_hit_for_large_beta(self):
-        assert hitting_age(5.0, HAND_CURVE, tau_max=10) == 1
+        assert hitting_age(5.0, index_gamma(HAND_CURVE, tau_max=10)) == 1
 
     def test_hand_curve(self):
-        assert hitting_age(0.75, HAND_CURVE, tau_max=10) == 4
+        assert hitting_age(0.75, index_gamma(HAND_CURVE, tau_max=10)) == 4
 
     def test_no_hit_raises(self):
-        c = curve_of(*[1.0] * 30)
+        gamma = index_gamma(curve_of(*[1.0] * 30), tau_max=5)
         with pytest.raises(HorizonExhaustedError, match="horizon exhausted"):
-            hitting_age(0.0, c, tau_max=5)
+            hitting_age(0.0, gamma)
 
 
 class TestSolveThreshold:
@@ -98,9 +117,9 @@ class TestSolveThreshold:
             values = np.concatenate([rng.uniform(0, 4, size=12), np.zeros(48)])
             c = RewardCurve(values=values)
             sol = solve_threshold(c, tol=1e-13, tau_max=20)
-            for age in range(1, sol.hitting_age):
-                assert index_gamma(age, c, sol.tau_max) > sol.beta
-            assert index_gamma(sol.hitting_age, c, sol.tau_max) <= sol.beta
+            gamma = index_gamma(c, sol.tau_max)
+            assert np.all(gamma[:sol.hitting_age - 1] > sol.beta)
+            assert gamma[sol.hitting_age - 1] <= sol.beta
 
     def test_scaling_covariance(self, rng):
         values = np.concatenate([rng.uniform(0, 3, size=10), np.zeros(40)])
@@ -116,10 +135,11 @@ class TestSolveThreshold:
         values = np.concatenate([np.array([2.0, 1.5, 1.0, 3.0, 0.2]), np.zeros(45)])
         c = RewardCurve(values=values)
         cs = c.cumulative
+        gamma = index_gamma(c, tau_max=10)
         last = None
         for beta in np.linspace(0.0, 3.0, 301):
             try:
-                h = hitting_age(float(beta), c, tau_max=10)
+                h = hitting_age(float(beta), gamma)
             except HorizonExhaustedError:
                 continue
             g = float(cs[h - 1]) - beta * h
@@ -199,24 +219,21 @@ class TestOracleTriangle:
 
 
 class TestDecide:
+    """The threshold rule pilots at age d exactly when gamma(d) <= beta."""
+
     def test_hitting_age_is_pilot(self):
         sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
-        assert decide(sol.hitting_age, sol, HAND_CURVE) == PILOT
+        assert index_gamma(HAND_CURVE, sol.tau_max)[sol.hitting_age - 1] <= sol.beta
 
     def test_fresh_age_is_data(self):
         sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
-        assert decide(1, sol, HAND_CURVE) == DATA
+        assert index_gamma(HAND_CURVE, sol.tau_max)[0] > sol.beta
 
     def test_cycle_structure(self):
         sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
-        actions = [decide(age, sol, HAND_CURVE) for age in range(1, sol.period + 1)]
-        assert actions == [DATA] * (sol.period - 1) + [PILOT]
-
-    def test_out_of_range_falls_back_to_pilot(self, caplog):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
-        with caplog.at_level("WARNING", logger="pilotsched.scheduler"):
-            assert decide(len(HAND_CURVE), sol, HAND_CURVE) == PILOT
-        assert any("pilot" in r.message for r in caplog.records)
+        gamma = index_gamma(HAND_CURVE, sol.tau_max)
+        assert np.all(gamma[:sol.period - 1] > sol.beta)
+        assert gamma[sol.period - 1] <= sol.beta
 
 
 class TestRewardCurveCsv:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import pilotsched.simulation as simulation
+from oracles import SchedulerState, decide, step
 from pilotsched import (DATA, EXPECTED, PILOT, REALIZED, RewardCurve,
-                        SchedulerState, build_reward_curve, decide,
-                        derive_streams, max_goodput_array, run_policy, sinr,
-                        solve_threshold, step)
+                        build_reward_curve, derive_streams, index_gamma,
+                        max_goodput_array, run_policy, sinr_gain, solve_threshold)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +22,8 @@ def reference_solution(reference_curve):
 
 
 class TestStep:
+    """The slot-level reference loop, and the realized statistics of the shipped path."""
+
     def test_pilot_reward_zero_and_age_reset(self, reference_params, default_table):
         trace, noise, _ = derive_streams(reference_params, 1000, seed=5)
         state = SchedulerState(age=7, last_pilot_value=None, slot=0)
@@ -65,38 +67,30 @@ class TestStep:
 
     def test_realized_bernoulli_mean_given_pilot(self, reference_params, default_table):
         # repetitions at one fixed pilot y: mean matches R*(1-bler(eta))
-        trace, _, _ = derive_streams(reference_params, 1000, seed=5)
         y = 1.1 - 0.4j
         age = 2
-        eta = sinr(age, y, reference_params)
+        eta = sinr_gain(age, reference_params) * abs(y) ** 2
         goodput, chosen, _ = max_goodput_array(eta, default_table)
         assert chosen >= 0
-        rng = np.random.default_rng(31)
-        state = SchedulerState(age=age, last_pilot_value=y, slot=0)
-        draws = np.array([
-            step(state, DATA, trace, reference_params, default_table, REALIZED,
-                 decode_uniform=float(u))[1]
-            for u in rng.random(100_000)
-        ])
+        uniforms = np.random.default_rng(31).random(100_000)
+        draws = simulation._realized_rewards(np.full(uniforms.size, eta), uniforms,
+                                             default_table)
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert draws.mean() == pytest.approx(goodput, abs=3 * se)
 
     def test_realized_mean_over_fresh_pilots_matches_expected(self, reference_params,
                                                               default_table, reference_curve):
-        # repetitions of pilot + data: realized mean converges to r(age)
+        # period 2 pilots at the even slots and sends data at age 1 in the odd
+        # ones: the realized mean converges to r(1)
         horizon = 100_000
+        res = run_policy(2, reference_params, default_table, horizon, seed=8, mode=REALIZED)
         trace, noise, uniforms = derive_streams(reference_params, horizon, seed=8)
-        age = 1
-        rewards = np.empty(horizon // 2)
-        for i in range(horizon // 2):
-            s0 = SchedulerState(age=1, last_pilot_value=None, slot=2 * i)
-            s1, _ = step(s0, PILOT, trace, reference_params, default_table, REALIZED,
-                         pilot_noise=complex(noise[2 * i]))
-            _, r = step(s1, DATA, trace, reference_params, default_table, REALIZED,
-                        decode_uniform=float(uniforms[2 * i + 1]))
-            rewards[i] = r
+        y = math.sqrt(reference_params.pilot_power) * trace.samples[0::2] + noise[0::2]
+        eta = sinr_gain(1, reference_params) * np.abs(y) ** 2
+        rewards = simulation._realized_rewards(eta, uniforms[1::2], default_table)
+        assert 2 * res.avg_goodput == rewards.mean()
         se = rewards.std(ddof=1) / math.sqrt(len(rewards))
-        assert rewards.mean() == pytest.approx(reference_curve.value(age), abs=3 * se)
+        assert rewards.mean() == pytest.approx(reference_curve.value(1), abs=3 * se)
 
     def test_unknown_mode_rejected(self, reference_params, default_table):
         trace, noise, _ = derive_streams(reference_params, 1000, seed=5)
@@ -117,8 +111,9 @@ class TestPolicies:
         else:
             curve = RewardCurve(values=np.zeros(50))
             sol = solve_threshold(curve, tau_max=10)
-        actions = [decide(age, sol, curve) for age in range(1, sol.period + 1)]
-        assert actions == [DATA] * (sol.period - 1) + [PILOT]
+        gamma = index_gamma(curve, sol.tau_max)
+        assert np.all(gamma[:sol.period - 1] > sol.beta)
+        assert gamma[sol.period - 1] <= sol.beta
 
     def test_period_one_always_pilot(self, reference_params, default_table):
         res = run_policy(1, reference_params, default_table,
@@ -226,10 +221,13 @@ class TestRunPolicy:
 
     def test_matches_step_loop_exactly(self, reference_params, default_table, reference_curve,
                                        reference_solution):
-        # the vectorized reward pass must reproduce the one-slot reference path
+        # the vectorized reward pass must reproduce the one-slot reference path;
+        # the threshold run takes its actions from the index rule
         horizon = 2000
+        sol = reference_solution
+        gamma = index_gamma(reference_curve, sol.tau_max)
         for mode in (EXPECTED, REALIZED):
-            for period in (reference_solution.period, 3):
+            for period in (sol.period, 3):
                 res = run_policy(period, reference_params, default_table, horizon,
                                  seed=17, mode=mode, reward_curve=reference_curve)
                 trace, noise, uniforms = derive_streams(reference_params, horizon, seed=17)
@@ -238,7 +236,12 @@ class TestRunPolicy:
                 pilots = 0
                 histogram = Counter()
                 for t in range(horizon):
-                    action = PILOT if t % period == 0 else DATA
+                    if t == 0:
+                        action = PILOT
+                    elif period == sol.period:
+                        action = decide(state.age, sol, gamma)
+                    else:
+                        action = PILOT if t % period == 0 else DATA
                     pilots += action == PILOT
                     histogram[state.age] += 1
                     state, reward = step(state, action, trace, reference_params,

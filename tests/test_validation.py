@@ -17,5 +17,8 @@ class TestSolveClamped:
     def test_curve_too_short_names_delta_max(self):
         cfg = ExperimentConfig(snr_db=20.0, speed=0.0, delta_max=100, tau_max=50)
         curve = build_reward_curve(cfg.link_params(), default_mcs_table(), cfg.delta_max)
-        with pytest.raises(ValueError, match="delta_max"):
+        # rounding in the constant curve's prefix sums sends some window
+        # argmaxes to tau_max; the index reports them in one warning
+        with pytest.warns(RuntimeWarning, match="argmax hit tau_max"), \
+                pytest.raises(ValueError, match="delta_max"):
             check_scheduler_triangle(curve, physical_tau_max=cfg.tau_max, count=0)
