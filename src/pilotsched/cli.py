@@ -167,6 +167,15 @@ def cmd_sweep_mobility(cfg: ExperimentConfig, out_dir: Path, mode: str = EXPECTE
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
                  policy_arg: str = "threshold") -> Path:
     """Run one policy at the configured point with the first configured seed."""
+    period = 0  # rejected below unless the policy names one
+    if policy_arg.startswith("periodic:"):
+        try:
+            period = int(policy_arg.split(":", 1)[1])
+        except ValueError:
+            pass
+    if policy_arg != "threshold" and period < 1:
+        raise ValueError(f"--policy {policy_arg!r}: use 'threshold' or 'periodic:<p>' "
+                         "with an integer p >= 1")
     seed = cfg.seeds[0]
     params = cfg.link_params()
     table = build_table(cfg)
@@ -177,10 +186,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
         sol = solve_clamped(curve, cfg.tau_max)
         period = sol.period
         doc["beta"] = sol.beta
-    elif policy_arg.startswith("periodic:"):
-        period = int(policy_arg.split(":", 1)[1])
-    else:
-        raise ValueError(f"unknown policy {policy_arg!r}; use 'threshold' or 'periodic:<p>'")
     doc["period"] = period
     result = run_policy(period, params, table, cfg.horizon, seed, mode,
                         reward_curve=curve, quad=quad)

@@ -71,6 +71,11 @@ class ExperimentConfig:
                 and all(_is_int(s) and s >= 0 for s in self.seeds)):
             raise ValueError(
                 f"seeds must be a nonempty list of nonnegative integers, got {self.seeds!r}")
+        for name in ("speed_unit", "mcs_config", "bler_table", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not (self.reward_csv is None or isinstance(self.reward_csv, str)):
+            raise ValueError(f"reward_csv must be a string or null, got {self.reward_csv!r}")
         if (self.noise_variance is None) == (self.snr_db is None):
             raise ValueError("exactly one of 'noise_variance' and 'snr_db' must be given")
         if self.noise_variance is not None and self.noise_variance <= 0:
@@ -115,7 +120,11 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config, naming offending fields."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config ({exc.strerror or exc})") from exc
+    with fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

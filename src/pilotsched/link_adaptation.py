@@ -52,10 +52,22 @@ class LogisticBlerCurve:
         return 1.0 / (1.0 + np.exp(z))
 
     def threshold(self, e_max: float) -> float:
-        """Smallest linear SINR x with self(_to_db(x)) <= e_max.
+        """Smallest linear SINR t with self(_to_db(t)) <= e_max, and exact:
+        for every float x, x >= t if and only if self(_to_db(x)) <= e_max.
 
         Inverts the logistic in closed form, then steps one float at a time
         to where this implementation's rounded curve crosses e_max.
+
+        Why the rounded curve crosses only there: near the crossing one input
+        ULP moves the curve by 3 to 9 output ULPs (shipped table, e_max 0.3
+        to 1e-3), so the test suite checks every float within 2^16 ULPs
+        either side of t.  Farther out, x differs from t by a relative
+        2^16 * 2^-53 > 7e-12 or more, which moves 10*log10(x) by more than
+        3e-11 dB from its value at t.  The computed dB value is off by a few
+        ULPs of |10*log10(x)| <= 3,083 dB, under 3e-12 dB, and the slope, exp
+        and division that follow add a few ULPs of the BLER.  The exact gap
+        dwarfs the rounding error, so the rounded curve lies on the same side
+        of e_max as the exact one.
         """
         x = 10.0 ** ((self.midpoint_db + math.log(1.0 / e_max - 1.0) / self.slope_per_db) / 10.0)
         while self(_to_db(x)) > e_max:
@@ -140,7 +152,9 @@ class McsTable:
 
         0 when the entry qualifies already at 1e-18 and +inf when it does not
         qualify at 1e18.  In between, a curve with a `threshold(e_max)` method
-        answers itself; any other curve is bisected.
+        answers itself; any other curve is bisected.  A `threshold` method
+        must return the exact crossing float t: x >= t if and only if
+        curve(_to_db(x)) <= e_max, for every float x.
         """
         lo, hi = 1e-18, 1e18
         out = np.empty(len(self.entries))
@@ -155,6 +169,44 @@ class McsTable:
                 out[i] = (threshold(self.e_max) if threshold is not None
                           else _bisect_threshold(curve, self.e_max, lo, hi))
         return out
+
+    @cached_property
+    def exact_thresholds(self) -> np.ndarray:
+        """Mask of the entries whose feasibility threshold is exact.
+
+        True where the curve's own `threshold(e_max)` gave the value.  The 0
+        and +inf clamped from the probe range and bisected values are not
+        exact: they say nothing about SINRs outside [1e-18, 1e18] or between
+        the bisection's last two probes.
+        """
+        own = np.array([hasattr(e.bler_curve, "threshold") for e in self.entries])
+        t = self.feasibility_thresholds
+        return own & (t > 0) & np.isfinite(t)
+
+    @cached_property
+    def selection_groups(self) -> tuple:
+        """(edges, candidates): the entries that can win, by SINR band.
+
+        `edges` are the exact thresholds in ascending order, and a SINR x
+        lies in band g, the number of edges <= x.  `candidates[g]` lists in
+        table order every entry without an exact threshold, plus each entry
+        j among the g lowest edges with rate_j >= fl(rate_k * fl(1 - e_max)),
+        where k is the highest-rate entry among those g.  Any other entry is
+        infeasible at x or cannot win: k is feasible there, so the best
+        goodput is at least rate_k * (1 - e_max) in floats, and an entry's
+        goodput is at most its rate.
+        """
+        exact = self.exact_thresholds
+        inexact = np.flatnonzero(~exact).tolist()
+        by_edge = sorted(np.flatnonzero(exact).tolist(),
+                         key=lambda j: self.feasibility_thresholds[j])
+        candidates = [inexact]
+        for g in range(1, len(by_edge) + 1):
+            below = by_edge[:g]
+            floor = self.entries[max(below)].rate * (1.0 - self.e_max)  # rates rise with j
+            candidates.append(sorted(inexact + [j for j in below
+                                                if self.entries[j].rate >= floor]))
+        return self.feasibility_thresholds[by_edge], candidates
 
     def fingerprint_key(self) -> str:
         parts = [f"{e.index}:{e.rate!r}:{_curve_key(e.bler_curve)}" for e in self.entries]
@@ -191,22 +243,49 @@ def max_goodput_array(snr_linear, table: McsTable):
 
     Returns (goodput, chosen_index, chosen_bler), each shaped like the input;
     chosen_index is -1 and chosen_bler is 1.0 where no entry is feasible.
-    Ties go to the first entry.  Memory is a few arrays the size of the input.
+    Ties go to the first entry.
+
+    Points are grouped by their band of `table.selection_groups`, and only
+    the band's candidates are evaluated there, in table order with the BLER
+    check kept.  The result equals a scan over every entry bit for bit; a
+    table without exact thresholds has one band holding every entry, and is
+    scanned in full.  Memory is a few arrays the size of the input.
     """
     eta = np.asarray(snr_linear, dtype=float)
-    snr_db = _to_db(eta.ravel())
-    best = np.full(snr_db.shape, -1.0)
-    chosen = np.full(snr_db.shape, -1)
-    chosen_bler = np.ones(snr_db.shape)
-    for i, entry in enumerate(table.entries):
-        e = entry.bler_curve(snr_db)
-        goodput = entry.rate * (1.0 - e)
-        better = (e <= table.e_max) & (goodput > best)
-        np.copyto(best, goodput, where=better)
-        np.copyto(chosen_bler, e, where=better)
-        np.copyto(chosen, i, where=better)
+    x = eta.ravel()
+    edges, candidates = table.selection_groups
+    band = np.zeros(x.shape, np.min_scalar_type(edges.size))
+    for edge in edges:
+        band += x >= edge
+    # a stable sort of small unsigned codes is a radix sort; it makes each
+    # band one contiguous slice, and `order` scatters the results back
+    order = np.argsort(band, kind="stable")
+    snr_db = _to_db(x[order])
+    best = np.full(x.shape, -1.0)
+    chosen = np.full(x.shape, -1)
+    chosen_bler = np.ones(x.shape)
+    stop = 0
+    for members, count in zip(candidates, np.bincount(band, minlength=len(candidates))):
+        start, stop = stop, stop + count
+        if count == 0:
+            continue
+        sl = slice(start, stop)
+        db, b, c, cb = snr_db[sl], best[sl], chosen[sl], chosen_bler[sl]
+        for i in members:
+            entry = table.entries[i]
+            e = entry.bler_curve(db)
+            goodput = entry.rate * (1.0 - e)
+            better = (e <= table.e_max) & (goodput > b)
+            np.copyto(b, goodput, where=better)
+            np.copyto(cb, e, where=better)
+            np.copyto(c, i, where=better)
     best[chosen < 0] = 0.0
-    return best.reshape(eta.shape), chosen.reshape(eta.shape), chosen_bler.reshape(eta.shape)
+    out = []
+    for sorted_values in (best, chosen, chosen_bler):
+        values = np.empty_like(sorted_values)
+        values[order] = sorted_values
+        out.append(values.reshape(eta.shape))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -411,8 +490,15 @@ def _parse_rate_config(doc: dict, source: str):
 
 def load_mcs_rates(path) -> tuple:
     """Read a CQI -> rate JSON config; returns (rates dict, e_max)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read rate config ({exc.strerror or exc})") from exc
+    with fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     return _parse_rate_config(doc, str(path))
 
 
@@ -430,7 +516,11 @@ def load_bler_table(path, rate_config=None) -> McsTable:
 
     curves: dict[int, tuple[list, list]] = {}
     last_key = None
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read BLER table ({exc.strerror or exc})") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -206,7 +206,11 @@ def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9
 def load_reward_curve(path) -> RewardCurve:
     """Read an `age,reward` CSV with consecutive ages starting at 1."""
     values = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read reward curve ({exc.strerror or exc})") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -75,6 +75,33 @@ class TestConfig:
         assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,argv,named", [
+        ({"reward_csv": 7}, ["solve"], "reward_csv"),
+        ({"mcs_config": 9}, ["goodput-curve"], "mcs_config"),
+        ({"bler_table": None}, ["goodput-curve"], "bler_table"),
+        ({"output_dir": 5}, ["goodput-curve"], "output_dir"),
+        ({"speed_unit": 1}, ["goodput-curve"], "speed_unit"),
+        ({}, ["goodput-curve", "--config", "{tmp}/absent_config.json"], "absent_config.json"),
+        ({}, ["solve", "--config", "{tmp}/a_dir"], "a_dir"),
+        ({"mcs_config": "{tmp}/absent_rates.json"}, ["goodput-curve"], "absent_rates.json"),
+        ({"bler_table": "{tmp}/a_dir"}, ["goodput-curve"], "a_dir"),
+        ({"reward_csv": "{tmp}/absent_reward.csv"}, ["solve"], "absent_reward.csv"),
+        ({}, ["simulate", "--policy", "periodic:abc"],
+         "--policy 'periodic:abc': use 'threshold' or 'periodic:<p>' with an integer p >= 1"),
+    ])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, overrides, argv, named):
+        # {tmp} is the test's directory, which holds a subdirectory a_dir;
+        # a --config in argv comes last and overrides the written one
+        (tmp_path / "a_dir").mkdir()
+
+        def fill(value):
+            return value.format(tmp=tmp_path) if isinstance(value, str) else value
+
+        cfg = write_config(tmp_path, **{k: fill(v) for k, v in overrides.items()})
+        args = [argv[0], "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(args + [fill(a) for a in argv[1:]]) == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["goodput-curve", "solve", "sweep-snr",
                                          "sweep-mobility", "simulate", "validate"])
     def test_seed_override_validated(self, tmp_path, capsys, command):

@@ -30,6 +30,40 @@ def tabulated_default_table(tmp_path) -> McsTable:
     return load_bler_table(path)
 
 
+def random_logistic_table(rng) -> McsTable:
+    """2-8 logistic entries with unsorted midpoints, so thresholds need not
+    rise with the rate; neighbouring rates are often within 10% of each other,
+    and some entries repeat an earlier curve, so their thresholds tie."""
+    n = int(rng.integers(2, 9))
+    rates = np.cumprod(rng.choice([1.02, 1.05, 1.09, 1.3, 1.8], size=n))
+    curves = []
+    for _ in range(n):
+        if curves and rng.random() < 0.25:
+            curves.append(curves[int(rng.integers(len(curves)))])
+        else:
+            curves.append(LogisticBlerCurve(float(rng.uniform(0.3, 3.0)),
+                                            float(rng.uniform(-20.0, 30.0))))
+    e_max = float(rng.choice([0.3, 0.1, 0.01, 1e-3]))
+    return McsTable(entries=[McsEntry(index=i + 1, rate=float(r), bler_curve=c)
+                             for i, (r, c) in enumerate(zip(rates, curves))], e_max=e_max)
+
+
+def probe_points(table, rng) -> np.ndarray:
+    """Every feasibility threshold and its float neighbours, the extremes,
+    and a log-normal spread."""
+    t = table.feasibility_thresholds
+    t = t[np.isfinite(t) & (t > 0)]
+    return np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                           [0.0, -1.0, 1e-300, 1e-19, 1e300],
+                           rng.lognormal(0.0, 5.0, 500)])
+
+
+def assert_matches_full_scan(eta, table):
+    for got, want in zip(max_goodput_array(eta, table), max_goodput_matrix(eta, table)):
+        assert got.shape == np.shape(eta)
+        assert np.array_equal(got, want)
+
+
 class TestBler:
     def test_zero_sinr_is_one(self, default_table):
         # a linear SINR of 0 is -inf dB
@@ -112,6 +146,61 @@ class TestMaxGoodputArray:
             assert got.shape == eta.shape
             assert np.array_equal(got, want)
 
+    def test_random_logistic_tables_match_full_scan(self, rng):
+        for _ in range(60):
+            table = random_logistic_table(rng)
+            assert_matches_full_scan(probe_points(table, rng), table)
+
+    def test_default_table_at_every_threshold_and_e_max(self, rng):
+        for e_max in (0.3, 0.1, 0.01, 1e-3):
+            table = default_mcs_table(e_max=e_max)
+            assert_matches_full_scan(probe_points(table, rng), table)
+
+    def test_exact_goodput_tie_goes_first(self):
+        # at 0 dB entry 0 has BLER ~1e-65, so goodput 1 * (1 - e) == 1.0, and
+        # entry 1 sits at its midpoint and threshold, 2 * (1 - 0.5) == 1.0:
+        # entry 0's rate equals the candidate floor 2 * (1 - e_max) exactly
+        table = McsTable(entries=[
+            McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -100.0)),
+            McsEntry(index=2, rate=2.0, bler_curve=LogisticBlerCurve(1.5, 0.0)),
+        ], e_max=0.5)
+        assert table.feasibility_thresholds[1] == 1.0
+        assert table.exact_thresholds.all()
+        assert_matches_full_scan(np.array([1.0, 0.5, 2.0]), table)
+        goodput, chosen, _ = max_goodput_array(1.0, table)
+        assert goodput == 1.0 and chosen == 0
+
+    def test_probe_clamped_thresholds_are_not_exact(self):
+        # both thresholds clamp to 0 at the 1e-18 probe; at 1e-19 (-190 dB)
+        # only entry 0 meets the ceiling, so 0 must stay a candidate there
+        table = McsTable(entries=[
+            McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -300.0)),
+            McsEntry(index=2, rate=2.0, bler_curve=LogisticBlerCurve(1.5, -185.0)),
+        ])
+        assert np.array_equal(table.feasibility_thresholds, [0.0, 0.0])
+        assert not table.exact_thresholds.any()
+        goodput, chosen, _ = max_goodput_array(1e-19, table)
+        assert chosen == 0 and goodput == 1.0
+        assert_matches_full_scan(np.geomspace(1e-25, 1e5, 301), table)
+
+    def test_exact_and_bare_callable_entries_mixed(self, rng):
+        step_db = 10.0 * math.log10(7.0)
+        table = McsTable(entries=[
+            McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -2.0)),
+            McsEntry(index=2, rate=1.05,
+                     bler_curve=lambda snr_db: np.where(snr_db < step_db, 0.5, 0.0)),
+            McsEntry(index=3, rate=1.1, bler_curve=LogisticBlerCurve(0.9, 6.0)),
+            McsEntry(index=4, rate=3.0, bler_curve=lambda snr_db: 0.02),
+            McsEntry(index=5, rate=4.0, bler_curve=LogisticBlerCurve(1.5, 15.0)),
+        ])
+        assert list(table.exact_thresholds) == [True, False, True, False, True]
+        assert_matches_full_scan(probe_points(table, rng), table)
+
+    def test_loaded_bler_table_scanned_in_full(self, tmp_path, rng):
+        table = tabulated_default_table(tmp_path)
+        assert not table.exact_thresholds.any()
+        assert_matches_full_scan(probe_points(table, rng), table)
+
     def test_scalar_bler_callables_broadcast_and_ties_go_first(self):
         # goodput 1 * (1 - 0) == 2 * (1 - 0.5): the first entry wins the tie
         table = McsTable(entries=[
@@ -150,6 +239,16 @@ class TestFeasibilityThresholds:
         assert thresholds[0] == 0.0 and thresholds[3] == np.inf
         assert thresholds[1] == pytest.approx(7.0, rel=1e-15)
         assert np.array_equal(thresholds, bisect_thresholds(table))
+
+    @pytest.mark.parametrize("e_max", [0.3, 0.1, 0.01, 1e-3])
+    def test_logistic_threshold_exact_within_2_16_ulps(self, e_max):
+        # every float within 2^16 ULPs of t meets the ceiling iff it is >= t;
+        # the LogisticBlerCurve.threshold docstring covers floats farther out
+        steps = np.arange(-2 ** 16, 2 ** 16 + 1)
+        for entry in default_mcs_table(e_max=e_max).entries:
+            t = entry.bler_curve.threshold(e_max)
+            x = (np.float64(t).view(np.int64) + steps).view(np.float64)
+            assert np.array_equal(x >= t, entry.bler_curve(link_adaptation._to_db(x)) <= e_max)
 
     def test_threshold_is_the_crossing_float(self):
         curve = LogisticBlerCurve(1.5, 4.4)

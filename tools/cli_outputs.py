@@ -1,0 +1,51 @@
+"""Write the outputs of every CLI command at two operating points.
+
+    python tools/cli_outputs.py OUTDIR
+
+runs the package in this checkout's `src/` at the default config and at
+20 dB / 0.15 mph: `goodput-curve`, `solve`, `sweep-snr` and `sweep-mobility`
+in both modes, `simulate` with `threshold` and `periodic:2` in both modes,
+and `validate`.  That is 22 output files, one directory per point and
+command, plus `exit_codes.txt`.  Run it in two checkouts and compare them
+with `diff -r`.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
+points, so a run takes several minutes.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from pilotsched.cli import main  # noqa: E402
+
+POINTS = {"default": None, "20dB-0.15mph": {"snr_db": 20.0, "speed": 0.15}}
+COMMANDS = [["goodput-curve"], ["solve"]]
+COMMANDS += [[sweep, "--mode", mode] for sweep in ("sweep-snr", "sweep-mobility")
+             for mode in ("expected", "realized")]
+COMMANDS += [["simulate", "--mode", mode, "--policy", policy]
+             for policy in ("threshold", "periodic:2") for mode in ("expected", "realized")]
+COMMANDS += [["validate"]]
+
+
+def write_outputs(out_dir: Path) -> None:
+    codes = []
+    for point, overrides in POINTS.items():
+        point_dir = out_dir / point
+        point_dir.mkdir(parents=True, exist_ok=True)
+        config = []
+        if overrides is not None:
+            path = point_dir / "config.json"
+            path.write_text(json.dumps(overrides, sort_keys=True) + "\n")
+            config = ["--config", str(path)]
+        for command in COMMANDS:
+            name = "_".join(w.replace(":", "") for w in command if not w.startswith("--"))
+            code = main(command + config + ["--out", str(point_dir / name)])
+            codes.append(f"{point} {' '.join(command)} {code}\n")
+    (out_dir / "exit_codes.txt").write_text("".join(codes))
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="directory for the outputs")
+    write_outputs(parser.parse_args().out_dir)
