@@ -192,7 +192,8 @@ def autocorrelation(delta, params: LinkParams):
     return params.channel_variance * bessel_j0(arg)
 
 
-def generate_fading_trace(params: LinkParams, length: int, seed: int) -> FadingTrace:
+def generate_fading_trace(params: LinkParams, length: int, seed: int,
+                          stride: int = 1) -> FadingTrace:
     """Draw one stationary complex Gaussian trace with the Jakes autocovariance.
 
     Circulant embedding: the covariance sequence is symmetrically extended to a
@@ -200,9 +201,18 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int) -> FadingT
     spectral weights, and shaping i.i.d. complex Gaussians by the square root
     of those weights yields a process whose autocovariance matches the target
     at every lag below `length`.  Deterministic for a given seed.
+
+    With `stride` P the trace is the process read every P slots: sample k has
+    the law of the slot-kP sample, with autocovariance rho(P * d) at lag d.
+    That subsequence is stationary too, so the same embedding is exact at
+    length about 2 * length rather than 2 * P * length.  Its normalized
+    Doppler P * f_d * T_s may exceed 0.5 (the spectrum aliases); rho(P * d)
+    is still a valid covariance.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     if params.normalized_doppler >= 0.5:
         raise ValueError("normalized Doppler must be < 0.5")
 
@@ -217,7 +227,7 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int) -> FadingT
     else:
         m = 1 << max(2, int(2 * length - 1).bit_length())
         half = m // 2
-        r = autocorrelation(np.arange(half + 1), params)
+        r = autocorrelation(stride * np.arange(half + 1), params)
         cov = np.empty(m)
         cov[:half + 1] = r
         cov[half + 1:] = r[half - 1:0:-1]

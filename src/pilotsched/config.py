@@ -118,17 +118,28 @@ class ExperimentConfig:
         )
 
 
+def read_input_text(path, what: str) -> str:
+    """The whole text of an input file, line endings untranslated.
+
+    A file that cannot be opened or read, or is not UTF-8 text, raises a
+    ValueError that names it and says it is the `what`.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read {what} ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot read {what} as UTF-8 ({exc})") from exc
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config, naming offending fields."""
+    text = read_input_text(path, "config")
     try:
-        fh = open(path)
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read config ({exc.strerror or exc})") from exc
-    with fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(doc) - _KNOWN_KEYS

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .channel import LinkParams
+from .config import read_input_text
 from .estimation import pilot_second_moment, sinr_gain
 
 MAX_TABULATED_AGES = 1_000_000
@@ -490,15 +492,11 @@ def _parse_rate_config(doc: dict, source: str):
 
 def load_mcs_rates(path) -> tuple:
     """Read a CQI -> rate JSON config; returns (rates dict, e_max)."""
+    text = read_input_text(path, "rate config")
     try:
-        fh = open(path)
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read rate config ({exc.strerror or exc})") from exc
-    with fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     return _parse_rate_config(doc, str(path))
 
 
@@ -516,39 +514,34 @@ def load_bler_table(path, rate_config=None) -> McsTable:
 
     curves: dict[int, tuple[list, list]] = {}
     last_key = None
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read BLER table ({exc.strerror or exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty BLER table")
-        if [h.strip() for h in header] != ["cqi", "snr_db", "bler"]:
-            raise ValueError(f"{path}: expected header 'cqi,snr_db,bler', got {header}")
-        n_rows = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                cqi, snr_db, e = int(row[0]), float(row[1]), float(row[2])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path} row {line_no}: malformed row {row}") from exc
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"{path} row {line_no}: BLER {e} outside [0, 1]")
-            key = (cqi, snr_db)
-            if last_key is not None and key <= last_key:
-                raise ValueError(
-                    f"{path} row {line_no}: rows not sorted by (cqi, snr_db); "
-                    f"{key} follows {last_key}")
-            last_key = key
-            grid = curves.setdefault(cqi, ([], []))
-            grid[0].append(snr_db)
-            grid[1].append(e)
-            n_rows += 1
-        if n_rows == 0:
-            raise ValueError(f"{path}: BLER table contains no data rows")
+    reader = csv.reader(io.StringIO(read_input_text(path, "BLER table"), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty BLER table")
+    if [h.strip() for h in header] != ["cqi", "snr_db", "bler"]:
+        raise ValueError(f"{path}: expected header 'cqi,snr_db,bler', got {header}")
+    n_rows = 0
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            cqi, snr_db, e = int(row[0]), float(row[1]), float(row[2])
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path} row {line_no}: malformed row {row}") from exc
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"{path} row {line_no}: BLER {e} outside [0, 1]")
+        key = (cqi, snr_db)
+        if last_key is not None and key <= last_key:
+            raise ValueError(
+                f"{path} row {line_no}: rows not sorted by (cqi, snr_db); "
+                f"{key} follows {last_key}")
+        last_key = key
+        grid = curves.setdefault(cqi, ([], []))
+        grid[0].append(snr_db)
+        grid[1].append(e)
+        n_rows += 1
+    if n_rows == 0:
+        raise ValueError(f"{path}: BLER table contains no data rows")
 
     entries = []
     for cqi in sorted(curves):

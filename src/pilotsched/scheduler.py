@@ -11,11 +11,13 @@ policies, and relative value iteration on the age MDP.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_input_text
 from .link_adaptation import RewardCurve
 
 PILOT = "pilot"
@@ -206,29 +208,24 @@ def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9
 def load_reward_curve(path) -> RewardCurve:
     """Read an `age,reward` CSV with consecutive ages starting at 1."""
     values = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read reward curve ({exc.strerror or exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty reward curve")
-        if [h.strip() for h in header] != ["age", "reward"]:
-            raise ValueError(f"{path}: expected header 'age,reward', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                age_text, reward_text = row
-                age, reward = int(age_text), float(reward_text)
-            except ValueError as exc:
-                raise ValueError(f"{path} row {line_no}: malformed row {row}") from exc
-            if age != len(values) + 1:
-                raise ValueError(
-                    f"{path} row {line_no}: ages must be consecutive from 1, got {age}")
-            values.append(reward)
+    reader = csv.reader(io.StringIO(read_input_text(path, "reward curve"), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty reward curve")
+    if [h.strip() for h in header] != ["age", "reward"]:
+        raise ValueError(f"{path}: expected header 'age,reward', got {header}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            age_text, reward_text = row
+            age, reward = int(age_text), float(reward_text)
+        except ValueError as exc:
+            raise ValueError(f"{path} row {line_no}: malformed row {row}") from exc
+        if age != len(values) + 1:
+            raise ValueError(
+                f"{path} row {line_no}: ages must be consecutive from 1, got {age}")
+        values.append(reward)
     if not values:
         raise ValueError(f"{path}: reward curve contains no data rows")
     try:

@@ -15,10 +15,21 @@ modes:
               sinr_gain(age) * |y|^2 from the last pilot observation y,
               MCS selection, Bernoulli decoding.
 
-Realized mode draws the fading trace, the per-slot pilot noise, and the
-per-slot decode draws from three independent streams derived from one run
-seed, so paired policy comparisons share their randomness (common random
-numbers).
+Realized mode draws only what the schedule reads: the fading trace and the
+pilot noise at the pilot slots 0, P, 2P, ..., and one decode draw per data
+slot, from three independent streams derived from one run seed.  A data slot
+depends on the channel only through its last pilot and its age, so this is
+the same model as a trace at every slot.  A run with no data slots draws
+nothing.
+
+Two policies run with the same seed share the noise and decode seeds, but
+not trace samples or slot alignment: each period reads its own lattice of
+the channel, and a stream's k-th draw falls on a different slot under each
+period.  Their rewards are not paired slot by slot, so the difference of two
+realized averages gets little of the variance reduction that common random
+numbers would give.  Nothing here relies on that pairing: `_sweep_point`
+averages each policy over the seeds on its own, and the realized tests
+compare each policy with its own expected value.
 """
 
 from __future__ import annotations
@@ -50,20 +61,25 @@ class SimulationResult:
     horizon: int
 
 
-def derive_streams(params: LinkParams, horizon: int, seed: int):
-    """Per-run randomness: fading trace, per-slot pilot noise, per-slot decode draws.
+def derive_streams(params: LinkParams, horizon: int, period: int, seed: int):
+    """Per-run randomness of a period-`period` schedule, at the slots that read it.
 
-    The three streams are derived independently from the seed, so the same
-    seed reuses the same fading trace and pilot noise across policies.
+    Returns the fading trace at the K = ceil(horizon / period) pilot slots
+    (slot k * period), K pilot-noise samples, and horizon - K decode draws,
+    one per data slot in slot order.  The three streams are derived
+    independently from the seed.
     """
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
     root = np.random.default_rng(seed)
     fade_seed, noise_seed, decode_seed = (int(s) for s in root.integers(0, 2 ** 63, size=3))
-    trace = generate_fading_trace(params, horizon, fade_seed)
+    pilots = -(-horizon // period)
+    trace = generate_fading_trace(params, pilots, fade_seed, stride=period)
     noise_rng = np.random.default_rng(noise_seed)
     sigma = math.sqrt(params.noise_variance / 2.0)
-    pilot_noise = sigma * (noise_rng.standard_normal(horizon)
-                           + 1j * noise_rng.standard_normal(horizon))
-    decode_uniforms = np.random.default_rng(decode_seed).random(horizon)
+    pilot_noise = sigma * (noise_rng.standard_normal(pilots)
+                           + 1j * noise_rng.standard_normal(pilots))
+    decode_uniforms = np.random.default_rng(decode_seed).random(horizon - pilots)
     return trace, pilot_noise, decode_uniforms
 
 
@@ -92,7 +108,7 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
     Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
     a pilot when that age equals the period.  Rewards are evaluated in one
     vectorized pass over the data slots.  Only realized mode draws the fading
-    trace and noise.
+    trace and noise, and only when the schedule has data slots.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -103,19 +119,14 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} exceeds the supported maximum {MAX_HORIZON}")
 
-    if mode == REALIZED:
-        # drawn before the schedule arrays exist, so that they do not add to
-        # the memory peak of the trace synthesis
-        trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, seed)
     ages = np.arange(-1, horizon - 1, dtype=np.int64) % period + 1
     ages[0] = 1
     is_pilot = ages == period
     is_pilot[0] = True
 
-    data_idx = np.flatnonzero(~is_pilot)
-    data_ages = ages[data_idx]
+    data_ages = ages[~is_pilot]
     total_reward = 0.0
-    if data_idx.size:
+    if data_ages.size:
         if mode == EXPECTED:
             max_needed = int(data_ages.max())
             values = reward_curve.values if reward_curve is not None else np.empty(0)
@@ -128,14 +139,13 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
                 values = np.concatenate([values, _expected_goodputs(missing, params, table, quad)])
             rewards = values[data_ages - 1]
         else:
-            pilot_idx = np.flatnonzero(is_pilot)
-            y_pilots = (math.sqrt(params.pilot_power) * trace.samples[pilot_idx]
-                        + pilot_noise[pilot_idx])
-            owner = np.searchsorted(pilot_idx, data_idx, side="left") - 1
-            y_sq = np.abs(y_pilots[owner]) ** 2
-            unique_ages, inverse = np.unique(data_ages, return_inverse=True)
-            gains = sinr_gain(unique_ages, params)
-            rewards = _realized_rewards(gains[inverse] * y_sq, decode_uniforms[data_idx], table)
+            trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed)
+            y_sq = np.abs(math.sqrt(params.pilot_power) * trace.samples + pilot_noise) ** 2
+            # pilot k is followed by the data slots of ages 1 .. period-1, so
+            # the rows of this outer product, read in order, are the data slots
+            gains = sinr_gain(np.arange(1, period), params)
+            eta = (y_sq[:, None] * gains[None, :]).ravel()[:decode_uniforms.size]
+            rewards = _realized_rewards(eta, decode_uniforms, table)
         total_reward = float(rewards.sum())
 
     pilot_count = int(is_pilot.sum())

@@ -185,12 +185,17 @@ def solve_clamped(curve: RewardCurve, tau_max: int) -> ThresholdSolution:
     """Solve the threshold with the index window clamped to half the curve.
 
     A curve too short to hold the optimal pilot period raises a ValueError
-    naming delta_max, the config field that sets the curve length.
+    naming delta_max, the config field that sets the curve length.  A flat
+    positive curve, which is what a static channel (speed 0) gives, has no
+    optimal finite period at any length, and its ValueError names speed.
     """
     tau_eff = min(tau_max, max(1, len(curve) // 2))
     try:
         return solve_threshold(curve, tol=1e-13, tau_max=tau_eff)
     except ConvergenceError as exc:
+        if np.all(curve.values == curve.values[0]):
+            raise ValueError(f"r(age) is {float(curve.values[0])!r} at every age, as on a static "
+                             "channel (speed 0), so no finite pilot period is optimal") from exc
         raise ValueError(f"no pilot period found within the {len(curve)} tabulated ages "
                          f"(delta_max): {exc}") from exc
 

@@ -6,7 +6,10 @@ loops over the definitions or the index evaluated one age at a time, and the
 reward-curve oracle integrates one age and one quadrature panel at a time,
 with the MCS feasibility thresholds found by bisection and the best MCS by an
 argmax over all entries.  `step` advances the closed loop one slot at a time,
-the slot-level reference for the array pass of `run_policy`.
+the slot-level reference for the array pass of `run_policy`, and
+`slot_streams` lays the realized streams out by slot for it.
+`fading_trace_unstrided` is the trace synthesis with every slot read, the
+reference that `generate_fading_trace` at stride 1 must equal bit for bit.
 """
 
 import math
@@ -15,7 +18,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from pilotsched import DATA, EXPECTED, PILOT, expected_goodput, max_goodput_array
+from pilotsched import (DATA, EXPECTED, PILOT, FadingTrace, autocorrelation, derive_streams,
+                        expected_goodput, max_goodput_array)
 from pilotsched.estimation import pilot_second_moment, sinr_gain
 from pilotsched.simulation import MODES
 
@@ -41,6 +45,44 @@ def j0_series(x: float, digits: int = 30) -> float:
         if abs(term) < cutoff and k > abs(float(x)):
             break
     return float(total)
+
+
+def fading_trace_unstrided(params, length: int, seed: int) -> FadingTrace:
+    """The circulant-embedding trace synthesis with every slot read (no stride)."""
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if params.normalized_doppler >= 0.5:
+        raise ValueError("normalized Doppler must be < 0.5")
+
+    rng = np.random.default_rng(seed)
+    rho0 = params.channel_variance
+
+    if params.normalized_doppler == 0.0:
+        re, im = rng.standard_normal(2)
+        h0 = math.sqrt(rho0 / 2.0) * complex(re, im)
+        samples = np.full(length, h0, dtype=complex)
+    else:
+        m = 1 << max(2, int(2 * length - 1).bit_length())
+        half = m // 2
+        r = autocorrelation(np.arange(half + 1), params)
+        cov = np.empty(m)
+        cov[:half + 1] = r
+        cov[half + 1:] = r[half - 1:0:-1]
+        lam = np.fft.fft(cov).real
+        np.maximum(lam, 0.0, out=lam)
+        total = lam.sum()
+        if total <= 0:
+            raise ValueError("degenerate covariance embedding")
+        lam *= (m * rho0) / total
+
+        re = rng.standard_normal(m)
+        im = rng.standard_normal(m)
+        w = (re + 1j * im) / math.sqrt(2.0)
+        h = np.fft.ifft(np.sqrt(lam) * w) * math.sqrt(m)
+        samples = h[:length].copy()
+
+    samples.flags.writeable = False
+    return FadingTrace(samples=samples, params=params, seed=seed)
 
 
 def gamma_brute(values, age: int, tau_max: int) -> float:
@@ -174,6 +216,25 @@ class SchedulerState:
     age: int
     last_pilot_value: complex | None
     slot: int
+
+
+def slot_streams(params, horizon: int, period: int, seed: int):
+    """`derive_streams` laid out by slot: (trace, pilot_noise, decode_uniforms),
+    each of length `horizon`, NaN at every slot that must not be read.
+
+    The trace and noise hold their draws at the pilot slots 0, period,
+    2*period, ... and the decode draws fill the data slots in order.
+    """
+    trace, noise, uniforms = derive_streams(params, horizon, period, seed)
+    samples = np.full(horizon, complex(np.nan, np.nan))
+    pilot_noise = np.full(horizon, complex(np.nan, np.nan))
+    decode = np.full(horizon, np.nan)
+    samples[::period] = trace.samples
+    pilot_noise[::period] = noise
+    data = np.ones(horizon, dtype=bool)
+    data[::period] = False
+    decode[data] = uniforms
+    return FadingTrace(samples=samples, params=params, seed=trace.seed), pilot_noise, decode
 
 
 def decide(age: int, solution, gamma) -> str:

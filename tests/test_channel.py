@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oracles import j0_series
+from oracles import fading_trace_unstrided, j0_series
 from pilotsched import (FadingTrace, LinkParams, MobilityParams, MPH_TO_MPS,
                         SPEED_OF_LIGHT, autocorrelation, bessel_j0,
                         doppler_frequency, empirical_autocorrelation,
@@ -172,6 +172,38 @@ class TestGenerateFadingTrace:
         theory = autocorrelation(np.arange(101), p)
         rmse = math.sqrt(float(np.mean((emp - theory) ** 2)))
         assert rmse <= 0.02 * p.channel_variance
+
+    @pytest.mark.parametrize("doppler_hz", [0.0, 50.0, 450.0])
+    @pytest.mark.parametrize("length", [1, 3, 1000, 4097])
+    def test_unit_stride_is_the_unstrided_synthesis(self, doppler_hz, length):
+        p = LinkParams(1.0, 1.0, 1.0, channel_variance=2.5, doppler_hz=doppler_hz,
+                       sample_period=1e-3)
+        for seed in (0, 11):
+            want = fading_trace_unstrided(p, length, seed).samples
+            assert np.array_equal(generate_fading_trace(p, length, seed).samples, want)
+            assert np.array_equal(generate_fading_trace(p, length, seed, stride=1).samples, want)
+
+    @pytest.mark.parametrize("doppler_hz, stride", [(50.0, 2), (50.0, 3), (50.0, 12),
+                                                    (450.0, 3)])
+    def test_strided_autocovariance_matches_jakes_at_multiples(self, doppler_hz, stride):
+        # the trace read every `stride` slots has autocovariance rho(stride * d);
+        # at 50 Hz x 12 and 450 Hz x 3 the lattice's normalized Doppler is
+        # 0.6 and 1.35, beyond 0.5, so its spectrum aliases
+        p = LinkParams(1.0, 1.0, 1.0, doppler_hz=doppler_hz, sample_period=1e-3)
+        t = generate_fading_trace(p, 500_000, seed=7, stride=stride)
+        emp = empirical_autocorrelation(t, 20)
+        theory = autocorrelation(stride * np.arange(21), p)
+        rmse = math.sqrt(float(np.mean((emp - theory) ** 2)))
+        assert rmse <= 0.02 * p.channel_variance
+
+    def test_strided_static_channel_constant_trace(self):
+        p = LinkParams(1.0, 1.0, 1.0, doppler_hz=0.0)
+        t = generate_fading_trace(p, 200, seed=5, stride=7)
+        assert np.array_equal(t.samples, generate_fading_trace(p, 200, seed=5).samples)
+
+    def test_zero_stride_rejected(self, flat_params):
+        with pytest.raises(ValueError, match="stride"):
+            generate_fading_trace(flat_params, 100, seed=1, stride=0)
 
     def test_mean_near_zero(self, flat_params):
         t = generate_fading_trace(flat_params, 500_000, seed=13)

@@ -88,11 +88,22 @@ class TestConfig:
         ({"reward_csv": "{tmp}/absent_reward.csv"}, ["solve"], "absent_reward.csv"),
         ({}, ["simulate", "--policy", "periodic:abc"],
          "--policy 'periodic:abc': use 'threshold' or 'periodic:<p>' with an integer p >= 1"),
+        ({}, ["goodput-curve", "--config", "{tmp}/utf16.json"],
+         "utf16.json: cannot read config as UTF-8"),
+        ({"mcs_config": "{tmp}/utf16.json"}, ["goodput-curve"],
+         "utf16.json: cannot read rate config as UTF-8"),
+        ({"bler_table": "{tmp}/utf16.csv"}, ["goodput-curve"],
+         "utf16.csv: cannot read BLER table as UTF-8"),
+        ({"reward_csv": "{tmp}/utf16.csv"}, ["solve"],
+         "utf16.csv: cannot read reward curve as UTF-8"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, overrides, argv, named):
-        # {tmp} is the test's directory, which holds a subdirectory a_dir;
-        # a --config in argv comes last and overrides the written one
+        # {tmp} is the test's directory, which holds a subdirectory a_dir and
+        # two files that open with a UTF-16 byte-order mark, not UTF-8; a
+        # --config in argv comes last and overrides the written one
         (tmp_path / "a_dir").mkdir()
+        (tmp_path / "utf16.json").write_text("{}", encoding="utf-16")
+        (tmp_path / "utf16.csv").write_text("age,reward\n1,0.5\n", encoding="utf-16")
 
         def fill(value):
             return value.format(tmp=tmp_path) if isinstance(value, str) else value
@@ -221,12 +232,25 @@ class TestSolveCommand:
         assert report["oracles"]["brute_force_period"] == 500
         assert report["consistent"] is True
 
-    def test_static_channel_names_delta_max(self, tmp_path, capsys):
-        # on a constant curve no pilot period pays off, so the bisection has no root
+    @pytest.mark.parametrize("argv", [["solve"], ["simulate"], ["sweep-snr"],
+                                      ["sweep-mobility"]])
+    def test_static_channel_names_speed(self, tmp_path, capsys, argv):
+        # on a constant curve no pilot period pays off at any curve length, so
+        # the message names speed rather than delta_max
+        cfg = write_config(tmp_path, speed=0, speed_grid_mph=[0.0, 10.0])
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "speed 0" in err and "delta_max" not in err
+
+    @pytest.mark.parametrize("argv", [["goodput-curve"],
+                                      ["simulate", "--policy", "periodic:3"],
+                                      ["simulate", "--policy", "periodic:3",
+                                       "--mode", "realized"]])
+    def test_static_channel_curve_and_fixed_period_run(self, tmp_path, argv):
         cfg = write_config(tmp_path, speed=0)
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "delta_max" in capsys.readouterr().err
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import pilotsched.simulation as simulation
-from oracles import SchedulerState, decide, step
+from oracles import SchedulerState, decide, slot_streams, step
 from pilotsched import (DATA, EXPECTED, PILOT, REALIZED, RewardCurve,
-                        build_reward_curve, derive_streams, index_gamma,
+                        build_reward_curve, derive_streams, generate_fading_trace, index_gamma,
                         max_goodput_array, run_policy, sinr_gain, solve_threshold)
 
 
@@ -25,7 +25,7 @@ class TestStep:
     """The slot-level reference loop, and the realized statistics of the shipped path."""
 
     def test_pilot_reward_zero_and_age_reset(self, reference_params, default_table):
-        trace, noise, _ = derive_streams(reference_params, 1000, seed=5)
+        trace, noise, _ = derive_streams(reference_params, 1000, 1, seed=5)
         state = SchedulerState(age=7, last_pilot_value=None, slot=0)
         nxt, reward = step(state, PILOT, trace, reference_params, default_table,
                            EXPECTED, pilot_noise=complex(noise[0]))
@@ -36,7 +36,7 @@ class TestStep:
         assert nxt.last_pilot_value == expected_y
 
     def test_data_increments_age(self, reference_params, default_table, reference_curve):
-        trace, _, _ = derive_streams(reference_params, 1000, seed=5)
+        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
         state = SchedulerState(age=5, last_pilot_value=1.0 + 0.5j, slot=3)
         nxt, _ = step(state, DATA, trace, reference_params, default_table,
                       EXPECTED, reward_curve=reference_curve)
@@ -44,7 +44,7 @@ class TestStep:
         assert nxt.last_pilot_value == state.last_pilot_value
 
     def test_expected_reward_is_curve_value(self, reference_params, default_table, reference_curve):
-        trace, _, _ = derive_streams(reference_params, 1000, seed=5)
+        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
         state = SchedulerState(age=2, last_pilot_value=0.3 - 1.2j, slot=10)
         _, reward = step(state, DATA, trace, reference_params, default_table,
                          EXPECTED, reward_curve=reference_curve)
@@ -52,7 +52,7 @@ class TestStep:
 
     def test_expected_reward_without_curve_uses_quadrature(self, reference_params,
                                                            default_table, reference_curve):
-        trace, _, _ = derive_streams(reference_params, 1000, seed=5)
+        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
         state = SchedulerState(age=2, last_pilot_value=0.3 - 1.2j, slot=10)
         _, with_curve = step(state, DATA, trace, reference_params, default_table,
                              EXPECTED, reward_curve=reference_curve)
@@ -60,7 +60,7 @@ class TestStep:
         assert without == with_curve
 
     def test_data_before_first_pilot_rejected(self, reference_params, default_table):
-        trace, _, _ = derive_streams(reference_params, 1000, seed=5)
+        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
         state = SchedulerState(age=1, last_pilot_value=None, slot=0)
         with pytest.raises(ValueError, match="first pilot"):
             step(state, DATA, trace, reference_params, default_table, EXPECTED)
@@ -84,7 +84,7 @@ class TestStep:
         # ones: the realized mean converges to r(1)
         horizon = 100_000
         res = run_policy(2, reference_params, default_table, horizon, seed=8, mode=REALIZED)
-        trace, noise, uniforms = derive_streams(reference_params, horizon, seed=8)
+        trace, noise, uniforms = slot_streams(reference_params, horizon, 2, seed=8)
         y = math.sqrt(reference_params.pilot_power) * trace.samples[0::2] + noise[0::2]
         eta = sinr_gain(1, reference_params) * np.abs(y) ** 2
         rewards = simulation._realized_rewards(eta, uniforms[1::2], default_table)
@@ -93,7 +93,7 @@ class TestStep:
         assert rewards.mean() == pytest.approx(reference_curve.value(1), abs=3 * se)
 
     def test_unknown_mode_rejected(self, reference_params, default_table):
-        trace, noise, _ = derive_streams(reference_params, 1000, seed=5)
+        trace, noise, _ = derive_streams(reference_params, 1000, 1, seed=5)
         state = SchedulerState(age=1, last_pilot_value=None, slot=0)
         with pytest.raises(ValueError, match="mode"):
             step(state, PILOT, trace, reference_params, default_table, "typo",
@@ -230,7 +230,8 @@ class TestRunPolicy:
             for period in (sol.period, 3):
                 res = run_policy(period, reference_params, default_table, horizon,
                                  seed=17, mode=mode, reward_curve=reference_curve)
-                trace, noise, uniforms = derive_streams(reference_params, horizon, seed=17)
+                trace, noise, uniforms = slot_streams(reference_params, horizon, period,
+                                                      seed=17)
                 state = SchedulerState(age=1, last_pilot_value=None, slot=0)
                 total = 0.0
                 pilots = 0
@@ -266,6 +267,28 @@ class TestRunPolicy:
         with pytest.raises(AssertionError, match="random streams"):
             run_policy(4, reference_params, default_table, 10_000, seed=1,
                        mode=REALIZED, reward_curve=reference_curve)
+
+    def test_realized_without_data_slots_draws_no_streams(self, monkeypatch,
+                                                          reference_params, default_table):
+        # period 1 pilots in every slot, so nothing would read the streams
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run without data slots must not draw the random streams")
+
+        monkeypatch.setattr(simulation, "derive_streams", refuse)
+        res = run_policy(1, reference_params, default_table, 10_000, seed=1, mode=REALIZED)
+        assert res.avg_goodput == 0.0
+        assert res.pilot_fraction == 1.0
+
+    @pytest.mark.parametrize("horizon, period", [(1000, 2), (1001, 2), (1000, 3), (1000, 7),
+                                                 (1006, 7), (1000, 1000), (1000, 1)])
+    def test_streams_cover_exactly_the_read_slots(self, reference_params, horizon, period):
+        trace, noise, uniforms = derive_streams(reference_params, horizon, period, seed=3)
+        pilots = len(range(0, horizon, period))
+        assert len(trace) == noise.size == pilots
+        assert uniforms.size == horizon - pilots
+        # the trace is the channel at the pilot slots, `period` slots apart
+        lattice = generate_fading_trace(reference_params, pilots, trace.seed, stride=period)
+        assert np.array_equal(trace.samples, lattice.samples)
 
     def test_realized_matches_expected_in_mean(self, reference_params, default_table,
                                                reference_curve, reference_solution):

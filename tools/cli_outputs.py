@@ -8,12 +8,14 @@ in both modes, `simulate` with `threshold` and `periodic:2` in both modes,
 and `validate`.  That is 22 output files, one directory per point and
 command, plus `exit_codes.txt`.  Run it in two checkouts and compare them
 with `diff -r`.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
-points, so a run takes several minutes.
+points, so a run takes several minutes.  Each command's wall time goes to
+stderr, never into the output files, so the same run times the commands.
 """
 
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -40,8 +42,11 @@ def write_outputs(out_dir: Path) -> None:
             config = ["--config", str(path)]
         for command in COMMANDS:
             name = "_".join(w.replace(":", "") for w in command if not w.startswith("--"))
+            start = time.perf_counter()
             code = main(command + config + ["--out", str(point_dir / name)])
+            elapsed = time.perf_counter() - start
             codes.append(f"{point} {' '.join(command)} {code}\n")
+            print(f"{point} {' '.join(command)}: {elapsed:.2f} s", file=sys.stderr)
     (out_dir / "exit_codes.txt").write_text("".join(codes))
 
 
