@@ -80,7 +80,8 @@ def _solve_report(curve, tau_max: int) -> dict:
         "oracles": {
             "brute_force_average": dev["brute_force"],
             "brute_force_period": dev["brute_force_period"],
-            "rvi_gain": dev["rvi_gain"],
+            "mdp_gain": dev["mdp_gain"],
+            "mdp_iterations": dev["mdp_iterations"],
         },
         "deviations": dev["deviations"],
         "max_deviation": dev["max_pairwise"],

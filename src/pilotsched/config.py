@@ -7,6 +7,8 @@ as noise = P_d * rho0 / 10^(snr_db/10) when `snr_db` is given.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
@@ -131,6 +133,27 @@ def read_input_text(path, what: str) -> str:
         raise ValueError(f"{path}: cannot read {what} ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: cannot read {what} as UTF-8 ({exc})") from exc
+
+
+def read_csv_input(path, what: str, header: list) -> list:
+    """The nonblank data rows of a CSV input file, as (row number, fields).
+
+    The first row must be `header`.  An unreadable file, a record the csv
+    module cannot parse, or a missing or wrong header raises a ValueError
+    that names the file, and the row of a record that does not parse.
+    """
+    reader = csv.reader(io.StringIO(read_input_text(path, what), newline=""))
+    records = []
+    try:
+        for row in reader:
+            records.append(row)
+    except csv.Error as exc:
+        raise ValueError(f"{path} row {len(records) + 1}: cannot parse {what} ({exc})") from exc
+    if not records:
+        raise ValueError(f"{path}: empty {what}")
+    if [h.strip() for h in records[0]] != header:
+        raise ValueError(f"{path}: expected header '{','.join(header)}', got {records[0]}")
+    return [(row_no, row) for row_no, row in enumerate(records[1:], start=2) if row]
 
 
 def load_config(path) -> ExperimentConfig:

@@ -12,9 +12,6 @@ panel x node points.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .channel import LinkParams
-from .config import read_input_text
+from .config import read_csv_input, read_input_text
 from .estimation import pilot_second_moment, sinr_gain
 
 MAX_TABULATED_AGES = 1_000_000
@@ -78,9 +75,6 @@ class LogisticBlerCurve:
             x = math.nextafter(x, 0.0)
         return x
 
-    def fingerprint_key(self) -> str:
-        return f"logistic({self.slope_per_db!r},{self.midpoint_db!r})"
-
 
 class TabulatedBlerCurve:
     """Piecewise-linear interpolation of measured BLER points in dB.
@@ -105,9 +99,6 @@ class TabulatedBlerCurve:
 
     def __call__(self, snr_db):
         return np.interp(snr_db, self.snr_db, self.bler)
-
-    def fingerprint_key(self) -> str:
-        return f"table({self.snr_db.tolist()!r},{self.bler.tolist()!r})"
 
 
 @dataclass
@@ -210,10 +201,6 @@ class McsTable:
                                                 if self.entries[j].rate >= floor]))
         return self.feasibility_thresholds[by_edge], candidates
 
-    def fingerprint_key(self) -> str:
-        parts = [f"{e.index}:{e.rate!r}:{_curve_key(e.bler_curve)}" for e in self.entries]
-        return f"e_max={self.e_max!r};" + ";".join(parts)
-
 
 def _to_db(snr_linear) -> np.ndarray:
     """10*log10 of a linear SINR; -inf where it is not positive."""
@@ -233,11 +220,6 @@ def _bisect_threshold(curve, e_max: float, lo: float, hi: float) -> float:
         else:
             lo = mid
     return hi
-
-
-def _curve_key(curve) -> str:
-    key = getattr(curve, "fingerprint_key", None)
-    return key() if key is not None else repr(curve)
 
 
 def max_goodput_array(snr_linear, table: McsTable):
@@ -307,10 +289,9 @@ class QuadratureConfig:
 
 @dataclass(frozen=True, eq=False)
 class RewardCurve:
-    """Tabulated expected goodput r(1..n) with a fingerprint of its inputs."""
+    """Tabulated expected goodput r(1..n)."""
 
     values: np.ndarray
-    fingerprint: str = "synthetic"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -436,11 +417,7 @@ def build_reward_curve(params: LinkParams, table: McsTable, max_age: int,
         raise ValueError(f"max_age must be >= 1, got {max_age}")
     if max_age > MAX_TABULATED_AGES:
         raise ValueError(f"max_age {max_age} exceeds the configured bound {MAX_TABULATED_AGES}")
-    values = _expected_goodputs(np.arange(1, max_age + 1), params, table, quad)
-    key = (f"params={params!r};table={table.fingerprint_key()};"
-           f"quad=({quad.nodes},{quad.tail!r},{quad.max_panel!r});max_age={max_age}")
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return RewardCurve(values=values, fingerprint=f"physical:{digest}")
+    return RewardCurve(values=_expected_goodputs(np.arange(1, max_age + 1), params, table, quad))
 
 
 def parametric_mcs_table(rates: dict, e_max: float) -> McsTable:
@@ -514,16 +491,7 @@ def load_bler_table(path, rate_config=None) -> McsTable:
 
     curves: dict[int, tuple[list, list]] = {}
     last_key = None
-    reader = csv.reader(io.StringIO(read_input_text(path, "BLER table"), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty BLER table")
-    if [h.strip() for h in header] != ["cqi", "snr_db", "bler"]:
-        raise ValueError(f"{path}: expected header 'cqi,snr_db,bler', got {header}")
-    n_rows = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_no, row in read_csv_input(path, "BLER table", ["cqi", "snr_db", "bler"]):
         try:
             cqi, snr_db, e = int(row[0]), float(row[1]), float(row[2])
         except (ValueError, IndexError) as exc:
@@ -539,8 +507,7 @@ def load_bler_table(path, rate_config=None) -> McsTable:
         grid = curves.setdefault(cqi, ([], []))
         grid[0].append(snr_db)
         grid[1].append(e)
-        n_rows += 1
-    if n_rows == 0:
+    if not curves:
         raise ValueError(f"{path}: BLER table contains no data rows")
 
     entries = []

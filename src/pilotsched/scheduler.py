@@ -5,23 +5,19 @@ starting at age d.  The optimal policy sends a pilot exactly when gamma drops
 to or below a threshold beta, and beta is simultaneously the optimal long-run
 average goodput and the cycle average of the induced periodic orbit.  Two
 independent oracles certify the solver: exhaustive search over periodic
-policies, and relative value iteration on the age MDP.
+policies, and Howard policy iteration on the age MDP.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_input_text
+from .config import read_csv_input
 from .link_adaptation import RewardCurve
-
-PILOT = "pilot"
-DATA = "data"
 
 DEFAULT_TAU_MAX = 512
 _INDEX_BLOCK_ELEMENTS = 1 << 18
@@ -32,7 +28,7 @@ class HorizonExhaustedError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """An iterative solver reached its iteration cap without converging."""
 
 
 @dataclass(frozen=True)
@@ -48,13 +44,6 @@ class ThresholdSolution:
     hitting_age: int
     period: int
     tau_max: int = DEFAULT_TAU_MAX
-
-
-@dataclass(frozen=True, eq=False)
-class MdpSolution:
-    gain: float
-    relative_values: np.ndarray
-    policy: tuple  # action per age 1..max_age
 
 
 def index_gamma(curve: RewardCurve, tau_max: int = DEFAULT_TAU_MAX) -> np.ndarray:
@@ -164,59 +153,53 @@ def brute_force_optimal_period(curve: RewardCurve, p_max: int) -> tuple:
     return best_p, best_avg
 
 
-def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9,
-                             max_iter: int | None = None) -> MdpSolution:
-    """Average-reward value iteration on the age MDP, as an optimality oracle.
+def policy_iteration(curve: RewardCurve) -> tuple:
+    """Howard policy iteration on the age MDP: (period, gain, iterations).
 
-    State is the age 1..max_age; a pilot earns 0 and resets to age 1, data
-    earns r(age) and moves to min(age+1, max_age).  A damping factor keeps the
-    iteration convergent despite the deterministic (periodic) transitions; it
-    changes neither the gain nor the optimal policy.  On a pilot cycle of
-    length p the span contracts in about 3 p^2 sweeps, so the default cap,
-    8 max_age^2 (at least 200,000), covers every period the ages allow.
+    The state is the age 1 .. L+1, L = len(curve).  Data at age a <= L earns
+    r(a) and moves to a+1; a pilot earns 0 and resets to age 1, and is forced
+    at age L+1.  There is no "data forever at age L" self-loop, so every
+    policy is unichain, and its recurrent cycle is one of the periods
+    1 .. L+1 that brute_force_optimal_period(curve, L+1) searches.
+
+    A policy whose chain from age 1 first pilots at age p has gain
+    g = cs[p-1] / p.  With q(a) the first pilot age at or after a, its
+    relative values are h(a) = cs[q-1] - cs[a-1] - g * (q - a + 1), one
+    vectorised backward pass.  Improvement keeps the current action on ties,
+    and the iteration stops when the policy repeats (Puterman, Markov
+    Decision Processes, 1994, ch. 8-9).  `iterations` counts the policy
+    evaluations, the last of which confirms the optimum; the start is the
+    all-pilot policy.
+
+    Termination guard: the gain never decreases and takes at most L+1
+    values, and while it stays put the MDP is a stopping problem on the
+    ages, acyclic, whose decisions settle from age L down in at most L+1
+    improvements.  So more than (L+1)^2 evaluations means roundoff made the
+    iteration cycle.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_age < 2:
-        raise ValueError(f"max_age must be >= 2, got {max_age}")
-    if max_age > len(curve):
-        raise ValueError(f"max_age {max_age} exceeds the tabulated curve length {len(curve)}")
-    if max_iter is None:
-        max_iter = max(200_000, 8 * max_age * max_age)
-    r = curve.values[:max_age]
-    damping = 0.5
-    next_idx = np.minimum(np.arange(1, max_age + 1), max_age - 1)
-
-    v = np.zeros(max_age)
-    for _ in range(max_iter):
-        pilot_q = v[0]
-        data_q = r + v[next_idx]
-        w = (1.0 - damping) * v + damping * np.maximum(pilot_q, data_q)
-        diff = w - v
-        span = float(diff.max() - diff.min())
-        v = w - w[0]
-        if span <= damping * tol:
-            gain = float(diff.max() + diff.min()) / (2.0 * damping)
-            greedy_pilot = v[0]
-            greedy_data = r + v[next_idx]
-            policy = tuple(PILOT if greedy_pilot >= dq else DATA for dq in greedy_data)
-            return MdpSolution(gain=gain, relative_values=v.copy(), policy=policy)
-    raise ConvergenceError(
-        f"relative value iteration did not converge within {max_iter} iterations")
+    n_ages = len(curve) + 1
+    r = curve.values
+    cs = curve.cumulative
+    ages = np.arange(1, n_ages + 1)
+    pilot = np.ones(n_ages, dtype=bool)
+    for iterations in range(1, n_ages * n_ages + 1):
+        q = np.minimum.accumulate(np.where(pilot, ages, n_ages)[::-1])[::-1]
+        period = int(q[0])
+        gain = float(cs[period - 1]) / period
+        h = cs[q - 1] - cs[ages - 1] - gain * (q - ages + 1)
+        data_q = r + h[1:]
+        improved = pilot.copy()
+        improved[:-1] = (h[0] > data_q) | ((h[0] == data_q) & pilot[:-1])
+        if np.array_equal(improved, pilot):
+            return period, gain, iterations
+        pilot = improved
+    raise ConvergenceError(f"policy iteration cycled past {n_ages * n_ages} evaluations")
 
 
 def load_reward_curve(path) -> RewardCurve:
     """Read an `age,reward` CSV with consecutive ages starting at 1."""
     values = []
-    reader = csv.reader(io.StringIO(read_input_text(path, "reward curve"), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty reward curve")
-    if [h.strip() for h in header] != ["age", "reward"]:
-        raise ValueError(f"{path}: expected header 'age,reward', got {header}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_no, row in read_csv_input(path, "reward curve", ["age", "reward"]):
         try:
             age_text, reward_text = row
             age, reward = int(age_text), float(reward_text)
@@ -229,7 +212,7 @@ def load_reward_curve(path) -> RewardCurve:
     if not values:
         raise ValueError(f"{path}: reward curve contains no data rows")
     try:
-        return RewardCurve(values=np.array(values), fingerprint=f"csv:{path}")
+        return RewardCurve(values=np.array(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

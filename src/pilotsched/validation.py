@@ -18,8 +18,7 @@ from .estimation import error_variance, mmse_gain, pilot_second_moment, sinr_gai
 from .link_adaptation import (McsTable, QuadratureConfig, RewardCurve,
                               build_reward_curve, expected_goodput, max_goodput_array)
 from .scheduler import (ConvergenceError, ThresholdSolution,
-                        brute_force_optimal_period, relative_value_iteration,
-                        solve_threshold)
+                        brute_force_optimal_period, policy_iteration, solve_threshold)
 
 
 @dataclass
@@ -152,28 +151,29 @@ def random_reward_curves(count: int, rng, max_support: int = 50,
         values[rng.random(support) < 0.2] = 0.0
         padded = np.zeros(pad_to)
         padded[:support] = values
-        curves.append(RewardCurve(values=padded, fingerprint="random"))
+        curves.append(RewardCurve(values=padded))
     return curves
 
 
 def oracle_deviations(curve: RewardCurve, sol: ThresholdSolution) -> dict:
     """Pairwise deviations of a threshold solution and both oracles on one curve.
 
-    Brute force searches every period up to len(curve) + 1 and value
-    iteration runs over all len(curve) ages, so no period the curve can
+    Brute force searches every period up to len(curve) + 1 and policy
+    iteration runs over ages 1 .. len(curve) + 1, so no period the curve can
     express escapes either oracle.
     """
     bf_period, bf_avg = brute_force_optimal_period(curve, len(curve) + 1)
-    mdp = relative_value_iteration(curve, len(curve), tol=1e-9)
+    _, mdp_gain, mdp_iterations = policy_iteration(curve)
     deviations = {
         "beta_vs_brute_force": abs(sol.beta - bf_avg),
-        "beta_vs_rvi": abs(sol.beta - mdp.gain),
-        "brute_force_vs_rvi": abs(bf_avg - mdp.gain),
+        "beta_vs_mdp": abs(sol.beta - mdp_gain),
+        "brute_force_vs_mdp": abs(bf_avg - mdp_gain),
     }
     return {
         "beta": sol.beta,
         "brute_force": bf_avg,
-        "rvi_gain": mdp.gain,
+        "mdp_gain": mdp_gain,
+        "mdp_iterations": mdp_iterations,
         "period": sol.period,
         "brute_force_period": bf_period,
         "deviations": deviations,
@@ -209,7 +209,7 @@ def check_scheduler_triangle(physical_curve: RewardCurve | None = None,
                              physical_tau_max: int = 512,
                              count: int = 20, tol: float = 1e-6,
                              seed: int = 37) -> CheckResult:
-    """Three-way agreement of bisection, brute force, and value iteration."""
+    """Three-way agreement of bisection, brute force, and policy iteration."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for curve in random_reward_curves(count, rng):

@@ -2,12 +2,14 @@
 
 These deliberately avoid the package's own code paths: the Bessel oracle is an
 arbitrary-precision power series, the scheduler oracles are plain Python
-loops over the definitions or the index evaluated one age at a time, and the
-reward-curve oracle integrates one age and one quadrature panel at a time,
-with the MCS feasibility thresholds found by bisection and the best MCS by an
-argmax over all entries.  `step` advances the closed loop one slot at a time,
-the slot-level reference for the array pass of `run_policy`, and
-`slot_streams` lays the realized streams out by slot for it.
+loops over the definitions, the index evaluated one age at a time, or damped
+relative value iteration on the age MDP (the slow reference for
+`policy_iteration`), and the reward-curve oracle integrates one age and one
+quadrature panel at a time, with the MCS feasibility thresholds found by
+bisection and the best MCS by an argmax over all entries.  `step` advances
+the closed loop one slot at a time, the slot-level reference for the array
+pass of `run_policy`, and `slot_streams` lays the realized streams out by
+slot for it.
 `fading_trace_unstrided` is the trace synthesis with every slot read, the
 reference that `generate_fading_trace` at stride 1 must equal bit for bit.
 """
@@ -18,10 +20,13 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from pilotsched import (DATA, EXPECTED, PILOT, FadingTrace, autocorrelation, derive_streams,
-                        expected_goodput, max_goodput_array)
+from pilotsched import (EXPECTED, ConvergenceError, FadingTrace, RewardCurve, autocorrelation,
+                        derive_streams, expected_goodput, max_goodput_array)
 from pilotsched.estimation import pilot_second_moment, sinr_gain
 from pilotsched.simulation import MODES
+
+PILOT = "pilot"
+DATA = "data"
 
 
 def j0_series(x: float, digits: int = 30) -> float:
@@ -114,6 +119,54 @@ def best_period_brute(values, p_max: int):
         if avg > best_avg:
             best_p, best_avg = p, avg
     return best_p, best_avg
+
+
+@dataclass(frozen=True, eq=False)
+class MdpSolution:
+    gain: float
+    relative_values: np.ndarray
+    policy: tuple  # action per age 1..max_age
+
+
+def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9,
+                             max_iter: int | None = None) -> MdpSolution:
+    """Average-reward value iteration on the age MDP, as an optimality oracle.
+
+    State is the age 1..max_age; a pilot earns 0 and resets to age 1, data
+    earns r(age) and moves to min(age+1, max_age).  A damping factor keeps the
+    iteration convergent despite the deterministic (periodic) transitions; it
+    changes neither the gain nor the optimal policy.  On a pilot cycle of
+    length p the span contracts in about 3 p^2 sweeps, so the default cap,
+    8 max_age^2 (at least 200,000), covers every period the ages allow.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_age < 2:
+        raise ValueError(f"max_age must be >= 2, got {max_age}")
+    if max_age > len(curve):
+        raise ValueError(f"max_age {max_age} exceeds the tabulated curve length {len(curve)}")
+    if max_iter is None:
+        max_iter = max(200_000, 8 * max_age * max_age)
+    r = curve.values[:max_age]
+    damping = 0.5
+    next_idx = np.minimum(np.arange(1, max_age + 1), max_age - 1)
+
+    v = np.zeros(max_age)
+    for _ in range(max_iter):
+        pilot_q = v[0]
+        data_q = r + v[next_idx]
+        w = (1.0 - damping) * v + damping * np.maximum(pilot_q, data_q)
+        diff = w - v
+        span = float(diff.max() - diff.min())
+        v = w - w[0]
+        if span <= damping * tol:
+            gain = float(diff.max() + diff.min()) / (2.0 * damping)
+            greedy_pilot = v[0]
+            greedy_data = r + v[next_idx]
+            policy = tuple(PILOT if greedy_pilot >= dq else DATA for dq in greedy_data)
+            return MdpSolution(gain=gain, relative_values=v.copy(), policy=policy)
+    raise ConvergenceError(
+        f"relative value iteration did not converge within {max_iter} iterations")
 
 
 def bisect_thresholds(table):

@@ -96,14 +96,20 @@ class TestConfig:
          "utf16.csv: cannot read BLER table as UTF-8"),
         ({"reward_csv": "{tmp}/utf16.csv"}, ["solve"],
          "utf16.csv: cannot read reward curve as UTF-8"),
+        ({"reward_csv": "{tmp}/huge_field.csv"}, ["solve"],
+         "huge_field.csv row 2: cannot parse reward curve (field larger than field limit"),
+        ({"bler_table": "{tmp}/huge_field.csv"}, ["goodput-curve"],
+         "huge_field.csv row 2: cannot parse BLER table (field larger than field limit"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, overrides, argv, named):
-        # {tmp} is the test's directory, which holds a subdirectory a_dir and
-        # two files that open with a UTF-16 byte-order mark, not UTF-8; a
-        # --config in argv comes last and overrides the written one
+        # {tmp} is the test's directory, which holds a subdirectory a_dir, two
+        # files that open with a UTF-16 byte-order mark, not UTF-8, and a CSV
+        # whose second row has a field past the csv module's 131,072-character
+        # limit; a --config in argv comes last and overrides the written one
         (tmp_path / "a_dir").mkdir()
         (tmp_path / "utf16.json").write_text("{}", encoding="utf-16")
         (tmp_path / "utf16.csv").write_text("age,reward\n1,0.5\n", encoding="utf-16")
+        (tmp_path / "huge_field.csv").write_text("age,reward\n1," + "9" * 131_073 + "\n")
 
         def fill(value):
             return value.format(tmp=tmp_path) if isinstance(value, str) else value

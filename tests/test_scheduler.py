@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pilotsched.scheduler as scheduler
-from oracles import best_period_brute, gamma_brute, index_gamma_per_age
-from pilotsched import (DATA, PILOT, ConvergenceError, HorizonExhaustedError,
-                        RewardCurve, brute_force_optimal_period, hitting_age,
-                        index_gamma, load_reward_curve, relative_value_iteration,
-                        save_reward_curve, solve_threshold)
+from oracles import (DATA, PILOT, best_period_brute, gamma_brute, index_gamma_per_age,
+                     relative_value_iteration)
+from pilotsched import (HorizonExhaustedError, QuadratureConfig, RewardCurve,
+                        brute_force_optimal_period, build_reward_curve, default_config,
+                        default_mcs_table, hitting_age, index_gamma, load_reward_curve,
+                        policy_iteration, save_reward_curve, solve_threshold)
+from pilotsched.validation import random_reward_curves
 
 
 def curve_of(*values, pad: int = 0) -> RewardCurve:
@@ -16,6 +20,19 @@ def curve_of(*values, pad: int = 0) -> RewardCurve:
 
 
 HAND_CURVE = curve_of(1.0, 1.0, 1.0, pad=47)  # optimum: period 4, beta 3/4
+
+
+def brute_force_ties(curve):
+    """Brute force's (gain, tie set) over periods 1 .. len(curve) + 1."""
+    _, best = brute_force_optimal_period(curve, len(curve) + 1)
+    cs = curve.cumulative
+    return best, [p for p in range(1, len(curve) + 2) if float(cs[p - 1]) / p == best]
+
+
+def physical_curve(**overrides) -> RewardCurve:
+    cfg = dataclasses.replace(default_config(), **overrides)
+    return build_reward_curve(cfg.link_params(), default_mcs_table(), cfg.delta_max,
+                              QuadratureConfig(nodes=cfg.quad_nodes))
 
 
 class TestIndexGamma:
@@ -179,6 +196,8 @@ class TestBruteForce:
 
 
 class TestRelativeValueIteration:
+    """The slow reference for policy iteration, kept in tests/oracles.py."""
+
     def test_zero_curve(self):
         sol = relative_value_iteration(curve_of(*[0.0] * 20), 20)
         assert sol.gain == pytest.approx(0.0, abs=1e-12)
@@ -202,6 +221,48 @@ class TestRelativeValueIteration:
             relative_value_iteration(curve_of(1.0, 1.0, 1.0), 10)
 
 
+class TestPolicyIteration:
+    def test_hand_curve_exact(self):
+        # from all-pilot, one improvement sends data at ages 1..3 and the
+        # second evaluation confirms it
+        assert policy_iteration(HAND_CURVE) == (4, 0.75, 2)
+
+    def test_zero_curve(self):
+        # the all-pilot start is already optimal
+        assert policy_iteration(curve_of(*[0.0] * 20)) == (1, 0.0, 1)
+
+    def test_tie_keeps_current_action(self):
+        # periods 4 and 5 both average 3/4; the first improvement sends data
+        # at ages 1..4, and at age 4 data and pilot then tie, so data stays
+        assert policy_iteration(curve_of(1.0, 1.0, 1.0, 0.75, pad=46)) == (5, 0.75, 2)
+
+    def test_single_age_curve(self):
+        # ages 1 and 2 only: pilot every slot (gain 0) or every other (r(1)/2)
+        assert policy_iteration(curve_of(3.0))[:2] == (2, 1.5)
+
+    def test_matches_brute_force_bitwise(self):
+        for curve in random_reward_curves(200, np.random.default_rng(37)):
+            period, gain, _ = policy_iteration(curve)
+            best, ties = brute_force_ties(curve)
+            assert gain == best
+            assert period in ties
+
+    def test_matches_value_iteration_on_triangle_curves(self):
+        for curve in random_reward_curves(20, np.random.default_rng(37)):
+            rvi = relative_value_iteration(curve, len(curve), tol=1e-9)
+            assert abs(policy_iteration(curve)[1] - rvi.gain) <= 1e-9
+
+    @pytest.mark.parametrize("overrides,period", [
+        ({}, 3), ({"snr_db": 20.0, "speed": 0.15}, 27), ({"speed": 0.005}, 247)])
+    def test_matches_value_iteration_on_physical_curves(self, overrides, period):
+        curve = physical_curve(**overrides)
+        got_period, gain, _ = policy_iteration(curve)
+        rvi = relative_value_iteration(curve, len(curve), tol=1e-9)
+        assert abs(gain - rvi.gain) <= 1e-9
+        assert got_period == period
+        assert gain == brute_force_optimal_period(curve, len(curve) + 1)[1]
+
+
 class TestOracleTriangle:
     @given(st.lists(st.floats(min_value=0.0, max_value=8.0,
                               allow_nan=False, allow_infinity=False),
@@ -211,11 +272,14 @@ class TestOracleTriangle:
         values = np.concatenate([np.array(support, dtype=float), np.zeros(60)])
         c = RewardCurve(values=values)
         sol = solve_threshold(c, tol=1e-13, tau_max=25)
-        _, bf_avg = brute_force_optimal_period(c, len(values) + 1)
+        bf_avg, ties = brute_force_ties(c)
         gain = relative_value_iteration(c, len(values), tol=1e-9).gain
+        mdp_period, mdp_gain, _ = policy_iteration(c)
         assert abs(sol.beta - bf_avg) <= 1e-6
         assert abs(sol.beta - gain) <= 1e-6
         assert abs(bf_avg - gain) <= 1e-6
+        assert mdp_gain == bf_avg
+        assert mdp_period in ties
 
 
 class TestDecide:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import pilotsched.simulation as simulation
-from oracles import SchedulerState, decide, slot_streams, step
-from pilotsched import (DATA, EXPECTED, PILOT, REALIZED, RewardCurve,
-                        build_reward_curve, derive_streams, generate_fading_trace, index_gamma,
-                        max_goodput_array, run_policy, sinr_gain, solve_threshold)
+from oracles import DATA, PILOT, SchedulerState, decide, slot_streams, step
+from pilotsched import (EXPECTED, REALIZED, RewardCurve, build_reward_curve, derive_streams,
+                        generate_fading_trace, index_gamma, max_goodput_array, run_policy,
+                        sinr_gain, solve_threshold)
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,17 @@
-"""Write the outputs of every CLI command at two operating points.
+"""Write the outputs of every CLI command at three operating points.
 
     python tools/cli_outputs.py OUTDIR
 
-runs the package in this checkout's `src/` at the default config and at
-20 dB / 0.15 mph: `goodput-curve`, `solve`, `sweep-snr` and `sweep-mobility`
-in both modes, `simulate` with `threshold` and `periodic:2` in both modes,
-and `validate`.  That is 22 output files, one directory per point and
-command, plus `exit_codes.txt`.  Run it in two checkouts and compare them
-with `diff -r`.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
+runs the package in this checkout's `src/` at the default config, at
+20 dB / 0.15 mph and at 0.005 mph, whose optimal period of 247 slots over
+the default 600 ages makes `solve` and `validate` exercise a long-period
+oracle run: `goodput-curve`, `solve`, `sweep-snr` and `sweep-mobility` in
+both modes, `simulate` with `threshold` and `periodic:2` in both modes, and
+`validate`.  That is 33 commands, one directory per point and command,
+plus `exit_codes.txt`; at 0.005 mph both `sweep-snr` runs exit 2 (no pilot
+period found within the 600 ages at some grid points) and write no file, so
+there are 31 output files.  Run it in two checkouts and compare them with
+`diff -r`.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
 points, so a run takes several minutes.  Each command's wall time goes to
 stderr, never into the output files, so the same run times the commands.
 """
@@ -21,7 +25,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from pilotsched.cli import main  # noqa: E402
 
-POINTS = {"default": None, "20dB-0.15mph": {"snr_db": 20.0, "speed": 0.15}}
+POINTS = {"default": None, "20dB-0.15mph": {"snr_db": 20.0, "speed": 0.15},
+          "0.005mph": {"speed": 0.005}}
 COMMANDS = [["goodput-curve"], ["solve"]]
 COMMANDS += [[sweep, "--mode", mode] for sweep in ("sweep-snr", "sweep-mobility")
              for mode in ("expected", "realized")]
