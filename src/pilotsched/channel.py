@@ -130,10 +130,14 @@ _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1      # pi/4
 
 
+_J0_BLOCK = 1 << 13  # points per block of bessel_j0's work arrays
+
+
 def _polevl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     out = np.full_like(x, coef[0])
     for c in coef[1:]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 
@@ -141,23 +145,13 @@ def _p1evl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     # leading coefficient 1 implied
     out = x + coef[0]
     for c in coef[1:]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 
-def bessel_j0(x):
-    """Zeroth-order Bessel function of the first kind.
-
-    Accepts a scalar or ndarray; rejects non-finite input.  Piecewise rational
-    approximation on [0, 5] and a Hankel asymptotic form beyond.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("bessel_j0 requires finite input")
-    scalar = arr.ndim == 0
-    ax = np.abs(arr.ravel())
-    out = np.empty_like(ax)
-
+def _j0_block(ax: np.ndarray, out: np.ndarray) -> None:
+    """J0 of the nonnegative block `ax`, written into `out`."""
     tiny = ax < 1e-5
     mid = ~tiny & (ax <= 5.0)
     big = ax > 5.0
@@ -167,17 +161,46 @@ def bessel_j0(x):
         out[tiny] = 1.0 - z * z / 4.0
     if mid.any():
         z = ax[mid] ** 2
-        out[mid] = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
+        t = z - _DR1
+        t *= z - _DR2
+        t *= _polevl(z, _RP)
+        t /= _p1evl(z, _RQ)
+        out[mid] = t
     if big.any():
         xx = ax[big]
         w = 5.0 / xx
         q = 25.0 / (xx * xx)
-        p = _polevl(q, _PP) / _polevl(q, _PQ)
-        qq = _polevl(q, _QP) / _p1evl(q, _QQ)
+        p = _polevl(q, _PP)
+        p /= _polevl(q, _PQ)
+        qq = _polevl(q, _QP)
+        qq /= _p1evl(q, _QQ)
         xn = xx - _PIO4
-        out[big] = _SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn)) / np.sqrt(xx)
+        p *= np.cos(xn)
+        w *= qq
+        w *= np.sin(xn)
+        p -= w
+        p *= _SQ2OPI
+        p /= np.sqrt(xx)
+        out[big] = p
 
-    if scalar:
+
+def bessel_j0(x):
+    """Zeroth-order Bessel function of the first kind.
+
+    Accepts a scalar or ndarray; rejects non-finite input.  Piecewise rational
+    approximation on [0, 5] and a Hankel asymptotic form beyond.  Evaluated in
+    blocks of _J0_BLOCK points, so the work arrays stay small however long
+    the input; every point gets the same float operations whatever the block.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("bessel_j0 requires finite input")
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _J0_BLOCK):
+        stop = start + _J0_BLOCK
+        _j0_block(np.abs(flat[start:stop]), out[start:stop])
+    if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
@@ -238,18 +261,26 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
         cov = np.empty(m)
         cov[:half + 1] = r
         cov[half + 1:] = r[half - 1:0:-1]
-        lam = np.fft.fft(cov).real
+        del r
+        lam = np.fft.fft(cov).real.copy()  # frees the complex spectrum
+        del cov
         np.maximum(lam, 0.0, out=lam)
         total = lam.sum()
         if total <= 0:
             raise ValueError("degenerate covariance embedding")
         lam *= (m * rho0) / total  # keep the lag-0 covariance at exactly rho0
+        np.sqrt(lam, out=lam)
 
-        re = rng.standard_normal(m)
-        im = rng.standard_normal(m)
-        w = (re + 1j * im) / math.sqrt(2.0)
-        h = np.fft.ifft(np.sqrt(lam) * w) * math.sqrt(m)
-        samples = h[:length].copy()
+        # w = sqrt(lam) * (re + 1j * im) / sqrt(2), built in one buffer
+        w = np.empty(m, dtype=complex)
+        w.real = rng.standard_normal(m)
+        w.imag = rng.standard_normal(m)
+        w /= math.sqrt(2.0)
+        w *= lam
+        del lam
+        h = np.fft.ifft(w)
+        del w
+        samples = h[:length] * math.sqrt(m)
 
     samples.flags.writeable = False
     return FadingTrace(samples=samples, params=params, seed=seed)

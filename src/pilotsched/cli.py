@@ -112,14 +112,14 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, value: float, mode: str) -> l
     The fourth column is the mean pilot fraction on the SNR axis and the pilot
     period on the speed axis.
     """
-    try:
-        params = cfg.link_params(**{axis: value})
-    except ValueError as exc:
-        raise ValueError(f"{axis} {value}: {exc}") from exc
     table = build_table(cfg)
     quad = _quad(cfg)
-    curve = build_reward_curve(params, table, cfg.delta_max, quad)
-    sol = solve_clamped(curve, cfg.tau_max)
+    try:
+        params = cfg.link_params(**{axis: value})
+        curve = build_reward_curve(params, table, cfg.delta_max, quad)
+        sol = solve_clamped(curve, cfg.tau_max)
+    except ValueError as exc:
+        raise ValueError(f"{axis} {value}: {exc}") from exc
     rows = []
     for name, period in (("threshold", sol.period),
                          (f"periodic-{BASELINE_PERIOD}", BASELINE_PERIOD)):

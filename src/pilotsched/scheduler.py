@@ -96,8 +96,9 @@ def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
     """Bisection for the unique root of g(b) = sum(r(1..h(b)-1)) - b*h(b).
 
     g is nonincreasing in b, so ages where the hitting age does not exist yet
-    (b too small) are treated as g > 0.  The returned beta is snapped to the
-    exact cycle average of the hitting age it induces.
+    (b too small) are treated as g > 0.  Bisection stops when |g| <= tol, or
+    when g changes sign between two adjacent floats.  The returned beta is
+    snapped to the exact cycle average of the hitting age it induces.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -108,6 +109,7 @@ def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
     gamma = index_gamma(curve, tau_max)
 
     lo, hi = 0.0, float(vals.max())
+    bracketed = False  # g(lo) > 0 at an age the index reaches
     h_mid = None
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
@@ -117,10 +119,12 @@ def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
             lo = mid
             continue
         g = float(cs[h_mid - 1]) - mid * h_mid
-        if abs(g) <= tol:
+        if abs(g) <= tol or (bracketed and mid in (lo, hi)):
+            # a bracketed root between two adjacent floats: no b gets |g|
+            # closer to 0 (one ULP of a large cs[h-1] can exceed tol)
             break
         if g > 0:
-            lo = mid
+            lo, bracketed = mid, True
         else:
             hi = mid
     else:

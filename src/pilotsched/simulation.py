@@ -100,15 +100,30 @@ def _realized_rewards(eta: np.ndarray, uniforms: np.ndarray, table: McsTable) ->
     return rewards
 
 
+def schedule_counts(horizon: int, period: int) -> tuple:
+    """(pilot count, age histogram) of the period-`period` schedule over `horizon` slots.
+
+    Slot 0 is the forced pilot, counted at age 1; slot t >= 1 has age
+    (t-1) % period + 1 and is a pilot at age `period`.  Each age 1 .. period
+    occurs (horizon-1) // period times in slots 1 .. horizon-1, and the first
+    (horizon-1) % period ages once more.  Exact integers, no per-slot arrays.
+    """
+    full, extra = divmod(horizon - 1, period)
+    top = max(1, min(period, horizon - 1))  # ages past horizon - 1 never occur
+    histogram = {age: full + (age <= extra) + (age == 1) for age in range(1, top + 1)}
+    return 1 + full, histogram
+
+
 def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, seed: int,
                mode: str, reward_curve: RewardCurve | None = None,
                quad: QuadratureConfig = QuadratureConfig()) -> SimulationResult:
     """Simulate the schedule that pilots every `period` slots; deterministic given (seed, mode).
 
     Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
-    a pilot when that age equals the period.  Rewards are evaluated in one
-    vectorized pass over the data slots.  Only realized mode draws the fading
-    trace and noise, and only when the schedule has data slots.
+    a pilot when that age equals the period.  The pilot count and age
+    histogram are closed-form (`schedule_counts`); rewards are evaluated in
+    one vectorized pass over the data slots.  Only realized mode draws the
+    fading trace and noise, and only when the schedule has data slots.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -119,16 +134,12 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} exceeds the supported maximum {MAX_HORIZON}")
 
-    ages = np.arange(-1, horizon - 1, dtype=np.int64) % period + 1
-    ages[0] = 1
-    is_pilot = ages == period
-    is_pilot[0] = True
-
-    data_ages = ages[~is_pilot]
+    pilot_count, histogram = schedule_counts(horizon, period)
+    data_slots = horizon - pilot_count
     total_reward = 0.0
-    if data_ages.size:
+    if data_slots:
         if mode == EXPECTED:
-            max_needed = int(data_ages.max())
+            max_needed = min(period - 1, data_slots)
             values = reward_curve.values if reward_curve is not None else np.empty(0)
             if values.size < max_needed:
                 if max_needed > MAX_TABULATED_AGES:
@@ -137,7 +148,9 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
                 # r(age) does not depend on the other ages tabulated with it
                 missing = np.arange(values.size + 1, max_needed + 1)
                 values = np.concatenate([values, _expected_goodputs(missing, params, table, quad)])
-            rewards = values[data_ages - 1]
+            # the data slots, in slot order, have ages 1 .. period-1 over and over
+            cycles = -(-data_slots // (period - 1))
+            rewards = np.tile(values[:period - 1], cycles)[:data_slots]
         else:
             trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed)
             y_sq = np.abs(math.sqrt(params.pilot_power) * trace.samples + pilot_noise) ** 2
@@ -148,9 +161,6 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
             rewards = _realized_rewards(eta, decode_uniforms, table)
         total_reward = float(rewards.sum())
 
-    pilot_count = int(is_pilot.sum())
-    counts = np.bincount(ages)
-    histogram = {int(a): int(c) for a, c in enumerate(counts) if c}
     return SimulationResult(
         avg_goodput=total_reward / horizon,
         pilot_fraction=pilot_count / horizon,

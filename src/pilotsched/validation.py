@@ -46,15 +46,24 @@ def check_autocorrelation_fidelity(params: LinkParams, length: int = 1_000_000,
     )
 
 
+def _complex_normal(rng, n: int, scale: float) -> np.ndarray:
+    """scale * (re + 1j * im) for n standard normal draws re, then n more im."""
+    z = np.empty(n, dtype=complex)
+    z.real = rng.standard_normal(n)
+    z.imag = rng.standard_normal(n)
+    z *= scale
+    return z
+
+
 def draw_joint_channel_pair(params: LinkParams, age: int, n: int, rng) -> tuple:
     """Sample (h_past, h_now) jointly complex Gaussian with the Jakes covariance."""
     rho0 = params.channel_variance
     rho = autocorrelation(np.arange(age + 1), params)[age]
-    h_past = math.sqrt(rho0 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    h_past = _complex_normal(rng, n, math.sqrt(rho0 / 2.0))
     resid_var = rho0 - rho * rho / rho0
-    innov = math.sqrt(max(resid_var, 0.0) / 2.0) * (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    h_now = (rho / rho0) * h_past + innov
+    innov = _complex_normal(rng, n, math.sqrt(max(resid_var, 0.0) / 2.0))
+    h_now = (rho / rho0) * h_past
+    h_now += innov
     return h_past, h_now
 
 
@@ -63,12 +72,20 @@ def check_orthogonality(params: LinkParams, age: int = 3, n: int = 1_000_000,
     """|mean(estimate * conj(error))| within 3 standard errors of zero."""
     rng = np.random.default_rng(seed)
     h_past, h_now = draw_joint_channel_pair(params, age, n, rng)
-    noise = math.sqrt(params.noise_variance / 2.0) * (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    y = math.sqrt(params.pilot_power) * h_past + noise
-    estimate = mmse_gain(age, params) * y
-    error = h_now - estimate
-    cross = estimate * np.conj(error)
+    noise = _complex_normal(rng, n, math.sqrt(params.noise_variance / 2.0))
+    # y, then the estimate, overwrite h_past; the error, then the cross
+    # products, overwrite h_now
+    y = np.multiply(math.sqrt(params.pilot_power), h_past, out=h_past)
+    y += noise
+    del noise
+    estimate = np.multiply(mmse_gain(age, params), y, out=y)
+    error = np.subtract(h_now, estimate, out=h_now)
+    # conj(error) * estimate, in this order: with fused multiply-adds the
+    # complex product's last bit depends on the operand order, and this is
+    # the order numpy evaluates `estimate * np.conj(error)` in (in place, in
+    # the conj temporary)
+    cross = np.conj(error, out=error)
+    cross *= estimate
     stat = abs(complex(cross.mean()))
     se = math.sqrt((cross.real.var(ddof=1) + cross.imag.var(ddof=1)) / n)
     return CheckResult(

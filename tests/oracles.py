@@ -12,6 +12,9 @@ pass of `run_policy`, and `slot_streams` lays the realized streams out by
 slot for it.
 `fading_trace_unstrided` is the trace synthesis with every slot read, the
 reference that `generate_fading_trace` at stride 1 must equal bit for bit.
+`bessel_j0_unblocked` and `orthogonality_metrics` are the whole-array
+formulations, with a fresh temporary per operation, that the blocked J0 and
+the in-place `check_orthogonality` must equal bit for bit.
 """
 
 import math
@@ -22,7 +25,9 @@ import numpy as np
 
 from pilotsched import (EXPECTED, ConvergenceError, FadingTrace, RewardCurve, autocorrelation,
                         derive_streams, expected_goodput, max_goodput_array)
-from pilotsched.estimation import pilot_second_moment, sinr_gain
+from pilotsched.channel import (_DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ,
+                                _SQ2OPI)
+from pilotsched.estimation import mmse_gain, pilot_second_moment, sinr_gain
 from pilotsched.simulation import MODES
 
 PILOT = "pilot"
@@ -50,6 +55,74 @@ def j0_series(x: float, digits: int = 30) -> float:
         if abs(term) < cutoff and k > abs(float(x)):
             break
     return float(total)
+
+
+def _polevl(x, coef):
+    out = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _p1evl(x, coef):
+    out = x + coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def bessel_j0_unblocked(x):
+    """The Cephes J0 approximation over the whole array at once, each branch
+    on its masked points, every step a new temporary."""
+    arr = np.asarray(x, dtype=float)
+    ax = np.abs(arr.ravel())
+    out = np.empty_like(ax)
+    tiny = ax < 1e-5
+    mid = ~tiny & (ax <= 5.0)
+    big = ax > 5.0
+    if tiny.any():
+        z = ax[tiny]
+        out[tiny] = 1.0 - z * z / 4.0
+    if mid.any():
+        z = ax[mid] ** 2
+        out[mid] = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
+    if big.any():
+        xx = ax[big]
+        w = 5.0 / xx
+        q = 25.0 / (xx * xx)
+        p = _polevl(q, _PP) / _polevl(q, _PQ)
+        qq = _polevl(q, _QP) / _p1evl(q, _QQ)
+        xn = xx - _PIO4
+        out[big] = _SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn)) / np.sqrt(xx)
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
+
+
+def orthogonality_metrics(params, age: int, n: int, seed: int) -> dict:
+    """The MMSE orthogonality statistic with one temporary per operation:
+    (h_past, h_now) jointly Gaussian, then pilot noise, y, the estimate, the
+    error and the cross products, drawn and combined as `check_orthogonality`
+    did before it reused its buffers."""
+    rng = np.random.default_rng(seed)
+    rho0 = params.channel_variance
+    rho = autocorrelation(np.arange(age + 1), params)[age]
+    h_past = math.sqrt(rho0 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    resid_var = rho0 - rho * rho / rho0
+    innov = math.sqrt(max(resid_var, 0.0) / 2.0) * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    h_now = (rho / rho0) * h_past + innov
+    noise = math.sqrt(params.noise_variance / 2.0) * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    y = math.sqrt(params.pilot_power) * h_past + noise
+    estimate = mmse_gain(age, params) * y
+    error = h_now - estimate
+    # as numpy evaluates `estimate * np.conj(error)` on arrays of 256 KiB or
+    # more: in place in the conj temporary, so with that operand order
+    cross = np.conj(error) * estimate
+    stat = abs(complex(cross.mean()))
+    se = math.sqrt((cross.real.var(ddof=1) + cross.imag.var(ddof=1)) / n)
+    return {"stat": stat, "three_se": 3 * se}
 
 
 def fading_trace_unstrided(params, length: int, seed: int) -> FadingTrace:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 
-from oracles import fading_trace_unstrided, j0_series
+import pilotsched.channel as channel
+from oracles import bessel_j0_unblocked, fading_trace_unstrided, j0_series
 from pilotsched import (FadingTrace, LinkParams, MobilityParams, MPH_TO_MPS,
                         SPEED_OF_LIGHT, autocorrelation, bessel_j0,
                         doppler_frequency, empirical_autocorrelation,
@@ -78,6 +80,22 @@ class TestBesselJ0:
         out = bessel_j0(np.zeros((3, 2)))
         assert out.shape == (3, 2)
         assert np.all(out == 1.0)
+
+    def test_blocks_equal_the_unblocked_evaluation(self):
+        # more than three blocks, all three branches with their boundaries
+        # 1e-5 and 5.0 and the floats next to them, negative arguments
+        rng = np.random.default_rng(23)
+        edges = [0.0, -0.0, 1e-5, -1e-5, 5.0, -5.0]
+        edges += [np.nextafter(e, s) for e in (1e-5, 5.0) for s in (0.0, np.inf)]
+        x = np.concatenate([rng.uniform(-1e-4, 1e-4, 5000), rng.uniform(-6.0, 6.0, 20000),
+                            rng.uniform(-1e4, 1e4, 10000), edges])
+        rng.shuffle(x)
+        assert x.size > 3 * channel._J0_BLOCK
+        assert np.array_equal(bessel_j0(x), bessel_j0_unblocked(x))
+        grid = x[:4 * channel._J0_BLOCK].reshape(64, -1)
+        assert np.array_equal(bessel_j0(grid), bessel_j0_unblocked(grid))
+        for scalar in (0.0, 3e-6, -2.5, 5.0, 40.0):
+            assert bessel_j0(scalar) == bessel_j0_unblocked(scalar)
 
 
 class TestAutocorrelation:
@@ -204,6 +222,22 @@ class TestGenerateFadingTrace:
     def test_zero_stride_rejected(self, flat_params):
         with pytest.raises(ValueError, match="stride"):
             generate_fading_trace(flat_params, 100, seed=1, stride=0)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_peak_memory_per_embedding_point(self, flat_params, stride):
+        # each embedding-size array is allocated once and freed once unread:
+        # about 40 bytes per point (`tracemalloc` does not see pocketfft's own
+        # working buffers)
+        length = 1 << 17
+        points = 1 << (2 * length - 1).bit_length()
+        generate_fading_trace(flat_params, length, seed=1, stride=stride)  # warm caches
+        tracemalloc.start()
+        try:
+            generate_fading_trace(flat_params, length, seed=2, stride=stride)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * points
 
     def test_mean_near_zero(self, flat_params):
         t = generate_fading_trace(flat_params, 500_000, seed=13)

@@ -224,6 +224,16 @@ class TestSolveCommand:
         assert report["period"] == 247
         assert report["consistent"] is True
 
+    def test_bisection_stops_where_one_ulp_exceeds_tol(self, tmp_path):
+        # cs[194] = 825.3 has a ULP of 1.14e-13, above the 1e-13 tolerance, so
+        # |g| cannot reach it; the bisection stops at the sign change instead
+        cfg = write_config(tmp_path, snr_db=25.0, speed=0.005, delta_max=600, tau_max=512)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        assert report["period"] == report["oracles"]["brute_force_period"] == 195
+        assert report["consistent"] is True
+
     def test_long_period_curve_consistent(self, tmp_path):
         # r(a) = 1 - (a/9129)^2 peaks its cycle average at period 500, where value
         # iteration over 1200 ages needs about 600,000 sweeps to converge
@@ -311,6 +321,15 @@ class TestSweepCommands:
         out = tmp_path / "out"
         code = main(["sweep-mobility", "--config", str(cfg), "--out", str(out)])
         assert code == 2
+
+    def test_unsolvable_grid_point_named(self, tmp_path, capsys):
+        # at 0.005 mph the optimal periods at -5 .. 15 dB lie beyond the 301
+        # ages the clamped index reaches
+        path = tmp_path / "config.json"
+        path.write_text('{"speed": 0.005}')
+        out = tmp_path / "out"
+        assert main(["sweep-snr", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: snr_db -5: no pilot period found" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path, snr_grid_db=[])

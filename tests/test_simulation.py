@@ -209,6 +209,18 @@ class TestRunPolicy:
         assert res.pilot_fraction * horizon == pytest.approx(
             round(res.pilot_fraction * horizon), abs=1e-9)
 
+    @pytest.mark.parametrize("horizon", [1, 2, 7, 999, 1000, 1001, 5003])
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 1000, 1001, 5003, 10 ** 6])
+    def test_schedule_counts_match_the_slot_ages(self, horizon, period):
+        # periods at and past the horizon, and horizons that are not a
+        # multiple of the period, against the per-slot ages
+        ages = np.arange(-1, horizon - 1) % period + 1
+        ages[0] = 1
+        pilots, histogram = simulation.schedule_counts(horizon, period)
+        assert pilots == 1 + np.count_nonzero(ages[1:] == period)
+        assert histogram == {a: int(c) for a, c in enumerate(np.bincount(ages)) if c}
+        assert all(type(v) is int for v in (pilots, *histogram, *histogram.values()))
+
     def test_short_horizon_rejected(self, reference_params, default_table):
         with pytest.raises(ValueError, match="horizon"):
             run_policy(2, reference_params, default_table,

@@ -1,7 +1,19 @@
 import pytest
 
-from pilotsched import ExperimentConfig, build_reward_curve, default_mcs_table
-from pilotsched.validation import check_scheduler_triangle, solve_clamped
+from oracles import orthogonality_metrics
+from pilotsched import ExperimentConfig, LinkParams, build_reward_curve, default_mcs_table
+from pilotsched.validation import check_orthogonality, check_scheduler_triangle, solve_clamped
+
+
+class TestCheckOrthogonality:
+    @pytest.mark.parametrize("age, seed", [(3, 11), (1, 4), (40, 9)])
+    def test_in_place_buffers_equal_the_temporaries(self, age, seed):
+        params = LinkParams(pilot_power=2.0, data_power=1.0, noise_variance=0.05,
+                            channel_variance=1.5, doppler_hz=30.0)
+        result = check_orthogonality(params, age=age, n=100_003, seed=seed)
+        want = orthogonality_metrics(params, age, 100_003, seed)
+        assert result.metrics["stat"] == want["stat"]
+        assert result.metrics["three_se"] == want["three_se"]
 
 
 class TestSolveClamped:

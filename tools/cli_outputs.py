@@ -14,10 +14,13 @@ there are 31 output files.  Run it in two checkouts and compare them with
 `diff -r`.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
 points, so a run takes several minutes.  Each command's wall time goes to
 stderr, never into the output files, so the same run times the commands.
+With it goes the process's peak resident set so far (`ru_maxrss`): the
+command after which it rises is the one that raised the memory peak.
 """
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -51,7 +54,9 @@ def write_outputs(out_dir: Path) -> None:
             code = main(command + config + ["--out", str(point_dir / name)])
             elapsed = time.perf_counter() - start
             codes.append(f"{point} {' '.join(command)} {code}\n")
-            print(f"{point} {' '.join(command)}: {elapsed:.2f} s", file=sys.stderr)
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+            print(f"{point} {' '.join(command)}: {elapsed:.2f} s, peak RSS {peak_mb:.1f} MB",
+                  file=sys.stderr)
     (out_dir / "exit_codes.txt").write_text("".join(codes))
 
 
