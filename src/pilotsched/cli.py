@@ -21,7 +21,7 @@ from .link_adaptation import (DEFAULT_CQI_MIDPOINTS_DB, QuadratureConfig,
                               parametric_mcs_table, build_reward_curve)
 from .scheduler import load_reward_curve, save_reward_curve
 from .simulation import EXPECTED, run_policy
-from .validation import oracle_deviations, run_all_checks, solve_clamped
+from .validation import oracle_deviations, run_all_checks, solve_curve
 
 ORACLE_TOLERANCE = 1e-6
 BASELINE_PERIOD = 2
@@ -69,14 +69,13 @@ def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def _solve_report(curve, tau_max: int) -> dict:
-    sol = solve_clamped(curve, tau_max)
+def _solve_report(curve) -> dict:
+    sol = solve_curve(curve)
     dev = oracle_deviations(curve, sol)
     return {
         "beta": sol.beta,
         "hitting_age": sol.hitting_age,
         "period": sol.period,
-        "tau_max": sol.tau_max,
         "oracles": {
             "brute_force_average": dev["brute_force"],
             "brute_force_period": dev["brute_force_period"],
@@ -100,7 +99,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> tuple:
         params = cfg.link_params()
         table = build_table(cfg)
         curve = build_reward_curve(params, table, cfg.delta_max, _quad(cfg))
-    report = _solve_report(curve, cfg.tau_max)
+    report = _solve_report(curve)
     path = out_dir / "solve.json"
     _write_json(path, report)
     return report, 0 if report["consistent"] else 1
@@ -117,7 +116,7 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, value: float, mode: str) -> l
     try:
         params = cfg.link_params(**{axis: value})
         curve = build_reward_curve(params, table, cfg.delta_max, quad)
-        sol = solve_clamped(curve, cfg.tau_max)
+        sol = solve_curve(curve)
     except ValueError as exc:
         raise ValueError(f"{axis} {value}: {exc}") from exc
     rows = []
@@ -135,7 +134,11 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, value: float, mode: str) -> l
 
 
 def _fan_out(cfg: ExperimentConfig, axis: str, grid, mode: str, workers: int) -> list:
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     points = sorted(grid)
+    # a fork-started pool starts all of its processes up front
+    workers = min(workers, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_point, cfg, axis, p, mode) for p in points]
@@ -184,7 +187,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
     curve = build_reward_curve(params, table, cfg.delta_max, quad)
     doc: dict = {"policy": policy_arg, "mode": mode, "seed": seed}
     if policy_arg == "threshold":
-        sol = solve_clamped(curve, cfg.tau_max)
+        sol = solve_curve(curve)
         period = sol.period
         doc["beta"] = sol.beta
     doc["period"] = period
@@ -208,8 +211,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
         params = cfg.link_params()
         table = build_table(cfg)
         curve = build_reward_curve(params, table, cfg.delta_max, _quad(cfg))
-        checks = run_all_checks(params, table, physical_curve=curve,
-                                physical_tau_max=cfg.tau_max)
+        checks = run_all_checks(params, table, physical_curve=curve)
     except ValueError as exc:
         from .validation import CheckResult
         checks.append(CheckResult(name="configuration", passed=False, detail=str(exc)))

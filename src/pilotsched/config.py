@@ -52,7 +52,6 @@ class ExperimentConfig:
     bler_table: str = "default"
     reward_csv: str | None = None
     delta_max: int = 600
-    tau_max: int = 512
     horizon: int = 1_000_000
     seeds: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
     quad_nodes: int = 64
@@ -86,14 +85,14 @@ class ExperimentConfig:
             raise ValueError(f"speed_unit must be 'mph' or 'mps', got {self.speed_unit!r}")
         if self.speed < 0:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
-        for name in ("delta_max", "tau_max", "horizon", "quad_nodes"):
+        for name in ("delta_max", "horizon", "quad_nodes"):
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.tau_max >= self.delta_max:
-            raise ValueError(
-                f"tau_max ({self.tau_max}) must be smaller than delta_max ({self.delta_max}) "
-                "so the index window fits the tabulated curve")
+        # the Gauss-Legendre rule of n nodes is built from an n x n matrix:
+        # 8 MiB at this ceiling, 74.5 GiB at 10^5 nodes
+        if self.quad_nodes > 1024:
+            raise ValueError(f"quad_nodes must be at most 1024, got {self.quad_nodes}")
 
     @property
     def speed_mps(self) -> float:
@@ -103,7 +102,13 @@ class ExperimentConfig:
         if snr_db is None and self.noise_variance is not None:
             return self.noise_variance
         snr = self.snr_db if snr_db is None else snr_db
-        return self.data_power * self.channel_variance / (10.0 ** (snr / 10.0))
+        try:
+            noise = self.data_power * self.channel_variance / (10.0 ** (snr / 10.0))
+        except (OverflowError, ZeroDivisionError):
+            noise = 0.0
+        if not 0.0 < noise < math.inf:
+            raise ValueError(f"snr_db {snr!r} gives no finite positive noise variance")
+        return noise
 
     def link_params(self, snr_db: float | None = None,
                     speed_mph: float | None = None) -> LinkParams:
@@ -170,6 +175,9 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     if "noise_variance" not in doc and "snr_db" not in doc:
         doc = dict(doc, snr_db=20.0)
+    # the index window spans the whole curve, so the tau_max that older
+    # configs set to bound it is dropped unread
+    doc.pop("tau_max", None)
     try:
         return ExperimentConfig(**doc)
     except (TypeError, ValueError) as exc:

@@ -11,16 +11,12 @@ policies, and Howard policy iteration on the age MDP.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import read_csv_input
 from .link_adaptation import RewardCurve
-
-DEFAULT_TAU_MAX = 512
-_INDEX_BLOCK_ELEMENTS = 1 << 18
 
 
 class HorizonExhaustedError(ValueError):
@@ -36,47 +32,41 @@ class ThresholdSolution:
     """Threshold beta, the age at which the index first hits it, and the period.
 
     beta equals the cycle average sum(r(1..period-1)) / period exactly, and is
-    the optimal long-run average goodput.  tau_max records the window bound
-    used when the index was evaluated.
+    the optimal long-run average goodput.
     """
 
     beta: float
     hitting_age: int
     period: int
-    tau_max: int = DEFAULT_TAU_MAX
 
 
-def index_gamma(curve: RewardCurve, tau_max: int = DEFAULT_TAU_MAX) -> np.ndarray:
-    """gamma(age) for ages 1 .. len(curve) - tau_max + 1, as gamma[age - 1].
+def index_gamma(curve: RewardCurve) -> np.ndarray:
+    """gamma(age) for every age 1 .. len(curve), as gamma[age - 1].
 
-    gamma(age) is the best average of r over a forward window of 1 .. tau_max
-    slots starting at `age`.  Ages are evaluated in blocks of at most
-    _INDEX_BLOCK_ELEMENTS window averages, so memory stays bounded on long
-    curves.  One RuntimeWarning counts the ages whose best window is the
-    longest allowed: there the truncated index may underestimate the supremum.
+    gamma(age) is the best average of r over a forward window of any length
+    that starts at `age` and ends within the curve: the largest slope from
+    the point (age - 1, cs[age - 1]) of the prefix sums cs to a later one.
+    That slope is reached at the next vertex e of the upper convex hull of
+    the points from age - 1 on, so one right-to-left pass with a stack of
+    hull vertices gives every age in amortized O(L) (the length-unbounded
+    maximum-density segment problem: Goldwasser, Kao & Lu, JCSS 2005).
     """
-    if tau_max < 1:
-        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
-    n_ages = len(curve) - tau_max + 1
-    if n_ages < 1:
-        raise ValueError(f"index window of {tau_max} slots exceeds the tabulated "
-                         f"curve of length {len(curve)}")
-    cs = curve.cumulative
-    taus = np.arange(1, tau_max + 1)
+    cs = curve.cumulative.tolist()
+    n_ages = len(cs) - 1
     gamma = np.empty(n_ages)
-    at_bound = 0
-    rows = max(1, _INDEX_BLOCK_ELEMENTS // tau_max)
-    for start in range(0, n_ages, rows):
-        base = np.arange(start, min(start + rows, n_ages))  # age - 1
-        averages = (cs[base[:, None] + taus] - cs[base][:, None]) / taus
-        best = np.argmax(averages, axis=1)
-        gamma[base] = averages[np.arange(base.size), best]
-        at_bound += int(np.count_nonzero(best == tau_max - 1))
-    if at_bound and tau_max > 1:
-        warnings.warn(
-            f"index window argmax hit tau_max={tau_max} at {at_bound} of {n_ages} ages; "
-            "the truncated index may underestimate the true supremum",
-            RuntimeWarning, stacklevel=2)
+    hull = [n_ages]  # vertices right of i, nearest on top
+    for i in range(n_ages - 1, -1, -1):
+        ci = cs[i]
+        # drop the top t while it lies on or below the chord from i to u
+        while len(hull) > 1:
+            t, u = hull[-1], hull[-2]
+            if (cs[t] - ci) * (u - t) <= (cs[u] - cs[t]) * (t - i):
+                hull.pop()
+            else:
+                break
+        e = hull[-1]
+        gamma[i] = (cs[e] - ci) / (e - i)
+        hull.append(i)
     return gamma
 
 
@@ -91,7 +81,6 @@ def hitting_age(beta: float, gamma: np.ndarray) -> int:
 
 
 def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
-                    tau_max: int = DEFAULT_TAU_MAX,
                     max_iter: int = 200) -> ThresholdSolution:
     """Bisection for the unique root of g(b) = sum(r(1..h(b)-1)) - b*h(b).
 
@@ -105,8 +94,8 @@ def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
     vals = curve.values
     cs = curve.cumulative
     if not np.any(vals > 0):
-        return ThresholdSolution(beta=0.0, hitting_age=1, period=1, tau_max=tau_max)
-    gamma = index_gamma(curve, tau_max)
+        return ThresholdSolution(beta=0.0, hitting_age=1, period=1)
+    gamma = index_gamma(curve)
 
     lo, hi = 0.0, float(vals.max())
     bracketed = False  # g(lo) > 0 at an age the index reaches
@@ -137,7 +126,7 @@ def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
         beta = float(cs[h - 1]) / h
         h_next = hitting_age(beta, gamma)
         if h_next == h:
-            return ThresholdSolution(beta=beta, hitting_age=h, period=h, tau_max=tau_max)
+            return ThresholdSolution(beta=beta, hitting_age=h, period=h)
         h = h_next
     raise ConvergenceError("threshold fixed point failed to stabilize after snapping")
 

@@ -198,17 +198,16 @@ def oracle_deviations(curve: RewardCurve, sol: ThresholdSolution) -> dict:
     }
 
 
-def solve_clamped(curve: RewardCurve, tau_max: int) -> ThresholdSolution:
-    """Solve the threshold with the index window clamped to half the curve.
+def solve_curve(curve: RewardCurve) -> ThresholdSolution:
+    """Solve the threshold; when no pilot period is found, name the field at fault.
 
     A curve too short to hold the optimal pilot period raises a ValueError
     naming delta_max, the config field that sets the curve length.  A flat
     positive curve, which is what a static channel (speed 0) gives, has no
     optimal finite period at any length, and its ValueError names speed.
     """
-    tau_eff = min(tau_max, max(1, len(curve) // 2))
     try:
-        return solve_threshold(curve, tol=1e-13, tau_max=tau_eff)
+        return solve_threshold(curve, tol=1e-13)
     except ConvergenceError as exc:
         if np.all(curve.values == curve.values[0]):
             raise ValueError(f"r(age) is {float(curve.values[0])!r} at every age, as on a static "
@@ -217,13 +216,12 @@ def solve_clamped(curve: RewardCurve, tau_max: int) -> ThresholdSolution:
                          f"(delta_max): {exc}") from exc
 
 
-def scheduler_triangle_deviation(curve: RewardCurve, tau_max: int = 150) -> dict:
+def scheduler_triangle_deviation(curve: RewardCurve) -> dict:
     """Pairwise deviations of the three solver routes on one curve."""
-    return oracle_deviations(curve, solve_clamped(curve, tau_max))
+    return oracle_deviations(curve, solve_curve(curve))
 
 
 def check_scheduler_triangle(physical_curve: RewardCurve | None = None,
-                             physical_tau_max: int = 512,
                              count: int = 20, tol: float = 1e-6,
                              seed: int = 37) -> CheckResult:
     """Three-way agreement of bisection, brute force, and policy iteration."""
@@ -232,7 +230,7 @@ def check_scheduler_triangle(physical_curve: RewardCurve | None = None,
     for curve in random_reward_curves(count, rng):
         worst = max(worst, scheduler_triangle_deviation(curve)["max_pairwise"])
     if physical_curve is not None:
-        dev = scheduler_triangle_deviation(physical_curve, tau_max=physical_tau_max)
+        dev = scheduler_triangle_deviation(physical_curve)
         worst = max(worst, dev["max_pairwise"])
     return CheckResult(
         name="scheduler-oracle-triangle",
@@ -245,7 +243,6 @@ def check_scheduler_triangle(physical_curve: RewardCurve | None = None,
 
 def run_all_checks(params: LinkParams, table: McsTable,
                    physical_curve: RewardCurve | None = None,
-                   physical_tau_max: int = 512,
                    mc_samples: int = 1_000_000) -> list:
     """The full validation battery at one operating point.
 
@@ -260,5 +257,5 @@ def run_all_checks(params: LinkParams, table: McsTable,
         check_autocorrelation_fidelity(fidelity_params),
         check_orthogonality(params),
         check_quadrature_vs_mc(table, n_samples=mc_samples),
-        check_scheduler_triangle(physical_curve, physical_tau_max=physical_tau_max),
+        check_scheduler_triangle(physical_curve),
     ]

@@ -45,10 +45,10 @@ def test_criterion_1_scheduler_oracle_triangle(reference_point):
     rng = np.random.default_rng(2024)
     worst = 0.0
     for curve in random_reward_curves(20, rng, max_support=50, pad_to=200):
-        dev = scheduler_triangle_deviation(curve, tau_max=150)
+        dev = scheduler_triangle_deviation(curve)
         worst = max(worst, dev["max_pairwise"])
     physical = build_reward_curve(params, table, 600)
-    dev = scheduler_triangle_deviation(physical, tau_max=512)
+    dev = scheduler_triangle_deviation(physical)
     worst = max(worst, dev["max_pairwise"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -61,7 +61,7 @@ def test_criterion_1_scheduler_oracle_triangle(reference_point):
 def test_criterion_2_hand_checkable_fixed_point():
     """r = (1,1,1,0,...) yields beta 3/4, period 4, hitting age 4 exactly."""
     curve = RewardCurve(values=np.concatenate([np.ones(3), np.zeros(197)]))
-    sol = solve_threshold(curve, tol=1e-13, tau_max=100)
+    sol = solve_threshold(curve, tol=1e-13)
     ok = (abs(sol.beta - 0.75) <= 1e-12 and sol.period == 4
           and sol.hitting_age == 4)
     report(2, ok, f"beta {sol.beta!r} (want 0.75 +- 1e-12), period {sol.period}, "
@@ -98,7 +98,7 @@ def test_criterion_4_policy_dominance():
 
     def compare(params):
         curve = build_reward_curve(params, table, 160)
-        sol = solve_threshold(curve, tol=1e-13, tau_max=128)
+        sol = solve_threshold(curve, tol=1e-13)
         thr = run_policy(sol.period, params, table, horizon,
                          seed, EXPECTED, reward_curve=curve)
         per = run_policy(2, params, table, horizon,
@@ -126,7 +126,7 @@ def test_criterion_5_closed_loop_consistency(reference_point):
     realized mode agrees with expected mode within 3 MC standard errors."""
     params, table = reference_point
     curve = build_reward_curve(params, table, 160)
-    sol = solve_threshold(curve, tol=1e-13, tau_max=128)
+    sol = solve_threshold(curve, tol=1e-13)
     horizon = 1_000_000
     exp = run_policy(sol.period, params, table, horizon, 42, EXPECTED, reward_curve=curve)
     bound = 10 * sol.period / horizon

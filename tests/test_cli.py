@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import pilotsched.cli as cli
 from pilotsched import ExperimentConfig, load_config
 from pilotsched.cli import main
 
@@ -15,7 +17,6 @@ def write_config(tmp_path, name="config.json", **overrides):
         "speed": 15,
         "speed_unit": "mph",
         "delta_max": 120,
-        "tau_max": 64,
         "horizon": 5000,
         "seeds": [1],
         "snr_grid_db": [0.0, 20.0],
@@ -67,7 +68,7 @@ class TestConfig:
         ({"seeds": [-1]}, ["simulate", "--mode", "realized"], "seeds"),
         ({"snr_db": "20"}, ["simulate"], "snr_db"),
         ({"snr_grid_db": ["x"]}, ["sweep-snr"], "snr_grid_db"),
-        ({"delta_max": 20.5, "tau_max": 10}, ["goodput-curve"], "delta_max"),
+        ({"delta_max": 20.5}, ["goodput-curve"], "delta_max"),
     ])
     def test_mistyped_value_names_field(self, tmp_path, capsys, overrides, command, field):
         cfg = write_config(tmp_path, **overrides)
@@ -96,6 +97,11 @@ class TestConfig:
          "utf16.csv: cannot read BLER table as UTF-8"),
         ({"reward_csv": "{tmp}/utf16.csv"}, ["solve"],
          "utf16.csv: cannot read reward curve as UTF-8"),
+        ({"snr_db": 1e300}, ["solve"], "snr_db 1e+300 gives no finite positive noise variance"),
+        ({"snr_db": -1e300}, ["solve"], "snr_db -1e+300 gives no finite positive noise"),
+        ({"snr_db": -3300}, ["simulate"], "snr_db -3300 gives no finite positive noise"),
+        ({"snr_grid_db": [0.0, 1e300]}, ["sweep-snr"], "error: snr_db 1e+300: snr_db 1e+300"),
+        ({}, ["sweep-snr", "--workers", "0"], "--workers must be >= 1, got 0"),
         ({"reward_csv": "{tmp}/huge_field.csv"}, ["solve"],
          "huge_field.csv row 2: cannot parse reward curve (field larger than field limit"),
         ({"bler_table": "{tmp}/huge_field.csv"}, ["goodput-curve"],
@@ -118,6 +124,23 @@ class TestConfig:
         args = [argv[0], "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert main(args + [fill(a) for a in argv[1:]]) == 2
         assert named in capsys.readouterr().err
+
+    def test_retired_tau_max_key_loads(self, tmp_path):
+        # tau_max once bounded the index window; configs that set it still load
+        cfg = load_config(write_config(tmp_path, tau_max=512))
+        assert not hasattr(cfg, "tau_max")
+        assert cfg == load_config(write_config(tmp_path, name="plain.json"))
+
+    def test_quad_nodes_ceiling_checked_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # Gauss-Legendre nodes at 10^5 would build a 74.5 GiB companion matrix
+        def refuse(n):
+            raise AssertionError(f"reached the {n}-node rule")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        cfg = write_config(tmp_path, quad_nodes=100_000)
+        assert main(["goodput-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "quad_nodes must be at most 1024, got 100000" in capsys.readouterr().err
+        assert ExperimentConfig(snr_db=20.0, quad_nodes=1024).quad_nodes == 1024
 
     @pytest.mark.parametrize("command", ["goodput-curve", "solve", "sweep-snr",
                                          "sweep-mobility", "simulate", "validate"])
@@ -142,7 +165,7 @@ class TestConfig:
 
 class TestGoodputCurveCommand:
     def test_row_count_and_schema(self, tmp_path):
-        cfg = write_config(tmp_path, delta_max=25, tau_max=10)
+        cfg = write_config(tmp_path, delta_max=25)
         out = tmp_path / "out"
         assert main(["goodput-curve", "--config", str(cfg), "--out", str(out)]) == 0
         header, rows = read_csv(out / "goodput_curve.csv")
@@ -151,7 +174,7 @@ class TestGoodputCurveCommand:
         assert [int(r[0]) for r in rows] == list(range(1, 26))
 
     def test_static_channel_constant_curve(self, tmp_path):
-        cfg = write_config(tmp_path, speed=0, delta_max=10, tau_max=4)
+        cfg = write_config(tmp_path, speed=0, delta_max=10)
         out = tmp_path / "out"
         assert main(["goodput-curve", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = read_csv(out / "goodput_curve.csv")
@@ -160,7 +183,7 @@ class TestGoodputCurveCommand:
 
     def test_round_trips_through_loader(self, tmp_path):
         from pilotsched import load_reward_curve
-        cfg = write_config(tmp_path, delta_max=15, tau_max=6)
+        cfg = write_config(tmp_path, delta_max=15)
         out = tmp_path / "out"
         main(["goodput-curve", "--config", str(cfg), "--out", str(out)])
         curve = load_reward_curve(out / "goodput_curve.csv")
@@ -215,19 +238,23 @@ class TestSolveCommand:
         report = json.loads((out / "solve.json").read_text())
         assert report["max_deviation"] <= 1e-6
 
-    def test_slow_fading_period_beyond_200_ages_consistent(self, tmp_path):
-        # both oracles must reach period 247, past the 200 ages they once stopped at
-        cfg = write_config(tmp_path, speed=0.005, delta_max=600, tau_max=512)
+    @pytest.mark.parametrize("snr_db,period", [(-5.0, 396), (0.0, 542), (5.0, 510),
+                                               (10.0, 421), (15.0, 327), (20.0, 247)])
+    def test_slow_fading_long_period_equals_brute_force(self, tmp_path, snr_db, period):
+        # periods up to 542 of the 600 tabulated ages: the index window spans
+        # the whole curve, and both oracles search every period it can hold
+        cfg = write_config(tmp_path, snr_db=snr_db, speed=0.005, delta_max=600)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "solve.json").read_text())
-        assert report["period"] == 247
+        assert report["period"] == report["oracles"]["brute_force_period"] == period
+        assert report["beta"] == report["oracles"]["brute_force_average"]
         assert report["consistent"] is True
 
     def test_bisection_stops_where_one_ulp_exceeds_tol(self, tmp_path):
         # cs[194] = 825.3 has a ULP of 1.14e-13, above the 1e-13 tolerance, so
         # |g| cannot reach it; the bisection stops at the sign change instead
-        cfg = write_config(tmp_path, snr_db=25.0, speed=0.005, delta_max=600, tau_max=512)
+        cfg = write_config(tmp_path, snr_db=25.0, speed=0.005, delta_max=600)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "solve.json").read_text())
@@ -240,7 +267,7 @@ class TestSolveCommand:
         reward = tmp_path / "r.csv"
         lines = ["age,reward"] + [f"{a},{1.0 - (a / 9129) ** 2!r}" for a in range(1, 1201)]
         reward.write_text("\n".join(lines) + "\n")
-        cfg = write_config(tmp_path, reward_csv=str(reward), delta_max=1200, tau_max=512)
+        cfg = write_config(tmp_path, reward_csv=str(reward), delta_max=1200)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "solve.json").read_text())
@@ -323,13 +350,21 @@ class TestSweepCommands:
         assert code == 2
 
     def test_unsolvable_grid_point_named(self, tmp_path, capsys):
-        # at 0.005 mph the optimal periods at -5 .. 15 dB lie beyond the 301
-        # ages the clamped index reaches
+        # at 0.005 mph the optimal periods at -5 .. 25 dB (195 .. 542 slots)
+        # lie beyond 100 tabulated ages
         path = tmp_path / "config.json"
-        path.write_text('{"speed": 0.005}')
+        path.write_text('{"speed": 0.005, "delta_max": 100}')
         out = tmp_path / "out"
         assert main(["sweep-snr", "--config", str(path), "--out", str(out)]) == 2
         assert "error: snr_db -5: no pilot period found" in capsys.readouterr().err
+
+    def test_slow_fading_sweep_solves_every_point(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"speed": 0.005, "horizon": 5000, "seeds": [1]}')
+        out = tmp_path / "out"
+        assert main(["sweep-snr", "--config", str(path), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "sweep_snr.csv")
+        assert len(rows) == 14
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path, snr_grid_db=[])
@@ -342,6 +377,39 @@ class TestSweepCommands:
         main(["sweep-snr", "--config", str(cfg), "--out", str(out1)])
         main(["sweep-snr", "--config", str(cfg), "--out", str(out2)])
         assert (out1 / "sweep_snr.csv").read_bytes() == (out2 / "sweep_snr.csv").read_bytes()
+
+    def test_pool_never_larger_than_the_grid(self, tmp_path, monkeypatch):
+        # a fork-started pool starts all of its workers at once, so a stand-in
+        # records the size asked for and runs each point in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path)
+        serial, pooled = tmp_path / "a", tmp_path / "b"
+        main(["sweep-snr", "--config", str(cfg), "--out", str(serial)])
+        assert main(["sweep-snr", "--config", str(cfg), "--out", str(pooled),
+                     "--workers", "1000000"]) == 0
+        assert sizes == [2]
+        assert (serial / "sweep_snr.csv").read_bytes() == (pooled / "sweep_snr.csv").read_bytes()
+        one_point = write_config(tmp_path, name="one.json", speed_grid_mph=[10.0])
+        assert main(["sweep-mobility", "--config", str(one_point), "--out", str(pooled),
+                     "--workers", "8"]) == 0
+        assert sizes == [2]
 
     def test_parallel_workers_same_output(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -374,9 +442,8 @@ class TestSimulateCommand:
         assert doc["mode"] == "realized"
         assert doc["pilot_fraction"] == pytest.approx(0.25, abs=1e-3)
 
-    def test_threshold_index_window_clamped(self, tmp_path):
-        # tau_max 200 would leave only ages 1..51 to scan; clamped to 125 it reaches 99
-        cfg = write_config(tmp_path, speed=0.02, delta_max=250, tau_max=200)
+    def test_threshold_period_99_on_250_ages(self, tmp_path):
+        cfg = write_config(tmp_path, speed=0.02, delta_max=250)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "simulate.json").read_text())

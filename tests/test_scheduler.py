@@ -2,9 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-import pilotsched.scheduler as scheduler
 from oracles import (DATA, PILOT, best_period_brute, gamma_brute, index_gamma_per_age,
                      relative_value_iteration)
 from pilotsched import (HorizonExhaustedError, QuadratureConfig, RewardCurve,
@@ -35,86 +34,100 @@ def physical_curve(**overrides) -> RewardCurve:
                               QuadratureConfig(nodes=cfg.quad_nodes))
 
 
+def full_window_maximum(curve) -> np.ndarray:
+    """The per-age oracle with every window that fits the curve."""
+    n = len(curve)
+    return np.array([index_gamma_per_age(age, curve, n - age + 1) for age in range(1, n + 1)])
+
+
+# Multiples of 1/8 up to 8, in runs (ties and constant stretches) and with a
+# zero tail: on such curves of up to a few hundred ages every prefix sum,
+# difference and chord comparison is exact, so the hull vertex is the exact
+# argmax and its rounded average is the largest rounded one.
+EIGHTHS = st.integers(0, 64).map(lambda k: k / 8)
+RUNS = st.lists(st.tuples(EIGHTHS, st.integers(1, 12)), min_size=1, max_size=8)
+
+
 class TestIndexGamma:
     def test_constant_curve(self):
         c = curve_of(*[2.5] * 30)
-        gamma = index_gamma(c, tau_max=10)
-        assert len(gamma) == 21
+        gamma = index_gamma(c)
+        assert len(gamma) == 30
         assert np.all(gamma == 2.5)
 
     def test_single_spike(self):
         # r = (2, 0, 0, ...): tau = 1 maximizes at age 1
         c = curve_of(2.0, pad=19)
-        assert index_gamma(c, tau_max=10)[0] == 2.0
+        assert index_gamma(c)[0] == 2.0
 
     def test_later_spike_widens_window(self):
         # r = (1, 3, 0, ...): the two-slot window averages 2, beating tau=1
         c = curve_of(1.0, 3.0, pad=18)
-        assert index_gamma(c, tau_max=10)[0] == 2.0
+        assert index_gamma(c)[0] == 2.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_increasing_curve_takes_the_whole_tail(self):
+        # the best window from every age runs to the end of the curve
+        c = RewardCurve(values=np.arange(1.0, 21.0))
+        assert np.array_equal(index_gamma(c), (np.arange(1.0, 21.0) + 20.0) / 2)
+
     def test_matches_brute_force(self, rng):
-        # random full-support curves legitimately hit the window boundary
         for _ in range(30):
             values = rng.uniform(0, 5, size=40)
             c = RewardCurve(values=values)
-            age = int(rng.integers(1, 20))
-            tau_max = int(rng.integers(1, 40 - age + 2))
-            assert index_gamma(c, tau_max)[age - 1] == pytest.approx(
-                gamma_brute(values.tolist(), age, tau_max), rel=1e-12)
+            age = int(rng.integers(1, 41))
+            assert index_gamma(c)[age - 1] == pytest.approx(
+                gamma_brute(values.tolist(), age, 41 - age), rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_matches_per_age_formula_exactly(self, rng, monkeypatch):
-        # every block size gives the per-age values bit for bit, at both
-        # extremes of the window bound
+    def test_matches_per_age_formula_exactly(self, rng):
         for _ in range(50):
             length = int(rng.integers(1, 80))
             values = rng.uniform(0, 5, size=length)
             values[rng.random(length) < 0.3] = 0.0
             c = RewardCurve(values=values)
-            for tau_max in (1, length, int(rng.integers(1, length + 1))):
-                monkeypatch.setattr(scheduler, "_INDEX_BLOCK_ELEMENTS",
-                                    int(rng.integers(1, 4 * tau_max + 1)))
-                want = [index_gamma_per_age(age, c, tau_max)
-                        for age in range(1, length - tau_max + 2)]
-                assert np.array_equal(index_gamma(c, tau_max), want)
+            assert np.array_equal(index_gamma(c), full_window_maximum(c))
 
-    def test_window_overflow_rejected(self):
-        c = curve_of(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="exceeds"):
-            index_gamma(c, tau_max=4)
+    @given(RUNS, st.integers(0, 20))
+    @example([(3.0, 1)], 0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_window_maximum_exactly(self, runs, zeros):
+        c = curve_of(*[v for v, count in runs for _ in range(count)], pad=zeros)
+        assert np.array_equal(index_gamma(c), full_window_maximum(c))
 
-    def test_boundary_argmax_warns(self):
-        # strictly increasing curve: the best window is always the longest,
-        # and one warning counts all 11 ages
-        c = RewardCurve(values=np.arange(1.0, 21.0))
-        with pytest.warns(RuntimeWarning, match="tau_max=10 at 11 of 11 ages") as record:
-            index_gamma(c, tau_max=10)
-        assert len(record) == 1
+    @given(st.lists(st.floats(min_value=0.0, max_value=8.0), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_within_rounding_of_full_window_maximum(self, values):
+        # gamma is one of the window averages the oracle maximizes over, so
+        # it is never above it; where prefix sums are collinear up to
+        # rounding (0.1 fifty times, say) the largest rounded average can
+        # sit an ulp or two above the hull vertex's
+        c = curve_of(*values)
+        got, want = index_gamma(c), full_window_maximum(c)
+        assert np.all(got <= want)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestHittingAge:
     def test_immediate_hit_for_large_beta(self):
-        assert hitting_age(5.0, index_gamma(HAND_CURVE, tau_max=10)) == 1
+        assert hitting_age(5.0, index_gamma(HAND_CURVE)) == 1
 
     def test_hand_curve(self):
-        assert hitting_age(0.75, index_gamma(HAND_CURVE, tau_max=10)) == 4
+        assert hitting_age(0.75, index_gamma(HAND_CURVE)) == 4
 
     def test_no_hit_raises(self):
-        gamma = index_gamma(curve_of(*[1.0] * 30), tau_max=5)
+        gamma = index_gamma(curve_of(*[1.0] * 30))
         with pytest.raises(HorizonExhaustedError, match="horizon exhausted"):
             hitting_age(0.0, gamma)
 
 
 class TestSolveThreshold:
     def test_hand_curve_exact(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
+        sol = solve_threshold(HAND_CURVE, tol=1e-13)
         assert sol.beta == 0.75
         assert sol.period == 4
         assert sol.hitting_age == 4
 
     def test_all_zero_curve(self):
-        sol = solve_threshold(curve_of(*[0.0] * 20), tau_max=5)
+        sol = solve_threshold(curve_of(*[0.0] * 20))
         assert sol.beta == 0.0
         assert sol.period == 1
 
@@ -122,7 +135,7 @@ class TestSolveThreshold:
         for _ in range(20):
             values = np.concatenate([rng.uniform(0, 4, size=15), np.zeros(45)])
             c = RewardCurve(values=values)
-            sol = solve_threshold(c, tol=1e-13, tau_max=20)
+            sol = solve_threshold(c, tol=1e-13)
             # bitwise against the curve's own prefix sums, near-exact against
             # an independent summation order
             assert sol.beta == float(c.cumulative[sol.period - 1]) / sol.period
@@ -133,17 +146,17 @@ class TestSolveThreshold:
         for _ in range(10):
             values = np.concatenate([rng.uniform(0, 4, size=12), np.zeros(48)])
             c = RewardCurve(values=values)
-            sol = solve_threshold(c, tol=1e-13, tau_max=20)
-            gamma = index_gamma(c, sol.tau_max)
+            sol = solve_threshold(c, tol=1e-13)
+            gamma = index_gamma(c)
             assert np.all(gamma[:sol.hitting_age - 1] > sol.beta)
             assert gamma[sol.hitting_age - 1] <= sol.beta
 
     def test_scaling_covariance(self, rng):
         values = np.concatenate([rng.uniform(0, 3, size=10), np.zeros(40)])
-        base = solve_threshold(RewardCurve(values=values), tol=1e-13, tau_max=15)
+        base = solve_threshold(RewardCurve(values=values), tol=1e-13)
         for scale in (0.5, 2.0, 8.0):
             scaled = solve_threshold(RewardCurve(values=scale * values),
-                                     tol=1e-13, tau_max=15)
+                                     tol=1e-13)
             assert scaled.period == base.period
             assert scaled.beta == pytest.approx(scale * base.beta, rel=1e-12)
 
@@ -152,7 +165,7 @@ class TestSolveThreshold:
         values = np.concatenate([np.array([2.0, 1.5, 1.0, 3.0, 0.2]), np.zeros(45)])
         c = RewardCurve(values=values)
         cs = c.cumulative
-        gamma = index_gamma(c, tau_max=10)
+        gamma = index_gamma(c)
         last = None
         for beta in np.linspace(0.0, 3.0, 301):
             try:
@@ -166,7 +179,7 @@ class TestSolveThreshold:
 
     def test_zero_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            solve_threshold(HAND_CURVE, tol=0.0, tau_max=10)
+            solve_threshold(HAND_CURVE, tol=0.0)
 
 
 class TestBruteForce:
@@ -212,7 +225,7 @@ class TestRelativeValueIteration:
         for _ in range(10):
             values = np.concatenate([rng.uniform(0, 4, size=12), np.zeros(48)])
             c = RewardCurve(values=values)
-            beta = solve_threshold(c, tol=1e-13, tau_max=20).beta
+            beta = solve_threshold(c, tol=1e-13).beta
             gain = relative_value_iteration(c, 60, tol=1e-10).gain
             assert gain == pytest.approx(beta, abs=1e-7)
 
@@ -271,7 +284,7 @@ class TestOracleTriangle:
     def test_three_way_agreement(self, support):
         values = np.concatenate([np.array(support, dtype=float), np.zeros(60)])
         c = RewardCurve(values=values)
-        sol = solve_threshold(c, tol=1e-13, tau_max=25)
+        sol = solve_threshold(c, tol=1e-13)
         bf_avg, ties = brute_force_ties(c)
         gain = relative_value_iteration(c, len(values), tol=1e-9).gain
         mdp_period, mdp_gain, _ = policy_iteration(c)
@@ -286,16 +299,16 @@ class TestDecide:
     """The threshold rule pilots at age d exactly when gamma(d) <= beta."""
 
     def test_hitting_age_is_pilot(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
-        assert index_gamma(HAND_CURVE, sol.tau_max)[sol.hitting_age - 1] <= sol.beta
+        sol = solve_threshold(HAND_CURVE, tol=1e-13)
+        assert index_gamma(HAND_CURVE)[sol.hitting_age - 1] <= sol.beta
 
     def test_fresh_age_is_data(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
-        assert index_gamma(HAND_CURVE, sol.tau_max)[0] > sol.beta
+        sol = solve_threshold(HAND_CURVE, tol=1e-13)
+        assert index_gamma(HAND_CURVE)[0] > sol.beta
 
     def test_cycle_structure(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13, tau_max=10)
-        gamma = index_gamma(HAND_CURVE, sol.tau_max)
+        sol = solve_threshold(HAND_CURVE, tol=1e-13)
+        gamma = index_gamma(HAND_CURVE)
         assert np.all(gamma[:sol.period - 1] > sol.beta)
         assert gamma[sol.period - 1] <= sol.beta
 

@@ -18,7 +18,7 @@ def reference_curve(reference_params, default_table):
 
 @pytest.fixture(scope="module")
 def reference_solution(reference_curve):
-    return solve_threshold(reference_curve, tol=1e-13, tau_max=128)
+    return solve_threshold(reference_curve, tol=1e-13)
 
 
 class TestStep:
@@ -110,8 +110,8 @@ class TestPolicies:
             sol = request.getfixturevalue("reference_solution")
         else:
             curve = RewardCurve(values=np.zeros(50))
-            sol = solve_threshold(curve, tau_max=10)
-        gamma = index_gamma(curve, sol.tau_max)
+            sol = solve_threshold(curve)
+        gamma = index_gamma(curve)
         assert np.all(gamma[:sol.period - 1] > sol.beta)
         assert gamma[sol.period - 1] <= sol.beta
 
@@ -127,7 +127,7 @@ class TestPolicies:
 
     def test_degenerate_zero_curve_always_pilot(self, reference_params, default_table):
         curve = RewardCurve(values=np.zeros(50))
-        sol = solve_threshold(curve, tau_max=10)
+        sol = solve_threshold(curve)
         res = run_policy(sol.period, reference_params, default_table, 2000, seed=4,
                          mode=EXPECTED, reward_curve=curve)
         assert res.pilot_fraction == 1.0
@@ -237,7 +237,7 @@ class TestRunPolicy:
         # the threshold run takes its actions from the index rule
         horizon = 2000
         sol = reference_solution
-        gamma = index_gamma(reference_curve, sol.tau_max)
+        gamma = index_gamma(reference_curve)
         for mode in (EXPECTED, REALIZED):
             for period in (sol.period, 3):
                 res = run_policy(period, reference_params, default_table, horizon,

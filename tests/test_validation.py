@@ -2,7 +2,7 @@ import pytest
 
 from oracles import orthogonality_metrics
 from pilotsched import ExperimentConfig, LinkParams, build_reward_curve, default_mcs_table
-from pilotsched.validation import check_orthogonality, check_scheduler_triangle, solve_clamped
+from pilotsched.validation import check_orthogonality, check_scheduler_triangle, solve_curve
 
 
 class TestCheckOrthogonality:
@@ -16,31 +16,26 @@ class TestCheckOrthogonality:
         assert result.metrics["three_se"] == want["three_se"]
 
 
-class TestSolveClamped:
-    def test_index_window_clamped_to_half_the_curve(self):
-        # optimal period 99 at 0.02 mph: tau_max 200 on 250 ages would leave
-        # only ages 1..51 to scan; clamped to 125 the scan reaches 99
-        cfg = ExperimentConfig(snr_db=20.0, speed=0.02, delta_max=250, tau_max=200)
+class TestSolveCurve:
+    def test_period_99_on_250_ages(self):
+        cfg = ExperimentConfig(snr_db=20.0, speed=0.02, delta_max=250)
         curve = build_reward_curve(cfg.link_params(), default_mcs_table(), cfg.delta_max)
-        assert solve_clamped(curve, cfg.tau_max).period == 99
-        result = check_scheduler_triangle(curve, physical_tau_max=cfg.tau_max, count=0)
+        assert solve_curve(curve).period == 99
+        result = check_scheduler_triangle(curve, count=0)
         assert result.passed
 
     def test_curve_too_short_names_delta_max(self):
         # the optimal period at 0.005 mph is 247, beyond the 100 tabulated ages
-        cfg = ExperimentConfig(snr_db=20.0, speed=0.005, delta_max=100, tau_max=50)
+        cfg = ExperimentConfig(snr_db=20.0, speed=0.005, delta_max=100)
         curve = build_reward_curve(cfg.link_params(), default_mcs_table(), cfg.delta_max)
         with pytest.raises(ValueError, match="delta_max"):
-            check_scheduler_triangle(curve, physical_tau_max=cfg.tau_max, count=0)
+            check_scheduler_triangle(curve, count=0)
 
     def test_static_channel_names_speed(self):
         # a static channel's curve is flat, so no length of it would hold an
         # optimal period
-        cfg = ExperimentConfig(snr_db=20.0, speed=0.0, delta_max=100, tau_max=50)
+        cfg = ExperimentConfig(snr_db=20.0, speed=0.0, delta_max=100)
         curve = build_reward_curve(cfg.link_params(), default_mcs_table(), cfg.delta_max)
-        # rounding in the constant curve's prefix sums sends some window
-        # argmaxes to tau_max; the index reports them in one warning
-        with pytest.warns(RuntimeWarning, match="argmax hit tau_max"), \
-                pytest.raises(ValueError, match=r"static channel \(speed 0\)") as info:
-            check_scheduler_triangle(curve, physical_tau_max=cfg.tau_max, count=0)
+        with pytest.raises(ValueError, match=r"static channel \(speed 0\)") as info:
+            check_scheduler_triangle(curve, count=0)
         assert "delta_max" not in str(info.value)

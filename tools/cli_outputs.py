@@ -8,9 +8,8 @@ the default 600 ages makes `solve` and `validate` exercise a long-period
 oracle run: `goodput-curve`, `solve`, `sweep-snr` and `sweep-mobility` in
 both modes, `simulate` with `threshold` and `periodic:2` in both modes, and
 `validate`.  That is 33 commands, one directory per point and command,
-plus `exit_codes.txt`; at 0.005 mph both `sweep-snr` runs exit 2 (no pilot
-period found within the 600 ages at some grid points) and write no file, so
-there are 31 output files.  Run it in two checkouts and compare them with
+plus `exit_codes.txt`; all 33 exit 0 and write one output file each, so
+there are 33 output files.  Run it in two checkouts and compare them with
 `diff -r`.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
 points, so a run takes several minutes.  Each command's wall time goes to
 stderr, never into the output files, so the same run times the commands.
