@@ -19,7 +19,7 @@ from .config import ExperimentConfig, default_config, load_config
 from .link_adaptation import (DEFAULT_CQI_MIDPOINTS_DB, QuadratureConfig,
                               default_mcs_table, load_bler_table, load_mcs_rates,
                               parametric_mcs_table, build_reward_curve)
-from .scheduler import load_reward_curve, save_reward_curve
+from .scheduler import HorizonExhaustedError, load_reward_curve, save_reward_curve
 from .simulation import EXPECTED, run_policy
 from .validation import oracle_deviations, run_all_checks, solve_curve
 
@@ -70,12 +70,11 @@ def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def _solve_report(curve) -> dict:
-    sol = solve_curve(curve)
-    dev = oracle_deviations(curve, sol)
+    dev = oracle_deviations(curve)
     return {
-        "beta": sol.beta,
-        "hitting_age": sol.hitting_age,
-        "period": sol.period,
+        "beta": dev["beta"],
+        "hitting_age": dev["period"],
+        "period": dev["period"],
         "oracles": {
             "brute_force_average": dev["brute_force"],
             "brute_force_period": dev["brute_force_period"],
@@ -91,15 +90,18 @@ def _solve_report(curve) -> dict:
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     """Solve the threshold and cross-check it against both oracles."""
-    if cfg.reward_csv is not None:
-        curve = load_reward_curve(cfg.reward_csv)
-        if len(curve) < 4:
-            raise ValueError(f"{cfg.reward_csv}: reward curve too short to solve (need >= 4 ages)")
-    else:
+    if cfg.reward_csv is None:
         params = cfg.link_params()
         table = build_table(cfg)
-        curve = build_reward_curve(params, table, cfg.delta_max, _quad(cfg))
-    report = _solve_report(curve)
+        report = _solve_report(build_reward_curve(params, table, cfg.delta_max, _quad(cfg)))
+    else:
+        curve = load_reward_curve(cfg.reward_csv)
+        try:
+            report = _solve_report(curve)
+        except HorizonExhaustedError as exc:
+            # the file, not delta_max or speed, sets this curve
+            raise ValueError(f"{cfg.reward_csv}: no pilot period found within the "
+                             f"{len(curve)} ages of the reward curve") from exc
     path = out_dir / "solve.json"
     _write_json(path, report)
     return report, 0 if report["consistent"] else 1

@@ -89,10 +89,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        # the Gauss-Legendre rule of n nodes is built from an n x n matrix:
-        # 8 MiB at this ceiling, 74.5 GiB at 10^5 nodes
-        if self.quad_nodes > 1024:
-            raise ValueError(f"quad_nodes must be at most 1024, got {self.quad_nodes}")
+        # the quadrature rule needs 8 nodes, and the Gauss-Legendre rule of n
+        # nodes is built from an n x n matrix: 8 MiB at the ceiling, 74.5 GiB
+        # at 10^5 nodes
+        if not 8 <= self.quad_nodes <= 1024:
+            raise ValueError(f"quad_nodes must be from 8 to 1024, got {self.quad_nodes}")
 
     @property
     def speed_mps(self) -> float:

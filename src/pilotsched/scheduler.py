@@ -3,9 +3,10 @@
 The index gamma(d) is the best forward-window average of the reward curve
 starting at age d.  The optimal policy sends a pilot exactly when gamma drops
 to or below a threshold beta, and beta is simultaneously the optimal long-run
-average goodput and the cycle average of the induced periodic orbit.  Two
-independent oracles certify the solver: exhaustive search over periodic
-policies, and Howard policy iteration on the age MDP.
+average goodput and the cycle average of the induced periodic orbit.  The
+solver reaches beta exactly by Dinkelbach's fixed-point iteration on the
+index, with no tolerance.  Two independent oracles certify it: exhaustive
+search over periodic policies, and Howard policy iteration on the age MDP.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .link_adaptation import RewardCurve
 
 
 class HorizonExhaustedError(ValueError):
-    """No age within the tabulated curve has index at or below the threshold."""
+    """No tabulated age has index <= the threshold: the optimal period does not fit."""
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver reached its iteration cap without converging."""
+    """An iterative solver broke a bound that holds in exact arithmetic (roundoff)."""
 
 
 @dataclass(frozen=True)
@@ -80,55 +81,46 @@ def hitting_age(beta: float, gamma: np.ndarray) -> int:
     return first + 1
 
 
-def solve_threshold(curve: RewardCurve, tol: float = 1e-12,
-                    max_iter: int = 200) -> ThresholdSolution:
-    """Bisection for the unique root of g(b) = sum(r(1..h(b)-1)) - b*h(b).
+def solve_threshold(curve: RewardCurve) -> ThresholdSolution:
+    """Dinkelbach's fixed point: the root of g(b) = sum(r(1..h(b)-1)) - b*h(b).
 
-    g is nonincreasing in b, so ages where the hitting age does not exist yet
-    (b too small) are treated as g > 0.  Bisection stops when |g| <= tol, or
-    when g changes sign between two adjacent floats.  The returned beta is
-    snapped to the exact cycle average of the hitting age it induces.
+    h(b) is the hitting age of b, or the forced pilot at age L+1 (L =
+    len(curve)) when no age has index <= b, as in policy_iteration's MDP.
+    From b = 0 the iteration sets b to the cycle average cs[h-1]/h of the
+    current hitting age and looks up the hitting age of that b, and it stops
+    when the hitting age repeats.  On the convex, piecewise linear,
+    decreasing g this is Newton's method (W. Dinkelbach, "On nonlinear
+    fractional programming", Management Science 13(7), 1967), so it ends at
+    the root exactly, with beta = cs[h-1]/h and h = h(beta).  A fixed point
+    at L+1 means the optimal period does not fit the curve.
+
+    Termination guard: in exact arithmetic g(b) >= 0 at every iterate, so b
+    never decreases.  When b repeats (on a tie set h moves to the smaller
+    hitting age with b unchanged), h repeats at the next lookup and the loop
+    stops; otherwise b rises through the L+1 values cs[p-1]/p.  So the loop
+    ends within L+2 lookups.  b falling can only be roundoff (on subnormal
+    rewards a quotient can round by half its value, so the optimal period's
+    rounded average can equal the index at an earlier age), and the
+    iteration then stops at the larger average it holds.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vals = curve.values
     cs = curve.cumulative
-    if not np.any(vals > 0):
-        return ThresholdSolution(beta=0.0, hitting_age=1, period=1)
     gamma = index_gamma(curve)
-
-    lo, hi = 0.0, float(vals.max())
-    bracketed = False  # g(lo) > 0 at an age the index reaches
-    h_mid = None
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
+    forced = len(curve) + 1
+    beta, h = 0.0, None
+    while True:
         try:
-            h_mid = hitting_age(mid, gamma)
+            h_next = hitting_age(beta, gamma)
         except HorizonExhaustedError:
-            lo = mid
-            continue
-        g = float(cs[h_mid - 1]) - mid * h_mid
-        if abs(g) <= tol or (bracketed and mid in (lo, hi)):
-            # a bracketed root between two adjacent floats: no b gets |g|
-            # closer to 0 (one ULP of a large cs[h-1] can exceed tol)
+            h_next = forced
+        beta_next = float(cs[h_next - 1]) / h_next
+        if h_next == h or beta_next < beta:
             break
-        if g > 0:
-            lo, bracketed = mid, True
-        else:
-            hi = mid
-    else:
-        raise ConvergenceError(
-            f"threshold bisection did not reach |g| <= {tol} in {max_iter} iterations")
-
-    # Snap to the exact fixed point and re-verify the hitting age it induces.
-    h = h_mid
-    for _ in range(5):
-        beta = float(cs[h - 1]) / h
-        h_next = hitting_age(beta, gamma)
-        if h_next == h:
-            return ThresholdSolution(beta=beta, hitting_age=h, period=h)
-        h = h_next
-    raise ConvergenceError("threshold fixed point failed to stabilize after snapping")
+        beta, h = beta_next, h_next
+    if h == forced:
+        raise HorizonExhaustedError(
+            f"horizon exhausted: the optimal pilot period exceeds the {len(curve)} "
+            "tabulated ages")
+    return ThresholdSolution(beta=beta, hitting_age=h, period=h)
 
 
 def brute_force_optimal_period(curve: RewardCurve, p_max: int) -> tuple:

@@ -17,7 +17,7 @@ from .channel import (LinkParams, autocorrelation, empirical_autocorrelation,
 from .estimation import error_variance, mmse_gain, pilot_second_moment, sinr_gain
 from .link_adaptation import (McsTable, QuadratureConfig, RewardCurve,
                               build_reward_curve, expected_goodput, max_goodput_array)
-from .scheduler import (ConvergenceError, ThresholdSolution,
+from .scheduler import (HorizonExhaustedError, ThresholdSolution,
                         brute_force_optimal_period, policy_iteration, solve_threshold)
 
 
@@ -172,13 +172,34 @@ def random_reward_curves(count: int, rng, max_support: int = 50,
     return curves
 
 
-def oracle_deviations(curve: RewardCurve, sol: ThresholdSolution) -> dict:
-    """Pairwise deviations of a threshold solution and both oracles on one curve.
+def solve_curve(curve: RewardCurve) -> ThresholdSolution:
+    """Solve the threshold; when no pilot period is found, name the field at fault.
+
+    A curve too short to hold the optimal pilot period raises a
+    HorizonExhaustedError naming delta_max, the config field that sets the
+    curve length.  A flat positive curve, which is what a static channel
+    (speed 0) gives, has no optimal finite period at any length, and its
+    error names speed.
+    """
+    try:
+        return solve_threshold(curve)
+    except HorizonExhaustedError as exc:
+        if np.all(curve.values == curve.values[0]):
+            raise HorizonExhaustedError(
+                f"r(age) is {float(curve.values[0])!r} at every age, as on a static "
+                "channel (speed 0), so no finite pilot period is optimal") from exc
+        raise HorizonExhaustedError(f"no pilot period found within the {len(curve)} "
+                                    "tabulated ages (delta_max)") from exc
+
+
+def oracle_deviations(curve: RewardCurve) -> dict:
+    """The threshold solution of one curve and its deviations from both oracles.
 
     Brute force searches every period up to len(curve) + 1 and policy
     iteration runs over ages 1 .. len(curve) + 1, so no period the curve can
     express escapes either oracle.
     """
+    sol = solve_curve(curve)
     bf_period, bf_avg = brute_force_optimal_period(curve, len(curve) + 1)
     _, mdp_gain, mdp_iterations = policy_iteration(curve)
     deviations = {
@@ -198,40 +219,16 @@ def oracle_deviations(curve: RewardCurve, sol: ThresholdSolution) -> dict:
     }
 
 
-def solve_curve(curve: RewardCurve) -> ThresholdSolution:
-    """Solve the threshold; when no pilot period is found, name the field at fault.
-
-    A curve too short to hold the optimal pilot period raises a ValueError
-    naming delta_max, the config field that sets the curve length.  A flat
-    positive curve, which is what a static channel (speed 0) gives, has no
-    optimal finite period at any length, and its ValueError names speed.
-    """
-    try:
-        return solve_threshold(curve, tol=1e-13)
-    except ConvergenceError as exc:
-        if np.all(curve.values == curve.values[0]):
-            raise ValueError(f"r(age) is {float(curve.values[0])!r} at every age, as on a static "
-                             "channel (speed 0), so no finite pilot period is optimal") from exc
-        raise ValueError(f"no pilot period found within the {len(curve)} tabulated ages "
-                         f"(delta_max): {exc}") from exc
-
-
-def scheduler_triangle_deviation(curve: RewardCurve) -> dict:
-    """Pairwise deviations of the three solver routes on one curve."""
-    return oracle_deviations(curve, solve_curve(curve))
-
-
 def check_scheduler_triangle(physical_curve: RewardCurve | None = None,
                              count: int = 20, tol: float = 1e-6,
                              seed: int = 37) -> CheckResult:
-    """Three-way agreement of bisection, brute force, and policy iteration."""
+    """Three-way agreement of the threshold solver, brute force, and policy iteration."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for curve in random_reward_curves(count, rng):
-        worst = max(worst, scheduler_triangle_deviation(curve)["max_pairwise"])
+        worst = max(worst, oracle_deviations(curve)["max_pairwise"])
     if physical_curve is not None:
-        dev = scheduler_triangle_deviation(physical_curve)
-        worst = max(worst, dev["max_pairwise"])
+        worst = max(worst, oracle_deviations(physical_curve)["max_pairwise"])
     return CheckResult(
         name="scheduler-oracle-triangle",
         passed=bool(worst <= tol),

@@ -2,11 +2,13 @@
 
 These deliberately avoid the package's own code paths: the Bessel oracle is an
 arbitrary-precision power series, the scheduler oracles are plain Python
-loops over the definitions, the index evaluated one age at a time, or damped
+loops over the definitions, the index evaluated one age at a time, damped
 relative value iteration on the age MDP (the slow reference for
-`policy_iteration`), and the reward-curve oracle integrates one age and one
-quadrature panel at a time, with the MCS feasibility thresholds found by
-bisection and the best MCS by an argmax over all entries.  `step` advances
+`policy_iteration`), or the tolerance bisection for the threshold that
+`solve_threshold`'s fixed-point iteration must equal bit for bit, and the
+reward-curve oracle integrates one age and one quadrature panel at a time,
+with the MCS feasibility thresholds found by bisection and the best MCS by
+an argmax over all entries.  `step` advances
 the closed loop one slot at a time, the slot-level reference for the array
 pass of `run_policy`, and `slot_streams` lays the realized streams out by
 slot for it.
@@ -23,8 +25,9 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from pilotsched import (EXPECTED, ConvergenceError, FadingTrace, RewardCurve, autocorrelation,
-                        derive_streams, expected_goodput, max_goodput_array)
+from pilotsched import (EXPECTED, ConvergenceError, FadingTrace, HorizonExhaustedError,
+                        RewardCurve, ThresholdSolution, autocorrelation, derive_streams,
+                        expected_goodput, hitting_age, index_gamma, max_goodput_array)
 from pilotsched.channel import (_DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ,
                                 _SQ2OPI)
 from pilotsched.estimation import mmse_gain, pilot_second_moment, sinr_gain
@@ -240,6 +243,57 @@ def relative_value_iteration(curve: RewardCurve, max_age: int, tol: float = 1e-9
             return MdpSolution(gain=gain, relative_values=v.copy(), policy=policy)
     raise ConvergenceError(
         f"relative value iteration did not converge within {max_iter} iterations")
+
+
+def solve_threshold_bisection(curve: RewardCurve, tol: float,
+                              max_iter: int = 200) -> ThresholdSolution:
+    """Bisection for the unique root of g(b) = sum(r(1..h(b)-1)) - b*h(b).
+
+    g is nonincreasing in b, so ages where the hitting age does not exist yet
+    (b too small) are treated as g > 0.  Bisection stops when |g| <= tol, or
+    when g changes sign between two adjacent floats.  The returned beta is
+    snapped to the exact cycle average of the hitting age it induces.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    vals = curve.values
+    cs = curve.cumulative
+    if not np.any(vals > 0):
+        return ThresholdSolution(beta=0.0, hitting_age=1, period=1)
+    gamma = index_gamma(curve)
+
+    lo, hi = 0.0, float(vals.max())
+    bracketed = False  # g(lo) > 0 at an age the index reaches
+    h_mid = None
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        try:
+            h_mid = hitting_age(mid, gamma)
+        except HorizonExhaustedError:
+            lo = mid
+            continue
+        g = float(cs[h_mid - 1]) - mid * h_mid
+        if abs(g) <= tol or (bracketed and mid in (lo, hi)):
+            # a bracketed root between two adjacent floats: no b gets |g|
+            # closer to 0 (one ULP of a large cs[h-1] can exceed tol)
+            break
+        if g > 0:
+            lo, bracketed = mid, True
+        else:
+            hi = mid
+    else:
+        raise ConvergenceError(
+            f"threshold bisection did not reach |g| <= {tol} in {max_iter} iterations")
+
+    # Snap to the exact fixed point and re-verify the hitting age it induces.
+    h = h_mid
+    for _ in range(5):
+        beta = float(cs[h - 1]) / h
+        h_next = hitting_age(beta, gamma)
+        if h_next == h:
+            return ThresholdSolution(beta=beta, hitting_age=h, period=h)
+        h = h_next
+    raise ConvergenceError("threshold fixed point failed to stabilize after snapping")
 
 
 def bisect_thresholds(table):

@@ -17,8 +17,7 @@ from pilotsched import (EXPECTED, REALIZED, LinkParams, MobilityParams,
 from pilotsched.config import ExperimentConfig
 from pilotsched.validation import (check_autocorrelation_fidelity,
                                    check_orthogonality, mc_expected_goodput,
-                                   random_reward_curves,
-                                   scheduler_triangle_deviation)
+                                   oracle_deviations, random_reward_curves)
 
 SNR_GRID_DB = [-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
 SPEED_GRID_MPH = [2.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
@@ -38,17 +37,17 @@ def reference_point():
 
 
 def test_criterion_1_scheduler_oracle_triangle(reference_point):
-    """Bisection, brute force (every period the curve covers), and RVI (every
-    tabulated age) agree to 1e-6."""
+    """The threshold fixed point, brute force (every period the curve covers),
+    and policy iteration (every tabulated age) agree to 1e-6."""
     t0 = time.perf_counter()
     params, table = reference_point
     rng = np.random.default_rng(2024)
     worst = 0.0
     for curve in random_reward_curves(20, rng, max_support=50, pad_to=200):
-        dev = scheduler_triangle_deviation(curve)
+        dev = oracle_deviations(curve)
         worst = max(worst, dev["max_pairwise"])
     physical = build_reward_curve(params, table, 600)
-    dev = scheduler_triangle_deviation(physical)
+    dev = oracle_deviations(physical)
     worst = max(worst, dev["max_pairwise"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -61,7 +60,7 @@ def test_criterion_1_scheduler_oracle_triangle(reference_point):
 def test_criterion_2_hand_checkable_fixed_point():
     """r = (1,1,1,0,...) yields beta 3/4, period 4, hitting age 4 exactly."""
     curve = RewardCurve(values=np.concatenate([np.ones(3), np.zeros(197)]))
-    sol = solve_threshold(curve, tol=1e-13)
+    sol = solve_threshold(curve)
     ok = (abs(sol.beta - 0.75) <= 1e-12 and sol.period == 4
           and sol.hitting_age == 4)
     report(2, ok, f"beta {sol.beta!r} (want 0.75 +- 1e-12), period {sol.period}, "
@@ -98,7 +97,7 @@ def test_criterion_4_policy_dominance():
 
     def compare(params):
         curve = build_reward_curve(params, table, 160)
-        sol = solve_threshold(curve, tol=1e-13)
+        sol = solve_threshold(curve)
         thr = run_policy(sol.period, params, table, horizon,
                          seed, EXPECTED, reward_curve=curve)
         per = run_policy(2, params, table, horizon,
@@ -126,7 +125,7 @@ def test_criterion_5_closed_loop_consistency(reference_point):
     realized mode agrees with expected mode within 3 MC standard errors."""
     params, table = reference_point
     curve = build_reward_curve(params, table, 160)
-    sol = solve_threshold(curve, tol=1e-13)
+    sol = solve_threshold(curve)
     horizon = 1_000_000
     exp = run_policy(sol.period, params, table, horizon, 42, EXPECTED, reward_curve=curve)
     bound = 10 * sol.period / horizon

@@ -102,6 +102,8 @@ class TestConfig:
         ({"snr_db": -3300}, ["simulate"], "snr_db -3300 gives no finite positive noise"),
         ({"snr_grid_db": [0.0, 1e300]}, ["sweep-snr"], "error: snr_db 1e+300: snr_db 1e+300"),
         ({}, ["sweep-snr", "--workers", "0"], "--workers must be >= 1, got 0"),
+        ({"quad_nodes": 4}, ["solve"], "quad_nodes must be from 8 to 1024, got 4"),
+        ({"quad_nodes": 4}, ["validate"], "quad_nodes must be from 8 to 1024, got 4"),
         ({"reward_csv": "{tmp}/huge_field.csv"}, ["solve"],
          "huge_field.csv row 2: cannot parse reward curve (field larger than field limit"),
         ({"bler_table": "{tmp}/huge_field.csv"}, ["goodput-curve"],
@@ -139,7 +141,7 @@ class TestConfig:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
         cfg = write_config(tmp_path, quad_nodes=100_000)
         assert main(["goodput-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "quad_nodes must be at most 1024, got 100000" in capsys.readouterr().err
+        assert "quad_nodes must be from 8 to 1024, got 100000" in capsys.readouterr().err
         assert ExperimentConfig(snr_db=20.0, quad_nodes=1024).quad_nodes == 1024
 
     @pytest.mark.parametrize("command", ["goodput-curve", "solve", "sweep-snr",
@@ -251,9 +253,9 @@ class TestSolveCommand:
         assert report["beta"] == report["oracles"]["brute_force_average"]
         assert report["consistent"] is True
 
-    def test_bisection_stops_where_one_ulp_exceeds_tol(self, tmp_path):
-        # cs[194] = 825.3 has a ULP of 1.14e-13, above the 1e-13 tolerance, so
-        # |g| cannot reach it; the bisection stops at the sign change instead
+    def test_period_195_where_one_ulp_of_the_cycle_sum_exceeds_1e_13(self, tmp_path):
+        # cs[194] = 825.3 has a ULP of 1.14e-13, so no b gets |g| below 1e-13;
+        # the fixed point needs no tolerance and lands on the exact average
         cfg = write_config(tmp_path, snr_db=25.0, speed=0.005, delta_max=600)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
@@ -273,6 +275,30 @@ class TestSolveCommand:
         report = json.loads((out / "solve.json").read_text())
         assert report["period"] == 500
         assert report["oracles"]["brute_force_period"] == 500
+        assert report["consistent"] is True
+
+    @pytest.mark.parametrize("rows", [[f"{a},{float(a)}" for a in range(1, 11)],
+                                      ["1,1.0"], ["1,1.0", "2,1.0"]])
+    def test_optimum_past_a_reward_csv_names_the_file(self, tmp_path, capsys, rows):
+        # r(a) = a, one age, or a flat curve: the best period is the forced
+        # pilot after the last row, and the file, not delta_max or speed,
+        # sets the curve
+        reward = tmp_path / "r.csv"
+        reward.write_text("\n".join(["age,reward"] + rows) + "\n")
+        cfg = write_config(tmp_path, reward_csv=str(reward))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{reward}: no pilot period found within the {len(rows)} ages" in err
+        assert "delta_max" not in err and "speed" not in err
+
+    def test_three_age_reward_csv_solves(self, tmp_path):
+        reward = tmp_path / "r.csv"
+        reward.write_text("age,reward\n1,1.0\n2,0.0\n3,0.0\n")
+        cfg = write_config(tmp_path, reward_csv=str(reward))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        assert (report["period"], report["beta"]) == (2, 0.5)
         assert report["consistent"] is True
 
     @pytest.mark.parametrize("argv", [["solve"], ["simulate"], ["sweep-snr"],

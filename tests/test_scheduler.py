@@ -1,12 +1,13 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (DATA, PILOT, best_period_brute, gamma_brute, index_gamma_per_age,
-                     relative_value_iteration)
-from pilotsched import (HorizonExhaustedError, QuadratureConfig, RewardCurve,
+                     relative_value_iteration, solve_threshold_bisection)
+from pilotsched import (ConvergenceError, HorizonExhaustedError, QuadratureConfig, RewardCurve,
                         brute_force_optimal_period, build_reward_curve, default_config,
                         default_mcs_table, hitting_age, index_gamma, load_reward_curve,
                         policy_iteration, save_reward_curve, solve_threshold)
@@ -26,6 +27,19 @@ def brute_force_ties(curve):
     _, best = brute_force_optimal_period(curve, len(curve) + 1)
     cs = curve.cumulative
     return best, [p for p in range(1, len(curve) + 2) if float(cs[p - 1]) / p == best]
+
+
+BISECTION = functools.partial(solve_threshold_bisection, tol=1e-13)
+
+
+def outcome(solve, curve) -> tuple:
+    """('solved', beta, hitting age), or ('unsolved',) when the optimal period
+    does not fit the curve, which the bisection reports as a ConvergenceError."""
+    try:
+        sol = solve(curve)
+    except (HorizonExhaustedError, ConvergenceError):
+        return ("unsolved",)
+    return ("solved", sol.beta, sol.hitting_age)
 
 
 def physical_curve(**overrides) -> RewardCurve:
@@ -121,7 +135,7 @@ class TestHittingAge:
 
 class TestSolveThreshold:
     def test_hand_curve_exact(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13)
+        sol = solve_threshold(HAND_CURVE)
         assert sol.beta == 0.75
         assert sol.period == 4
         assert sol.hitting_age == 4
@@ -135,7 +149,7 @@ class TestSolveThreshold:
         for _ in range(20):
             values = np.concatenate([rng.uniform(0, 4, size=15), np.zeros(45)])
             c = RewardCurve(values=values)
-            sol = solve_threshold(c, tol=1e-13)
+            sol = solve_threshold(c)
             # bitwise against the curve's own prefix sums, near-exact against
             # an independent summation order
             assert sol.beta == float(c.cumulative[sol.period - 1]) / sol.period
@@ -146,17 +160,16 @@ class TestSolveThreshold:
         for _ in range(10):
             values = np.concatenate([rng.uniform(0, 4, size=12), np.zeros(48)])
             c = RewardCurve(values=values)
-            sol = solve_threshold(c, tol=1e-13)
+            sol = solve_threshold(c)
             gamma = index_gamma(c)
             assert np.all(gamma[:sol.hitting_age - 1] > sol.beta)
             assert gamma[sol.hitting_age - 1] <= sol.beta
 
     def test_scaling_covariance(self, rng):
         values = np.concatenate([rng.uniform(0, 3, size=10), np.zeros(40)])
-        base = solve_threshold(RewardCurve(values=values), tol=1e-13)
+        base = solve_threshold(RewardCurve(values=values))
         for scale in (0.5, 2.0, 8.0):
-            scaled = solve_threshold(RewardCurve(values=scale * values),
-                                     tol=1e-13)
+            scaled = solve_threshold(RewardCurve(values=scale * values))
             assert scaled.period == base.period
             assert scaled.beta == pytest.approx(scale * base.beta, rel=1e-12)
 
@@ -177,9 +190,60 @@ class TestSolveThreshold:
                 assert g <= last + 1e-12
             last = g
 
-    def test_zero_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            solve_threshold(HAND_CURVE, tol=0.0)
+    @pytest.mark.parametrize("values,beta,period", [([0.0], 0.0, 1), ([2.0, 0.0], 1.0, 2)])
+    def test_one_and_two_age_curves(self, values, beta, period):
+        # r = (2, 0): gamma = (2, 0), so b = 0 hits at age 2 and b = 1 stays there
+        sol = solve_threshold(curve_of(*values))
+        assert (sol.beta, sol.hitting_age, sol.period) == (beta, period, period)
+
+    def test_tie_set_takes_the_smaller_hitting_age(self):
+        # periods 2 and 4 both average 1/2; the first step hits at age 4, the
+        # second at age 2 with b unchanged, and the third confirms age 2
+        sol = solve_threshold(curve_of(1.0, 0.0, 1.0, pad=20))
+        assert (sol.beta, sol.hitting_age) == (0.5, 2)
+        assert brute_force_optimal_period(curve_of(1.0, 0.0, 1.0, pad=20), 24) == (2, 0.5)
+
+    @pytest.mark.parametrize("values", [[1.0], [1.0] * 30, list(range(1, 11))])
+    def test_optimum_past_the_curve_raises(self, values):
+        # the fixed point is the forced pilot at age len(curve) + 1
+        with pytest.raises(HorizonExhaustedError, match="exceeds the"):
+            solve_threshold(curve_of(*values))
+
+    @given(RUNS, st.integers(0, 20))
+    @example([(0.0, 3)], 0)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bisection_and_brute_force_on_eighths(self, runs, zeros):
+        # the prefix sums of these curves are exact and rounding a quotient is
+        # monotone, so beta equals brute force's best average bit for bit
+        c = curve_of(*[v for v, count in runs for _ in range(count)], pad=zeros)
+        want = outcome(BISECTION, c)
+        assert outcome(solve_threshold, c) == want
+        if want[0] == "solved":
+            assert want[1] == brute_force_optimal_period(c, len(c) + 1)[1]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bisection_on_uniform_floats(self, seed, support, zeros):
+        # a fifth of the support zeroed, as in random_reward_curves; curves
+        # whose prefix sums are collinear only up to rounding (one value
+        # repeated at many ages, say) can put two periods a few ulps apart,
+        # and there the two solvers may settle on different ones
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 8.0, size=support)
+        values[rng.random(support) < 0.2] = 0.0
+        c = curve_of(*values, pad=zeros)
+        assert outcome(solve_threshold, c) == outcome(BISECTION, c)
+
+    def test_subnormal_roundoff_keeps_the_larger_average(self):
+        # 1e-323 / 3 rounds up to 5e-324, the index at age 1, so b = 5e-324
+        # hits at age 1, whose average 0 is smaller: the iteration stops at
+        # period 3, as brute force and policy iteration find (the bisection
+        # raised ConvergenceError here)
+        c = curve_of(5e-324, 5e-324, pad=18)
+        sol = solve_threshold(c)
+        assert (sol.beta, sol.period) == (5e-324, 3)
+        assert brute_force_optimal_period(c, 21) == (3, 5e-324)
+        assert policy_iteration(c)[:2] == (3, 5e-324)
 
 
 class TestBruteForce:
@@ -225,7 +289,7 @@ class TestRelativeValueIteration:
         for _ in range(10):
             values = np.concatenate([rng.uniform(0, 4, size=12), np.zeros(48)])
             c = RewardCurve(values=values)
-            beta = solve_threshold(c, tol=1e-13).beta
+            beta = solve_threshold(c).beta
             gain = relative_value_iteration(c, 60, tol=1e-10).gain
             assert gain == pytest.approx(beta, abs=1e-7)
 
@@ -284,7 +348,7 @@ class TestOracleTriangle:
     def test_three_way_agreement(self, support):
         values = np.concatenate([np.array(support, dtype=float), np.zeros(60)])
         c = RewardCurve(values=values)
-        sol = solve_threshold(c, tol=1e-13)
+        sol = solve_threshold(c)
         bf_avg, ties = brute_force_ties(c)
         gain = relative_value_iteration(c, len(values), tol=1e-9).gain
         mdp_period, mdp_gain, _ = policy_iteration(c)
@@ -299,15 +363,15 @@ class TestDecide:
     """The threshold rule pilots at age d exactly when gamma(d) <= beta."""
 
     def test_hitting_age_is_pilot(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13)
+        sol = solve_threshold(HAND_CURVE)
         assert index_gamma(HAND_CURVE)[sol.hitting_age - 1] <= sol.beta
 
     def test_fresh_age_is_data(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13)
+        sol = solve_threshold(HAND_CURVE)
         assert index_gamma(HAND_CURVE)[0] > sol.beta
 
     def test_cycle_structure(self):
-        sol = solve_threshold(HAND_CURVE, tol=1e-13)
+        sol = solve_threshold(HAND_CURVE)
         gamma = index_gamma(HAND_CURVE)
         assert np.all(gamma[:sol.period - 1] > sol.beta)
         assert gamma[sol.period - 1] <= sol.beta

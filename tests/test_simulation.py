@@ -18,7 +18,7 @@ def reference_curve(reference_params, default_table):
 
 @pytest.fixture(scope="module")
 def reference_solution(reference_curve):
-    return solve_threshold(reference_curve, tol=1e-13)
+    return solve_threshold(reference_curve)
 
 
 class TestStep:
