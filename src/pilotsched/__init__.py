@@ -14,7 +14,7 @@ from .link_adaptation import (McsEntry, McsTable, RewardCurve, QuadratureConfig,
                               max_goodput_array, expected_goodput, build_reward_curve,
                               load_bler_table, load_mcs_rates, default_mcs_table,
                               parametric_mcs_table)
-from .scheduler import (ThresholdSolution, HorizonExhaustedError, ConvergenceError,
+from .scheduler import (ThresholdSolution, HorizonExhaustedError,
                         index_gamma, hitting_age, solve_threshold,
                         brute_force_optimal_period, policy_iteration,
                         load_reward_curve, save_reward_curve)

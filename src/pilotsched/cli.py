@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import ExperimentConfig, default_config, load_config
-from .link_adaptation import (DEFAULT_CQI_MIDPOINTS_DB, QuadratureConfig,
+from .link_adaptation import (DEFAULT_CQI_MIDPOINTS_DB, McsTable, QuadratureConfig,
                               default_mcs_table, load_bler_table, load_mcs_rates,
                               parametric_mcs_table, build_reward_curve)
 from .scheduler import HorizonExhaustedError, load_reward_curve, save_reward_curve
@@ -107,13 +107,14 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     return report, 0 if report["consistent"] else 1
 
 
-def _sweep_point(cfg: ExperimentConfig, axis: str, value: float, mode: str) -> list:
+def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float,
+                 mode: str) -> list:
     """Both policies at one grid point of `axis` ('snr_db' or 'speed_mph').
 
-    The fourth column is the mean pilot fraction on the SNR axis and the pilot
-    period on the speed axis.
+    `table` is the config's MCS table, built once per sweep.  The fourth
+    column is the mean pilot fraction on the SNR axis and the pilot period on
+    the speed axis.
     """
-    table = build_table(cfg)
     quad = _quad(cfg)
     try:
         params = cfg.link_params(**{axis: value})
@@ -139,14 +140,15 @@ def _fan_out(cfg: ExperimentConfig, axis: str, grid, mode: str, workers: int) ->
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
     points = sorted(grid)
+    table = build_table(cfg)
     # a fork-started pool starts all of its processes up front
     workers = min(workers, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_point, cfg, axis, p, mode) for p in points]
+            futures = [pool.submit(_sweep_point, cfg, table, axis, p, mode) for p in points]
             results = [f.result() for f in futures]
     else:
-        results = [_sweep_point(cfg, axis, p, mode) for p in points]
+        results = [_sweep_point(cfg, table, axis, p, mode) for p in points]
     return [row for rows in results for row in rows]
 
 
@@ -186,9 +188,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
     params = cfg.link_params()
     table = build_table(cfg)
     quad = _quad(cfg)
-    curve = build_reward_curve(params, table, cfg.delta_max, quad)
+    curve = None  # a fixed period reads r(age) only at the ages it visits
     doc: dict = {"policy": policy_arg, "mode": mode, "seed": seed}
     if policy_arg == "threshold":
+        curve = build_reward_curve(params, table, cfg.delta_max, quad)
         sol = solve_curve(curve)
         period = sol.period
         doc["beta"] = sol.beta

@@ -12,6 +12,7 @@ search over periodic policies, and Howard policy iteration on the age MDP.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,6 @@ from .link_adaptation import RewardCurve
 
 class HorizonExhaustedError(ValueError):
     """No tabulated age has index <= the threshold: the optimal period does not fit."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver broke a bound that holds in exact arithmetic (roundoff)."""
 
 
 @dataclass(frozen=True)
@@ -156,21 +153,34 @@ def policy_iteration(curve: RewardCurve) -> tuple:
     evaluations, the last of which confirms the optimum; the start is the
     all-pilot policy.
 
-    Termination guard: the gain never decreases and takes at most L+1
-    values, and while it stays put the MDP is a stopping problem on the
-    ages, acyclic, whose decisions settle from age L down in at most L+1
-    improvements.  So more than (L+1)^2 evaluations means roundoff made the
-    iteration cycle.
+    Roundoff stop: in exact arithmetic a change of period strictly raises
+    the gain (the changed action lies on the new cycle, where it strictly
+    improves), so the period never returns to one the iteration has left.
+    An evaluation whose gain falls, or whose period was held before, can
+    only be roundoff (on subnormal rewards a cycle average can round by half
+    its value), and the iteration then returns the policy it held, as
+    solve_threshold stops at the larger average it holds.  Termination: each
+    period is then held for one run of evaluations.  Within a run the gain
+    and h(1) are fixed, and the decision at age a depends only on them and
+    on the decisions above a, so decisions settle from age L down, one per
+    evaluation, and a run ends within L+1 evaluations.  The loop therefore
+    ends within (L+1)^2 + 1 evaluations, in floats as in exact arithmetic.
     """
     n_ages = len(curve) + 1
     r = curve.values
     cs = curve.cumulative
     ages = np.arange(1, n_ages + 1)
     pilot = np.ones(n_ages, dtype=bool)
-    for iterations in range(1, n_ages * n_ages + 1):
+    period, gain, held = 0, 0.0, set()
+    for iterations in itertools.count(1):
         q = np.minimum.accumulate(np.where(pilot, ages, n_ages)[::-1])[::-1]
-        period = int(q[0])
-        gain = float(cs[period - 1]) / period
+        if q[0] != period:
+            next_period = int(q[0])
+            next_gain = float(cs[next_period - 1]) / next_period
+            if next_period in held or next_gain < gain:
+                return period, gain, iterations
+            held.add(next_period)
+            period, gain = next_period, next_gain
         h = cs[q - 1] - cs[ages - 1] - gain * (q - ages + 1)
         data_q = r + h[1:]
         improved = pilot.copy()
@@ -178,7 +188,6 @@ def policy_iteration(curve: RewardCurve) -> tuple:
         if np.array_equal(improved, pilot):
             return period, gain, iterations
         pilot = improved
-    raise ConvergenceError(f"policy iteration cycled past {n_ages * n_ages} evaluations")
 
 
 def load_reward_curve(path) -> RewardCurve:

@@ -5,15 +5,17 @@ resets to 1 after every pilot, so it is the periodic schedule with that
 period; the periodic baseline is one too.  Every run starts with a forced
 pilot so the CSI age is well defined.  A pilot slot spends the slot refreshing
 the observation (reward 0, age resets to 1); a data slot earns goodput and
-ages the CSI by one.  All slots are evaluated together as arrays.  Two reward
-modes:
+ages the CSI by one.  Two reward modes:
 
   expected  - the slot earns the age-conditional mean goodput r(age), the
-              quantity the scheduler optimizes; averages are exact cycle
-              averages up to the truncated final cycle.
+              quantity the scheduler optimizes.  The run's total is the
+              renewal-reward sum: the exact data-slot count of each age
+              1 .. period-1 times r(age), summed with `math.fsum`, in
+              O(period) time and memory, independent of the horizon.
   realized  - the slot earns the full physical draw: SINR
               sinr_gain(age) * |y|^2 from the last pilot observation y,
-              MCS selection, Bernoulli decoding.
+              MCS selection, Bernoulli decoding, all data slots evaluated
+              together as arrays.
 
 Realized mode draws only what the schedule reads: the fading trace and the
 pilot noise at the pilot slots 0, P, 2P, ..., and one decode draw per data
@@ -114,6 +116,21 @@ def schedule_counts(horizon: int, period: int) -> tuple:
     return 1 + full, histogram
 
 
+def expected_total(values: np.ndarray, horizon: int, period: int) -> float:
+    """Sum of r(age) over the data slots of the period-`period` schedule.
+
+    `values` holds r(age) from age 1 on, at least up to the last age a data
+    slot reaches, min(period-1, horizon-1).  By the count of
+    `schedule_counts`, each age a < period has (horizon-1) // period data
+    slots, and the first (horizon-1) % period ages one more, so the sum is
+    the count-weighted sum over the ages, correctly rounded by `math.fsum`:
+    O(period) time and memory, whatever the horizon.
+    """
+    full, extra = divmod(horizon - 1, period)
+    return math.fsum((full + (age <= extra)) * reward
+                     for age, reward in enumerate(values[:period - 1].tolist(), start=1))
+
+
 def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, seed: int,
                mode: str, reward_curve: RewardCurve | None = None,
                quad: QuadratureConfig = QuadratureConfig()) -> SimulationResult:
@@ -121,9 +138,13 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
 
     Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
     a pilot when that age equals the period.  The pilot count and age
-    histogram are closed-form (`schedule_counts`); rewards are evaluated in
-    one vectorized pass over the data slots.  Only realized mode draws the
-    fading trace and noise, and only when the schedule has data slots.
+    histogram are closed-form (`schedule_counts`).  Expected mode sums r(age)
+    weighted by the exact data-slot count of each age (`expected_total`), so
+    its cost is O(period) and independent of the horizon; it reads r only at
+    ages 1 .. min(period-1, data slots), integrating those past
+    `reward_curve`.  Realized mode evaluates its rewards in one vectorized
+    pass over the data slots, and only it draws the fading trace and noise,
+    and only when the schedule has data slots.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -148,9 +169,7 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
                 # r(age) does not depend on the other ages tabulated with it
                 missing = np.arange(values.size + 1, max_needed + 1)
                 values = np.concatenate([values, _expected_goodputs(missing, params, table, quad)])
-            # the data slots, in slot order, have ages 1 .. period-1 over and over
-            cycles = -(-data_slots // (period - 1))
-            rewards = np.tile(values[:period - 1], cycles)[:data_slots]
+            total_reward = expected_total(values, horizon, period)
         else:
             trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed)
             y_sq = np.abs(math.sqrt(params.pilot_power) * trace.samples + pilot_noise) ** 2
@@ -158,8 +177,7 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
             # the rows of this outer product, read in order, are the data slots
             gains = sinr_gain(np.arange(1, period), params)
             eta = (y_sq[:, None] * gains[None, :]).ravel()[:decode_uniforms.size]
-            rewards = _realized_rewards(eta, decode_uniforms, table)
-        total_reward = float(rewards.sum())
+            total_reward = float(_realized_rewards(eta, decode_uniforms, table).sum())
 
     return SimulationResult(
         avg_goodput=total_reward / horizon,

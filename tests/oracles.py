@@ -25,7 +25,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from pilotsched import (EXPECTED, ConvergenceError, FadingTrace, HorizonExhaustedError,
+from pilotsched import (EXPECTED, FadingTrace, HorizonExhaustedError,
                         RewardCurve, ThresholdSolution, autocorrelation, derive_streams,
                         expected_goodput, hitting_age, index_gamma, max_goodput_array)
 from pilotsched.channel import (_DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ,
@@ -35,6 +35,10 @@ from pilotsched.simulation import MODES
 
 PILOT = "pilot"
 DATA = "data"
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver broke a bound that holds in exact arithmetic (roundoff)."""
 
 
 def j0_series(x: float, digits: int = 30) -> float:

@@ -1,13 +1,15 @@
 import csv
+import importlib.util
 import json
 import math
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pilotsched.cli as cli
-from pilotsched import ExperimentConfig, load_config
+from pilotsched import ExperimentConfig, load_config, run_policy
 from pilotsched.cli import main
 
 
@@ -301,6 +303,20 @@ class TestSolveCommand:
         assert (report["period"], report["beta"]) == (2, 0.5)
         assert report["consistent"] is True
 
+    def test_subnormal_reward_csv_solves(self, tmp_path):
+        # rounding of these cycle averages made policy iteration cycle
+        reward = tmp_path / "r.csv"
+        values = ["2e-323", "2.5e-323", "2.5e-323", "1.5e-323", "0.0", "5e-324"]
+        reward.write_text("age,reward\n" + "".join(f"{a},{v}\n"
+                                                    for a, v in enumerate(values, 1)))
+        cfg = write_config(tmp_path, reward_csv=str(reward))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        assert (report["period"], report["beta"]) == (4, 2e-323)
+        assert report["oracles"]["mdp_gain"] == report["oracles"]["brute_force_average"]
+        assert report["consistent"] is True
+
     @pytest.mark.parametrize("argv", [["solve"], ["simulate"], ["sweep-snr"],
                                       ["sweep-mobility"]])
     def test_static_channel_names_speed(self, tmp_path, capsys, argv):
@@ -437,6 +453,19 @@ class TestSweepCommands:
                      "--workers", "8"]) == 0
         assert sizes == [2]
 
+    def test_one_mcs_table_per_sweep(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build_table(cfg):
+            built.append(cfg)
+            return build_table(cfg)
+
+        build_table = cli.build_table
+        monkeypatch.setattr(cli, "build_table", counting_build_table)
+        cfg = write_config(tmp_path, snr_grid_db=[0.0, 10.0, 20.0])
+        assert main(["sweep-snr", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
+
     def test_parallel_workers_same_output(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -467,6 +496,29 @@ class TestSimulateCommand:
         assert doc["period"] == 4
         assert doc["mode"] == "realized"
         assert doc["pilot_fraction"] == pytest.approx(0.25, abs=1e-3)
+
+    @pytest.mark.parametrize("mode", ["expected", "realized"])
+    def test_fixed_period_builds_no_reward_curve(self, tmp_path, monkeypatch, mode):
+        # periodic:p reads r(age) at ages 1 .. p-1 only, and r(age) does not
+        # depend on the ages tabulated with it, so the run over the whole
+        # tabulated curve gives the same result
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        params, table, quad = cfg.link_params(), cli.build_table(cfg), cli._quad(cfg)
+        curve = cli.build_reward_curve(params, table, cfg.delta_max, quad)
+        want = run_policy(2, params, table, cfg.horizon, cfg.seeds[0], mode,
+                          reward_curve=curve, quad=quad)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("periodic:2 must not tabulate the reward curve")
+
+        monkeypatch.setattr(cli, "build_reward_curve", refuse)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--policy", "periodic:2",
+                     "--mode", mode, "--out", str(out)]) == 0
+        doc = json.loads((out / "simulate.json").read_text())
+        assert (doc["avg_goodput"], doc["pilot_fraction"]) == (want.avg_goodput,
+                                                               want.pilot_fraction)
 
     def test_threshold_period_99_on_250_ages(self, tmp_path):
         cfg = write_config(tmp_path, speed=0.02, delta_max=250)
@@ -512,3 +564,33 @@ class TestValidateCommand:
         assert report["all_passed"] is False
         assert any("cqi 4" in c["detail"] for c in report["checks"])
         assert "FAIL" in capsys.readouterr().out
+
+
+def load_cli_outputs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCliOutputsCompare:
+    def test_lists_identical_and_changed_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for root, avg in ((a, "0.5"), (b, "0.5000000000000001")):
+            (root / "sweep").mkdir(parents=True)
+            (root / "sweep" / "s.csv").write_text(
+                f"snr_db,policy,avg_goodput\n0.0,periodic-2,{avg}\n")
+            (root / "exit_codes.txt").write_text("default solve 0\n")
+        (b / "extra.json").write_text("{}\n")
+        assert load_cli_outputs().compare_outputs(a, b) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["identical  exit_codes.txt",
+                       f"only in {b}  extra.json",
+                       "changed, max relative change 2.2e-16 (1 of 2 numbers)  sweep/s.csv",
+                       "1 of 3 files identical"]
+
+    def test_text_change_is_not_a_numeric_change(self):
+        numeric_change = load_cli_outputs().numeric_change
+        assert numeric_change('{"period": 3}', '{"period": 3.0, "x": 1}') is None
+        assert numeric_change("periodic-2,1e-05", "periodic-2,2e-05") == (0.5, 1, 1)

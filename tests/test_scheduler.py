@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (DATA, PILOT, best_period_brute, gamma_brute, index_gamma_per_age,
-                     relative_value_iteration, solve_threshold_bisection)
-from pilotsched import (ConvergenceError, HorizonExhaustedError, QuadratureConfig, RewardCurve,
+from oracles import (DATA, PILOT, ConvergenceError, best_period_brute, gamma_brute,
+                     index_gamma_per_age, relative_value_iteration, solve_threshold_bisection)
+from pilotsched import (HorizonExhaustedError, QuadratureConfig, RewardCurve,
                         brute_force_optimal_period, build_reward_curve, default_config,
                         default_mcs_table, hitting_age, index_gamma, load_reward_curve,
                         policy_iteration, save_reward_curve, solve_threshold)
@@ -323,6 +323,31 @@ class TestPolicyIteration:
             best, ties = brute_force_ties(curve)
             assert gain == best
             assert period in ties
+
+    @pytest.mark.parametrize("values, period, gain", [
+        # periods 5, 4, 5, ...: the return to 5 (a fall to 1.5e-323) stops it
+        ((2e-323, 2.5e-323, 2.5e-323, 1.5e-323, 0.0, 5e-324), 4, 2e-323),
+        # periods 5, 6: the fall to gain 0 at 6 stops it; past it, the
+        # iteration would go on to period 3 and end there at gain 0
+        ((0.0, 5e-324, 0.0, 1e-323, 0.0), 5, 5e-324)])
+    def test_subnormal_roundoff_stops_at_the_larger_gain(self, values, period, gain):
+        curve = curve_of(*values)
+        assert policy_iteration(curve)[:2] == (period, gain)
+        assert brute_force_optimal_period(curve, len(values) + 1) == (period, gain)
+
+    @given(st.lists(st.integers(0, 64).map(lambda k: k * 5e-324), min_size=1, max_size=40))
+    @example([5e-324, 0.0, 0.0, 0.0, 0.0, 1e-323, 0.0])  # cycled at an equal gain
+    @settings(max_examples=300, deadline=None)
+    def test_subnormal_curves_end_on_a_cycle_average(self, values):
+        # cycle averages of multiples of 5e-324 round by up to half their
+        # value, which made the iteration cycle; it must end within the bound
+        curve = curve_of(*values)
+        n_ages = len(values) + 1
+        period, gain, iterations = policy_iteration(curve)
+        assert 1 <= period <= n_ages
+        assert gain == float(curve.cumulative[period - 1]) / period
+        assert gain <= brute_force_optimal_period(curve, n_ages)[1]
+        assert iterations <= n_ages ** 2 + 1
 
     def test_matches_value_iteration_on_triangle_curves(self):
         for curve in random_reward_curves(20, np.random.default_rng(37)):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pilotsched.simulation as simulation
 from oracles import DATA, PILOT, SchedulerState, decide, slot_streams, step
@@ -170,6 +172,48 @@ class TestRunPolicy:
         assert res.avg_goodput == run_policy(2400, reference_params, default_table, 5000,
                                              seed=1, mode=EXPECTED,
                                              reward_curve=full).avg_goodput
+
+    @staticmethod
+    def per_slot_sum(values, horizon, period) -> float:
+        """math.fsum of the expected rewards of the data slots, slot by slot."""
+        ages = np.arange(horizon - 1) % period + 1  # slots 1 .. horizon-1
+        return math.fsum(values[ages[ages < period] - 1].tolist())
+
+    @given(st.lists(st.integers(0, 64).map(lambda k: k / 8), min_size=1, max_size=40),
+           st.integers(1_000, 3_000), st.integers(1, 3_100))
+    @example([0.875, 2.5, 8.0], 1_000, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_equals_the_slot_sum_on_eighths(self, reference_params, default_table,
+                                                        pattern, horizon, period):
+        # every product count * r(a) of eighths is exact, so the correctly
+        # rounded sums agree bit for bit, at periods up to past the horizon
+        values = np.resize(np.array(pattern), max(1, min(period - 1, horizon - 1)))
+        res = run_policy(period, reference_params, default_table, horizon, seed=0,
+                         mode=EXPECTED, reward_curve=RewardCurve(values=values))
+        assert res.avg_goodput == self.per_slot_sum(values, horizon, period) / horizon
+
+    @given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=40),
+           st.integers(1_000, 3_000), st.integers(1, 3_100))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_within_4_ulps_of_the_slot_sum(self, pattern, horizon, period):
+        # the rounded products add at most 1 ulp, the two final roundings 1/2 each
+        values = np.resize(np.array(pattern), min(period - 1, horizon - 1))
+        want = self.per_slot_sum(values, horizon, period)
+        got = simulation.expected_total(values, horizon, period)
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+    def test_expected_mode_memory_is_independent_of_the_horizon(self, reference_params,
+                                                                default_table, reference_curve):
+        # a per-slot reward array at 10^7 slots would be 51 MB
+        tracemalloc.start()
+        try:
+            res = run_policy(3, reference_params, default_table, 10_000_000, seed=1,
+                             mode=EXPECTED, reward_curve=reference_curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert res.pilot_fraction == 3_333_334 / 10_000_000
 
     def test_periodic_pilot_fraction(self, reference_params, default_table, reference_curve):
         horizon = 10_000

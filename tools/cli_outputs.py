@@ -1,16 +1,20 @@
-"""Write the outputs of every CLI command at three operating points.
+"""Write the outputs of every CLI command at three operating points, or compare two runs.
 
     python tools/cli_outputs.py OUTDIR
+    python tools/cli_outputs.py --compare A B
 
-runs the package in this checkout's `src/` at the default config, at
-20 dB / 0.15 mph and at 0.005 mph, whose optimal period of 247 slots over
-the default 600 ages makes `solve` and `validate` exercise a long-period
-oracle run: `goodput-curve`, `solve`, `sweep-snr` and `sweep-mobility` in
-both modes, `simulate` with `threshold` and `periodic:2` in both modes, and
-`validate`.  That is 33 commands, one directory per point and command,
+The first form runs the package in this checkout's `src/` at the default
+config, at 20 dB / 0.15 mph and at 0.005 mph, whose optimal period of 247
+slots over the default 600 ages makes `solve` and `validate` exercise a
+long-period oracle run: `goodput-curve`, `solve`, `sweep-snr` and
+`sweep-mobility` in both modes, `simulate` with `threshold` and
+`periodic:2` in both modes, and `validate`.  That is 33 commands, one directory per point and command,
 plus `exit_codes.txt`; all 33 exit 0 and write one output file each, so
 there are 33 output files.  Run it in two checkouts and compare them with
-`diff -r`.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
+`--compare A B` (or `diff -r`): it lists every file under either directory
+as identical or changed, and for a changed file the largest relative
+change among its numbers and how many of them moved.  It exits 1 when any
+file differs.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
 points, so a run takes several minutes.  Each command's wall time goes to
 stderr, never into the output files, so the same run times the commands.
 With it goes the process's peak resident set so far (`ru_maxrss`): the
@@ -19,6 +23,7 @@ command after which it rises is the one that raised the memory peak.
 
 import argparse
 import json
+import re
 import resource
 import sys
 import time
@@ -59,7 +64,50 @@ def write_outputs(out_dir: Path) -> None:
     (out_dir / "exit_codes.txt").write_text("".join(codes))
 
 
+# a decimal number as the CSV and JSON writers print it (repr of a float, or an
+# int), not the digits inside a name such as "periodic-2"
+NUMBER = re.compile(r"(?<![\w-])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def numeric_change(a: str, b: str):
+    """(largest relative change, numbers moved, numbers) between two texts that
+    differ only in their numbers; None when the text between the numbers differs."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
+    changes = [abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y]
+    return max(changes, default=0.0), len(changes), len(pairs)
+
+
+def compare_outputs(a_dir: Path, b_dir: Path) -> int:
+    files = sorted({p.relative_to(d) for d in (a_dir, b_dir) for p in d.rglob("*")
+                    if p.is_file()})
+    differ = 0
+    for rel in files:
+        a, b = a_dir / rel, b_dir / rel
+        if not (a.is_file() and b.is_file()):
+            line = f"only in {a_dir if a.is_file() else b_dir}"
+        elif a.read_bytes() == b.read_bytes():
+            print(f"identical  {rel}")
+            continue
+        else:
+            change = numeric_change(a.read_text(), b.read_text())
+            line = ("changed, not only in its numbers" if change is None else
+                    "changed, max relative change {:.2g} ({} of {} numbers)".format(*change))
+        differ += 1
+        print(f"{line}  {rel}")
+    print(f"{len(files) - differ} of {len(files)} files identical")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", type=Path, help="directory for the outputs")
-    write_outputs(parser.parse_args().out_dir)
+    parser.add_argument("out_dir", type=Path, nargs="?", help="directory for the outputs")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two output directories instead")
+    args = parser.parse_args()
+    if (args.compare is None) == (args.out_dir is None):
+        parser.error("give either OUTDIR or --compare A B")
+    if args.compare is not None:
+        sys.exit(compare_outputs(*args.compare))
+    write_outputs(args.out_dir)
