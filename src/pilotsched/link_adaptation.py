@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
@@ -51,11 +51,9 @@ class LogisticBlerCurve:
         return 1.0 / (1.0 + np.exp(z))
 
     def threshold(self, e_max: float) -> float:
-        """Smallest linear SINR t with self(_to_db(t)) <= e_max, and exact:
-        for every float x, x >= t if and only if self(_to_db(x)) <= e_max.
-
-        Inverts the logistic in closed form, then steps one float at a time
-        to where this implementation's rounded curve crosses e_max.
+        """The exact threshold (McsTable.feasibility_thresholds), positive
+        since the curve is 1 at -inf dB: the logistic inverted in closed
+        form, then the float where this rounded curve crosses (`_crossing`).
 
         Why the rounded curve crosses only there: near the crossing one input
         ULP moves the curve by 3 to 9 output ULPs (shipped table, e_max 0.3
@@ -68,12 +66,8 @@ class LogisticBlerCurve:
         dwarfs the rounding error, so the rounded curve lies on the same side
         of e_max as the exact one.
         """
-        x = 10.0 ** ((self.midpoint_db + math.log(1.0 / e_max - 1.0) / self.slope_per_db) / 10.0)
-        while self(_to_db(x)) > e_max:
-            x = math.nextafter(x, math.inf)
-        while self(_to_db(math.nextafter(x, 0.0))) <= e_max:
-            x = math.nextafter(x, 0.0)
-        return x
+        return _crossing(self, e_max,
+                         self.midpoint_db + math.log(1.0 / e_max - 1.0) / self.slope_per_db)
 
 
 class TabulatedBlerCurve:
@@ -100,6 +94,21 @@ class TabulatedBlerCurve:
     def __call__(self, snr_db):
         return np.interp(snr_db, self.snr_db, self.bler)
 
+    def threshold(self, e_max: float) -> float:
+        """The exact threshold (McsTable.feasibility_thresholds): 0 when the
+        first point, which holds down to -inf dB, meets e_max; +inf when the
+        last does not; else the first segment reaching e_max inverted in dB,
+        then the float where the rounded interpolation crosses (`_crossing`).
+        """
+        meets = self.bler <= e_max
+        if meets[0]:
+            return 0.0
+        if not meets[-1]:
+            return math.inf
+        k = int(np.argmax(meets))
+        (d0, d1), (b0, b1) = self.snr_db[k - 1:k + 1].tolist(), self.bler[k - 1:k + 1].tolist()
+        return _crossing(self, e_max, d0 + (b0 - e_max) / (b0 - b1) * (d1 - d0))
+
 
 @dataclass
 class McsEntry:
@@ -107,13 +116,15 @@ class McsEntry:
 
     index: int
     rate: float
-    bler_curve: object  # callable: SINR in dB (array) -> BLER in [0, 1]
+    bler_curve: object  # SINR in dB (array) -> BLER in [0, 1], with threshold(e_max)
 
     def __post_init__(self):
         if not 1 <= self.index <= 15:
             raise ValueError(f"CQI index must lie in 1..15, got {self.index}")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+        if not callable(getattr(self.bler_curve, "threshold", None)):
+            raise ValueError(f"cqi {self.index}: the BLER curve has no threshold(e_max) method")
 
 
 @dataclass
@@ -141,65 +152,36 @@ class McsTable:
 
     @cached_property
     def feasibility_thresholds(self) -> np.ndarray:
-        """Smallest linear SINR at which each entry meets the BLER ceiling.
+        """Each entry's exact feasibility threshold, `bler_curve.threshold(e_max)`.
 
-        0 when the entry qualifies already at 1e-18 and +inf when it does not
-        qualify at 1e18.  In between, a curve with a `threshold(e_max)` method
-        answers itself; any other curve is bisected.  A `threshold` method
-        must return the exact crossing float t: x >= t if and only if
-        curve(_to_db(x)) <= e_max, for every float x.
+        A curve's threshold is the t in [0, +inf] such that, for every
+        finite float SINR x, x >= t exactly when curve(_to_db(x)) <= e_max:
+        0 means feasible everywhere (x <= 0 included, which is -inf dB), and
+        +inf feasible at no finite SINR.
         """
-        lo, hi = 1e-18, 1e18
-        out = np.empty(len(self.entries))
-        for i, entry in enumerate(self.entries):
-            curve = entry.bler_curve
-            if curve(_to_db(lo)) <= self.e_max:
-                out[i] = 0.0
-            elif curve(_to_db(hi)) > self.e_max:
-                out[i] = np.inf
-            else:
-                threshold = getattr(curve, "threshold", None)
-                out[i] = (threshold(self.e_max) if threshold is not None
-                          else _bisect_threshold(curve, self.e_max, lo, hi))
-        return out
-
-    @cached_property
-    def exact_thresholds(self) -> np.ndarray:
-        """Mask of the entries whose feasibility threshold is exact.
-
-        True where the curve's own `threshold(e_max)` gave the value.  The 0
-        and +inf clamped from the probe range and bisected values are not
-        exact: they say nothing about SINRs outside [1e-18, 1e18] or between
-        the bisection's last two probes.
-        """
-        own = np.array([hasattr(e.bler_curve, "threshold") for e in self.entries])
-        t = self.feasibility_thresholds
-        return own & (t > 0) & np.isfinite(t)
+        return np.array([e.bler_curve.threshold(self.e_max) for e in self.entries])
 
     @cached_property
     def selection_groups(self) -> tuple:
         """(edges, candidates): the entries that can win, by SINR band.
 
-        `edges` are the exact thresholds in ascending order, and a SINR x
-        lies in band g, the number of edges <= x.  `candidates[g]` lists in
-        table order every entry without an exact threshold, plus each entry
-        j among the g lowest edges with rate_j >= fl(rate_k * fl(1 - e_max)),
-        where k is the highest-rate entry among those g.  Any other entry is
-        infeasible at x or cannot win: k is feasible there, so the best
-        goodput is at least rate_k * (1 - e_max) in floats, and an entry's
-        goodput is at most its rate.
+        `edges` are the finite thresholds in ascending order, and a SINR x
+        lies in band g, the number of edges that are 0 or <= x.
+        `candidates[g]` lists in table order each entry j among the g lowest
+        edges with rate_j >= fl(rate_k * fl(1 - e_max)), where k is the
+        highest-rate entry among those g.  Any other entry is infeasible at
+        x or cannot win: k is feasible there, so the best goodput is at
+        least rate_k * (1 - e_max) in floats, and an entry's goodput is at
+        most its rate.
         """
-        exact = self.exact_thresholds
-        inexact = np.flatnonzero(~exact).tolist()
-        by_edge = sorted(np.flatnonzero(exact).tolist(),
-                         key=lambda j: self.feasibility_thresholds[j])
-        candidates = [inexact]
+        t = self.feasibility_thresholds
+        by_edge = sorted(np.flatnonzero(np.isfinite(t)).tolist(), key=lambda j: t[j])
+        candidates = [[]]
         for g in range(1, len(by_edge) + 1):
             below = by_edge[:g]
             floor = self.entries[max(below)].rate * (1.0 - self.e_max)  # rates rise with j
-            candidates.append(sorted(inexact + [j for j in below
-                                                if self.entries[j].rate >= floor]))
-        return self.feasibility_thresholds[by_edge], candidates
+            candidates.append(sorted(j for j in below if self.entries[j].rate >= floor))
+        return t[by_edge], candidates
 
 
 def _to_db(snr_linear) -> np.ndarray:
@@ -211,15 +193,37 @@ def _to_db(snr_linear) -> np.ndarray:
     return out
 
 
-def _bisect_threshold(curve, e_max: float, lo: float, hi: float) -> float:
-    """Geometric bisection for the smallest SINR in (lo, hi] meeting e_max."""
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if curve(_to_db(mid)) <= e_max:
+def _crossing(curve, e_max: float, guess_db: float) -> float:
+    """The smallest positive float x with curve(_to_db(x)) <= e_max, or +inf;
+    the caller has checked that x <= 0 misses the ceiling.
+
+    Positive floats are ordered as their bit patterns, so the search runs on
+    integers: from the float nearest 10^(guess_db / 10) it gallops 1, 2, 4
+    ... floats toward the crossing until the curve changes side, then
+    bisects: two evaluations when the guess is the crossing float, and under
+    130 wherever it lies.
+    """
+    def meets(bits: int) -> bool:
+        return curve(_to_db(np.int64(bits).view(np.float64))) <= e_max
+
+    # 0.0 misses; +inf stands for "no finite float meets it"
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    # 10.0 ** 308.3 overflows; a guess of 0.0 or 1e308 only starts the search
+    x = int(np.float64(10.0 ** (min(guess_db, 3080.0) / 10.0)).view(np.int64))
+    step = 1
+    while lo < x < hi:
+        if meets(x):
+            hi, x = x, x - step
+        else:
+            lo, x = x, x + step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return float(np.int64(hi).view(np.float64))
 
 
 def max_goodput_array(snr_linear, table: McsTable):
@@ -231,15 +235,16 @@ def max_goodput_array(snr_linear, table: McsTable):
 
     Points are grouped by their band of `table.selection_groups`, and only
     the band's candidates are evaluated there, in table order with the BLER
-    check kept.  The result equals a scan over every entry bit for bit; a
-    table without exact thresholds has one band holding every entry, and is
-    scanned in full.  Memory is a few arrays the size of the input.
+    check kept.  The result equals a scan over every entry bit for bit at
+    every finite SINR.  Memory is a few arrays the size of the input.
     """
     eta = np.asarray(snr_linear, dtype=float)
     x = eta.ravel()
     edges, candidates = table.selection_groups
-    band = np.zeros(x.shape, np.min_scalar_type(edges.size))
-    for edge in edges:
+    # a zero threshold counts at every x, negative ones included
+    zeros = int(np.count_nonzero(edges == 0.0))
+    band = np.full(x.shape, zeros, np.min_scalar_type(edges.size))
+    for edge in edges[zeros:]:
         band += x >= edge
     # a stable sort of small unsigned codes is a radix sort; it makes each
     # band one contiguous slice, and `order` scatters the results back
@@ -380,8 +385,7 @@ def _expected_goodputs(ages: np.ndarray, params: LinkParams, table: McsTable,
     not depend on which other ages are tabulated with it.
     """
     scale = sinr_gain(ages, params) * pilot_second_moment(params)
-    thresholds = table.feasibility_thresholds
-    thresholds = np.sort(thresholds[np.isfinite(thresholds)])
+    thresholds, _ = table.selection_groups  # the finite ones, ascending
     values = np.zeros(ages.size)
     if thresholds.size == 0:
         return values

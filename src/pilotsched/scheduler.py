@@ -27,14 +27,13 @@ class HorizonExhaustedError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdSolution:
-    """Threshold beta, the age at which the index first hits it, and the period.
+    """Threshold beta and the pilot period, the age at which the index first hits it.
 
     beta equals the cycle average sum(r(1..period-1)) / period exactly, and is
     the optimal long-run average goodput.
     """
 
     beta: float
-    hitting_age: int
     period: int
 
 
@@ -117,7 +116,7 @@ def solve_threshold(curve: RewardCurve) -> ThresholdSolution:
         raise HorizonExhaustedError(
             f"horizon exhausted: the optimal pilot period exceeds the {len(curve)} "
             "tabulated ages")
-    return ThresholdSolution(beta=beta, hitting_age=h, period=h)
+    return ThresholdSolution(beta=beta, period=h)
 
 
 def brute_force_optimal_period(curve: RewardCurve, p_max: int) -> tuple:

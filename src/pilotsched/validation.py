@@ -14,9 +14,8 @@ import numpy as np
 
 from .channel import (LinkParams, autocorrelation, empirical_autocorrelation,
                       generate_fading_trace)
-from .estimation import error_variance, mmse_gain, pilot_second_moment, sinr_gain
-from .link_adaptation import (McsTable, QuadratureConfig, RewardCurve,
-                              build_reward_curve, expected_goodput, max_goodput_array)
+from .estimation import mmse_gain, pilot_second_moment, sinr_gain
+from .link_adaptation import McsTable, RewardCurve, expected_goodput, max_goodput_array
 from .scheduler import (HorizonExhaustedError, ThresholdSolution,
                         brute_force_optimal_period, policy_iteration, solve_threshold)
 

@@ -263,7 +263,7 @@ def solve_threshold_bisection(curve: RewardCurve, tol: float,
     vals = curve.values
     cs = curve.cumulative
     if not np.any(vals > 0):
-        return ThresholdSolution(beta=0.0, hitting_age=1, period=1)
+        return ThresholdSolution(beta=0.0, period=1)
     gamma = index_gamma(curve)
 
     lo, hi = 0.0, float(vals.max())
@@ -295,7 +295,7 @@ def solve_threshold_bisection(curve: RewardCurve, tol: float,
         beta = float(cs[h - 1]) / h
         h_next = hitting_age(beta, gamma)
         if h_next == h:
-            return ThresholdSolution(beta=beta, hitting_age=h, period=h)
+            return ThresholdSolution(beta=beta, period=h)
         h = h_next
     raise ConvergenceError("threshold fixed point failed to stabilize after snapping")
 

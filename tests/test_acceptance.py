@@ -13,7 +13,7 @@ import pytest
 from pilotsched import (EXPECTED, REALIZED, LinkParams, MobilityParams,
                         MPH_TO_MPS, RewardCurve, build_reward_curve,
                         default_mcs_table, doppler_frequency, expected_goodput,
-                        run_policy, solve_threshold)
+                        hitting_age, index_gamma, run_policy, solve_threshold)
 from pilotsched.config import ExperimentConfig
 from pilotsched.validation import (check_autocorrelation_fidelity,
                                    check_orthogonality, mc_expected_goodput,
@@ -61,13 +61,13 @@ def test_criterion_2_hand_checkable_fixed_point():
     """r = (1,1,1,0,...) yields beta 3/4, period 4, hitting age 4 exactly."""
     curve = RewardCurve(values=np.concatenate([np.ones(3), np.zeros(197)]))
     sol = solve_threshold(curve)
-    ok = (abs(sol.beta - 0.75) <= 1e-12 and sol.period == 4
-          and sol.hitting_age == 4)
+    hit = hitting_age(sol.beta, index_gamma(curve))
+    ok = abs(sol.beta - 0.75) <= 1e-12 and sol.period == 4 and hit == 4
     report(2, ok, f"beta {sol.beta!r} (want 0.75 +- 1e-12), period {sol.period}, "
-                  f"hitting age {sol.hitting_age}")
+                  f"hitting age {hit}")
     assert abs(sol.beta - 0.75) <= 1e-12
     assert sol.period == 4
-    assert sol.hitting_age == 4
+    assert hit == 4
 
 
 def test_criterion_3_goodput_non_monotonicity(reference_point):

@@ -1,7 +1,6 @@
 import csv
 import importlib.util
 import json
-import math
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -110,6 +109,9 @@ class TestConfig:
          "huge_field.csv row 2: cannot parse reward curve (field larger than field limit"),
         ({"bler_table": "{tmp}/huge_field.csv"}, ["goodput-curve"],
          "huge_field.csv row 2: cannot parse BLER table (field larger than field limit"),
+        ({"speed": 0}, ["validate"], "as on a static channel (speed 0)"),
+        ({"delta_max": 5, "speed": 0.15}, ["validate"],
+         "no pilot period found within the 5 tabulated ages (delta_max)"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, overrides, argv, named):
         # {tmp} is the test's directory, which holds a subdirectory a_dir, two
@@ -554,16 +556,14 @@ class TestValidateCommand:
             (out2 / "validate.json").read_bytes()
 
     def test_corrupted_bler_table_names_cqi(self, tmp_path, capsys):
+        # a config fault exits 2 before any check runs, as in every command
         bad = tmp_path / "bad_bler.csv"
         bad.write_text("cqi,snr_db,bler\n4,0.0,0.5\n4,5.0,0.9\n")
         cfg = write_config(tmp_path, bler_table=str(bad))
         out = tmp_path / "out"
-        code = main(["validate", "--config", str(cfg), "--out", str(out)])
-        assert code == 1
-        report = json.loads((out / "validate.json").read_text())
-        assert report["all_passed"] is False
-        assert any("cqi 4" in c["detail"] for c in report["checks"])
-        assert "FAIL" in capsys.readouterr().out
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cqi 4" in capsys.readouterr().err
+        assert not (out / "validate.json").exists()
 
 
 def load_cli_outputs():

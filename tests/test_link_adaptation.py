@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import bisect_thresholds, max_goodput_matrix, reward_curve_panels
 from pilotsched import (LinkParams, LogisticBlerCurve, McsEntry, McsTable,
-                        QuadratureConfig, RewardCurve, TabulatedBlerCurve,
+                        QuadratureConfig, TabulatedBlerCurve,
                         autocorrelation, build_reward_curve, default_mcs_table,
                         expected_goodput, link_adaptation, load_bler_table,
                         load_mcs_rates, max_goodput_array)
@@ -17,6 +17,17 @@ from pilotsched.validation import mc_expected_goodput
 def single_entry_table(rate: float, curve, e_max: float = 0.1) -> McsTable:
     return McsTable(entries=[McsEntry(index=1, rate=rate, bler_curve=curve)],
                     e_max=e_max)
+
+
+def flat_curve(bler: float) -> TabulatedBlerCurve:
+    """BLER `bler` at every SINR: a one-point table."""
+    return TabulatedBlerCurve(np.array([0.0]), np.array([bler]))
+
+
+def step_curve(step_db: float) -> TabulatedBlerCurve:
+    """BLER 0.5 below step_db and 0 from it on: two adjacent-float knots."""
+    return TabulatedBlerCurve(np.array([math.nextafter(step_db, -math.inf), step_db]),
+                              np.array([0.5, 0.0]))
 
 
 def tabulated_default_table(tmp_path) -> McsTable:
@@ -54,7 +65,7 @@ def probe_points(table, rng) -> np.ndarray:
     t = table.feasibility_thresholds
     t = t[np.isfinite(t) & (t > 0)]
     return np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
-                           [0.0, -1.0, 1e-300, 1e-19, 1e300],
+                           [0.0, -1.0, 5e-324, 1e-300, 1e-19, 1e300],
                            rng.lognormal(0.0, 5.0, 500)])
 
 
@@ -121,8 +132,8 @@ class TestMaxGoodput:
     def test_constraint_excludes_high_rate(self):
         # (R=1, bler 0) and (R=4, bler 0.5): the 4*0.5=2 entry is infeasible
         table = McsTable(entries=[
-            McsEntry(index=1, rate=1.0, bler_curve=lambda snr_db: 0.0),
-            McsEntry(index=2, rate=4.0, bler_curve=lambda snr_db: 0.5),
+            McsEntry(index=1, rate=1.0, bler_curve=flat_curve(0.0)),
+            McsEntry(index=2, rate=4.0, bler_curve=flat_curve(0.5)),
         ], e_max=0.1)
         goodput, chosen, _ = max_goodput_array(5.0, table)
         assert goodput == 1.0
@@ -165,47 +176,50 @@ class TestMaxGoodputArray:
             McsEntry(index=2, rate=2.0, bler_curve=LogisticBlerCurve(1.5, 0.0)),
         ], e_max=0.5)
         assert table.feasibility_thresholds[1] == 1.0
-        assert table.exact_thresholds.all()
         assert_matches_full_scan(np.array([1.0, 0.5, 2.0]), table)
         goodput, chosen, _ = max_goodput_array(1.0, table)
         assert goodput == 1.0 and chosen == 0
 
-    def test_probe_clamped_thresholds_are_not_exact(self):
-        # both thresholds clamp to 0 at the 1e-18 probe; at 1e-19 (-190 dB)
-        # only entry 0 meets the ceiling, so 0 must stay a candidate there
+    def test_far_left_thresholds_are_exact(self):
+        # thresholds near -298.5 and -183.5 dB: at 1e-19 (-190 dB) only
+        # entry 0 meets the ceiling, so it must be a candidate there
         table = McsTable(entries=[
             McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -300.0)),
             McsEntry(index=2, rate=2.0, bler_curve=LogisticBlerCurve(1.5, -185.0)),
         ])
-        assert np.array_equal(table.feasibility_thresholds, [0.0, 0.0])
-        assert not table.exact_thresholds.any()
+        t = table.feasibility_thresholds
+        assert 0.0 < t[0] < 1e-29 and 1e-19 < t[1] < 1e-18
         goodput, chosen, _ = max_goodput_array(1e-19, table)
         assert chosen == 0 and goodput == 1.0
         assert_matches_full_scan(np.geomspace(1e-25, 1e5, 301), table)
 
-    def test_exact_and_bare_callable_entries_mixed(self, rng):
+    def test_logistic_and_tabulated_entries_mixed(self, rng):
+        # the constant entry is feasible everywhere, so its zero threshold
+        # puts every SINR, negative ones included, in band 1 or above
         step_db = 10.0 * math.log10(7.0)
         table = McsTable(entries=[
             McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -2.0)),
-            McsEntry(index=2, rate=1.05,
-                     bler_curve=lambda snr_db: np.where(snr_db < step_db, 0.5, 0.0)),
+            McsEntry(index=2, rate=1.05, bler_curve=step_curve(step_db)),
             McsEntry(index=3, rate=1.1, bler_curve=LogisticBlerCurve(0.9, 6.0)),
-            McsEntry(index=4, rate=3.0, bler_curve=lambda snr_db: 0.02),
+            McsEntry(index=4, rate=3.0, bler_curve=flat_curve(0.02)),
             McsEntry(index=5, rate=4.0, bler_curve=LogisticBlerCurve(1.5, 15.0)),
         ])
-        assert list(table.exact_thresholds) == [True, False, True, False, True]
+        assert table.feasibility_thresholds[3] == 0.0
         assert_matches_full_scan(probe_points(table, rng), table)
+        goodput, chosen, _ = max_goodput_array(-1.0, table)
+        assert chosen == 3 and goodput == 3.0 * (1.0 - 0.02)
 
-    def test_loaded_bler_table_scanned_in_full(self, tmp_path, rng):
+    def test_loaded_bler_table_matches_full_scan(self, tmp_path, rng):
         table = tabulated_default_table(tmp_path)
-        assert not table.exact_thresholds.any()
+        edges, _ = table.selection_groups
+        assert edges.size == len(table.entries)  # every entry bounds a band
         assert_matches_full_scan(probe_points(table, rng), table)
 
     def test_scalar_bler_callables_broadcast_and_ties_go_first(self):
         # goodput 1 * (1 - 0) == 2 * (1 - 0.5): the first entry wins the tie
         table = McsTable(entries=[
-            McsEntry(index=1, rate=1.0, bler_curve=lambda snr_db: 0.0),
-            McsEntry(index=2, rate=2.0, bler_curve=lambda snr_db: 0.5),
+            McsEntry(index=1, rate=1.0, bler_curve=flat_curve(0.0)),
+            McsEntry(index=2, rate=2.0, bler_curve=flat_curve(0.5)),
         ], e_max=0.6)
         eta = np.linspace(0.0, 10.0, 12).reshape(3, 4)
         for got, want in zip(max_goodput_array(eta, table), max_goodput_matrix(eta, table)):
@@ -225,15 +239,15 @@ class TestFeasibilityThresholds:
         assert np.array_equal(table.feasibility_thresholds, bisect_thresholds(table))
 
     def test_out_of_range_and_bare_callables(self):
-        # never feasible below 1e18 -> inf; feasible already at 1e-18 -> 0;
-        # a callable without a threshold method is bisected
+        # feasible at every SINR -> 0; feasible at no finite SINR (the
+        # crossing lies past the largest float, 3,082.5 dB) -> inf; a step
+        # at 7.0, once a bare callable, is a two-knot table
         step_db = 10.0 * math.log10(7.0)
         table = McsTable(entries=[
-            McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, -500.0)),
-            McsEntry(index=2, rate=2.0,
-                     bler_curve=lambda snr_db: 0.5 if snr_db < step_db else 0.0),
+            McsEntry(index=1, rate=1.0, bler_curve=flat_curve(0.0)),
+            McsEntry(index=2, rate=2.0, bler_curve=step_curve(step_db)),
             McsEntry(index=3, rate=3.0, bler_curve=LogisticBlerCurve(0.7, 12.3)),
-            McsEntry(index=4, rate=4.0, bler_curve=LogisticBlerCurve(1.5, 500.0)),
+            McsEntry(index=4, rate=4.0, bler_curve=LogisticBlerCurve(1.5, 5000.0)),
         ])
         thresholds = table.feasibility_thresholds
         assert thresholds[0] == 0.0 and thresholds[3] == np.inf
@@ -256,21 +270,81 @@ class TestFeasibilityThresholds:
         below = math.nextafter(x, 0.0)
         assert curve(10.0 * np.log10(x)) <= 0.1 < curve(10.0 * np.log10(below))
 
+    @pytest.mark.parametrize("midpoint_db,want", [
+        (-5000.0, 5e-324), (-3000.0, None), (-300.0, None), (300.0, None),
+        (3000.0, None), (3080.0, None), (3083.0, math.inf), (5000.0, math.inf)])
+    def test_extreme_logistic_midpoints(self, midpoint_db, want):
+        # the closed form starts past the float range, or at 10^308 for a
+        # crossing at 1.4e308, and the search still ends within 130 calls
+        calls = []
+
+        class Counted(LogisticBlerCurve):
+            def __call__(self, snr_db):
+                calls.append(snr_db)
+                return super().__call__(snr_db)
+
+        curve = Counted(1.5, midpoint_db)
+        t = curve.threshold(0.1)
+        assert len(calls) <= 130
+        if want is not None:
+            assert t == want
+        else:
+            assert_threshold_exact(curve, 0.1, t)
+
+
+def assert_threshold_exact(curve, e_max, t):
+    """x >= t (any x when t is 0) exactly when curve(_to_db(x)) <= e_max, for
+    every float within 2^12 ULPs of t and at a few extreme SINRs."""
+    x = np.array([-1.0, 0.0, 5e-324, 1e-300, 1e300])
+    if 0.0 < t < math.inf:
+        near = (np.float64(t).view(np.int64) + np.arange(-2 ** 12, 2 ** 12 + 1)).view(np.float64)
+        x = np.concatenate([x, near[np.isfinite(near)]])
+    assert np.array_equal((x >= t) | (t == 0.0), curve(link_adaptation._to_db(x)) <= e_max)
+
+
+@st.composite
+def tabulated_tables(draw):
+    """1-4 random nonincreasing tables: single-point grids, flat runs, and
+    knots at exactly e_max, with BLER levels far apart in ULPs."""
+    e_max = draw(st.sampled_from([0.3, 0.1, 0.01, 1e-3]))
+    levels = st.sampled_from([1.0, 0.9, 0.5, 0.3, 0.1, 0.05, 0.01, 2e-3, 1e-3, 1e-4, 0.0, e_max])
+    entries = []
+    for cqi in range(1, draw(st.integers(1, 4)) + 1):
+        n = draw(st.integers(1, 6))
+        steps = draw(st.lists(st.floats(0.01, 30.0), min_size=n - 1, max_size=n - 1))
+        grid = draw(st.floats(-200.0, 200.0)) + np.cumsum([0.0] + steps)
+        bler = sorted(draw(st.lists(levels, min_size=n, max_size=n)), reverse=True)
+        entries.append(McsEntry(index=cqi, rate=float(cqi),
+                                bler_curve=TabulatedBlerCurve(grid, np.array(bler))))
+    return McsTable(entries=entries, e_max=e_max)
+
+
+@given(tabulated_tables())
+@settings(max_examples=150, deadline=None)
+def test_tabulated_thresholds_exact_and_selection_matches_full_scan(table):
+    for entry, t in zip(table.entries, table.feasibility_thresholds):
+        assert_threshold_exact(entry.bler_curve, table.e_max, t)
+    assert_matches_full_scan(probe_points(table, np.random.default_rng(0)), table)
+
 
 class TestMcsTableValidation:
     def test_non_increasing_rates_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             McsTable(entries=[
-                McsEntry(index=1, rate=2.0, bler_curve=lambda snr_db: 0.5),
-                McsEntry(index=2, rate=1.0, bler_curve=lambda snr_db: 0.5),
+                McsEntry(index=1, rate=2.0, bler_curve=flat_curve(0.5)),
+                McsEntry(index=2, rate=1.0, bler_curve=flat_curve(0.5)),
             ])
 
     def test_bad_e_max_rejected(self):
-        entry = McsEntry(index=1, rate=1.0, bler_curve=lambda snr_db: 0.5)
+        entry = McsEntry(index=1, rate=1.0, bler_curve=flat_curve(0.5))
         with pytest.raises(ValueError):
             McsTable(entries=[entry], e_max=0.0)
         with pytest.raises(ValueError):
             McsTable(entries=[entry], e_max=1.0)
+
+    def test_curve_without_threshold_rejected(self):
+        with pytest.raises(ValueError, match="cqi 3: the BLER curve has no threshold"):
+            McsEntry(index=3, rate=1.0, bler_curve=lambda snr_db: 0.0)
 
     def test_default_table_shape(self, default_table):
         assert len(default_table.entries) == 15
@@ -288,7 +362,7 @@ class TestExpectedGoodput:
 
     def test_always_feasible_single_entry(self, reference_params):
         # bler 0 at every SINR: r(age) = R for any age with rho != 0
-        table = single_entry_table(3.0, lambda snr_db: np.zeros_like(snr_db))
+        table = single_entry_table(3.0, flat_curve(0.0))
         val = expected_goodput(1, reference_params, table)
         assert val == pytest.approx(3.0, rel=1e-12)
 

@@ -33,13 +33,13 @@ BISECTION = functools.partial(solve_threshold_bisection, tol=1e-13)
 
 
 def outcome(solve, curve) -> tuple:
-    """('solved', beta, hitting age), or ('unsolved',) when the optimal period
+    """('solved', beta, period), or ('unsolved',) when the optimal period
     does not fit the curve, which the bisection reports as a ConvergenceError."""
     try:
         sol = solve(curve)
     except (HorizonExhaustedError, ConvergenceError):
         return ("unsolved",)
-    return ("solved", sol.beta, sol.hitting_age)
+    return ("solved", sol.beta, sol.period)
 
 
 def physical_curve(**overrides) -> RewardCurve:
@@ -138,7 +138,7 @@ class TestSolveThreshold:
         sol = solve_threshold(HAND_CURVE)
         assert sol.beta == 0.75
         assert sol.period == 4
-        assert sol.hitting_age == 4
+        assert hitting_age(sol.beta, index_gamma(HAND_CURVE)) == 4
 
     def test_all_zero_curve(self):
         sol = solve_threshold(curve_of(*[0.0] * 20))
@@ -162,8 +162,8 @@ class TestSolveThreshold:
             c = RewardCurve(values=values)
             sol = solve_threshold(c)
             gamma = index_gamma(c)
-            assert np.all(gamma[:sol.hitting_age - 1] > sol.beta)
-            assert gamma[sol.hitting_age - 1] <= sol.beta
+            assert np.all(gamma[:sol.period - 1] > sol.beta)
+            assert gamma[sol.period - 1] <= sol.beta
 
     def test_scaling_covariance(self, rng):
         values = np.concatenate([rng.uniform(0, 3, size=10), np.zeros(40)])
@@ -194,13 +194,13 @@ class TestSolveThreshold:
     def test_one_and_two_age_curves(self, values, beta, period):
         # r = (2, 0): gamma = (2, 0), so b = 0 hits at age 2 and b = 1 stays there
         sol = solve_threshold(curve_of(*values))
-        assert (sol.beta, sol.hitting_age, sol.period) == (beta, period, period)
+        assert (sol.beta, sol.period) == (beta, period)
 
     def test_tie_set_takes_the_smaller_hitting_age(self):
         # periods 2 and 4 both average 1/2; the first step hits at age 4, the
         # second at age 2 with b unchanged, and the third confirms age 2
         sol = solve_threshold(curve_of(1.0, 0.0, 1.0, pad=20))
-        assert (sol.beta, sol.hitting_age) == (0.5, 2)
+        assert (sol.beta, sol.period) == (0.5, 2)
         assert brute_force_optimal_period(curve_of(1.0, 0.0, 1.0, pad=20), 24) == (2, 0.5)
 
     @pytest.mark.parametrize("values", [[1.0], [1.0] * 30, list(range(1, 11))])
@@ -389,7 +389,7 @@ class TestDecide:
 
     def test_hitting_age_is_pilot(self):
         sol = solve_threshold(HAND_CURVE)
-        assert index_gamma(HAND_CURVE)[sol.hitting_age - 1] <= sol.beta
+        assert index_gamma(HAND_CURVE)[sol.period - 1] <= sol.beta
 
     def test_fresh_age_is_data(self):
         sol = solve_threshold(HAND_CURVE)

@@ -1,4 +1,4 @@
-"""Write the outputs of every CLI command at three operating points, or compare two runs.
+"""Write the outputs of every CLI command at four operating points, or compare two runs.
 
     python tools/cli_outputs.py OUTDIR
     python tools/cli_outputs.py --compare A B
@@ -8,11 +8,16 @@ config, at 20 dB / 0.15 mph and at 0.005 mph, whose optimal period of 247
 slots over the default 600 ages makes `solve` and `validate` exercise a
 long-period oracle run: `goodput-curve`, `solve`, `sweep-snr` and
 `sweep-mobility` in both modes, `simulate` with `threshold` and
-`periodic:2` in both modes, and `validate`.  That is 33 commands, one directory per point and command,
-plus `exit_codes.txt`; all 33 exit 0 and write one output file each, so
-there are 33 output files.  Run it in two checkouts and compare them with
-`--compare A B` (or `diff -r`): it lists every file under either directory
-as identical or changed, and for a changed file the largest relative
+`periodic:2` in both modes, and `validate`.  A fourth point,
+`tabulated-bler`, reads the default logistic curves sampled every 2 dB
+from a measured-style BLER table (`tabulated-bler/bler.csv`, written
+first) and runs `goodput-curve`, `solve` and the four `simulate`
+commands.  That is 39 commands, one directory per point and command, run
+from OUTDIR so that every config names its files relatively, plus
+`exit_codes.txt`; all 39 exit 0 and write one output file each, so there
+are 39 output files besides the configs and the BLER table.  Run it in two
+checkouts and compare them with `--compare A B` (or `diff -r`): it lists
+every file under either directory as identical or changed, and for a changed file the largest relative
 change among its numbers and how many of them moved.  It exits 1 when any
 file differs.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
 points, so a run takes several minutes.  Each command's wall time goes to
@@ -23,6 +28,7 @@ command after which it rises is the one that raised the memory peak.
 
 import argparse
 import json
+import os
 import re
 import resource
 import sys
@@ -30,38 +36,58 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from pilotsched import default_mcs_table  # noqa: E402
 from pilotsched.cli import main  # noqa: E402
 
+TABULATED = "tabulated-bler"
 POINTS = {"default": None, "20dB-0.15mph": {"snr_db": 20.0, "speed": 0.15},
-          "0.005mph": {"speed": 0.005}}
+          "0.005mph": {"speed": 0.005}, TABULATED: {"bler_table": f"{TABULATED}/bler.csv"}}
+SIMULATE = [["simulate", "--mode", mode, "--policy", policy]
+            for policy in ("threshold", "periodic:2") for mode in ("expected", "realized")]
 COMMANDS = [["goodput-curve"], ["solve"]]
 COMMANDS += [[sweep, "--mode", mode] for sweep in ("sweep-snr", "sweep-mobility")
              for mode in ("expected", "realized")]
-COMMANDS += [["simulate", "--mode", mode, "--policy", policy]
-             for policy in ("threshold", "periodic:2") for mode in ("expected", "realized")]
-COMMANDS += [["validate"]]
+COMMANDS += SIMULATE + [["validate"]]
+TABULATED_COMMANDS = [["goodput-curve"], ["solve"]] + SIMULATE
+
+
+def write_tabulated_bler(path: Path) -> None:
+    """The default logistic BLER curves sampled every 2 dB from -30 to 40 dB."""
+    rows = ["cqi,snr_db,bler"]
+    for entry in default_mcs_table().entries:
+        for snr_db in range(-30, 42, 2):
+            rows.append(f"{entry.index},{snr_db!r},{float(entry.bler_curve(snr_db))!r}")
+    path.write_text("\n".join(rows) + "\n")
 
 
 def write_outputs(out_dir: Path) -> None:
-    codes = []
-    for point, overrides in POINTS.items():
-        point_dir = out_dir / point
-        point_dir.mkdir(parents=True, exist_ok=True)
-        config = []
-        if overrides is not None:
-            path = point_dir / "config.json"
-            path.write_text(json.dumps(overrides, sort_keys=True) + "\n")
-            config = ["--config", str(path)]
-        for command in COMMANDS:
-            name = "_".join(w.replace(":", "") for w in command if not w.startswith("--"))
-            start = time.perf_counter()
-            code = main(command + config + ["--out", str(point_dir / name)])
-            elapsed = time.perf_counter() - start
-            codes.append(f"{point} {' '.join(command)} {code}\n")
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-            print(f"{point} {' '.join(command)}: {elapsed:.2f} s, peak RSS {peak_mb:.1f} MB",
-                  file=sys.stderr)
-    (out_dir / "exit_codes.txt").write_text("".join(codes))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        codes = []
+        for point, overrides in POINTS.items():
+            point_dir = Path(point)
+            point_dir.mkdir(exist_ok=True)
+            config = []
+            if overrides is not None:
+                path = point_dir / "config.json"
+                path.write_text(json.dumps(overrides, sort_keys=True) + "\n")
+                config = ["--config", str(path)]
+            if point == TABULATED:
+                write_tabulated_bler(point_dir / "bler.csv")
+            for command in TABULATED_COMMANDS if point == TABULATED else COMMANDS:
+                name = "_".join(w.replace(":", "") for w in command if not w.startswith("--"))
+                start = time.perf_counter()
+                code = main(command + config + ["--out", str(point_dir / name)])
+                elapsed = time.perf_counter() - start
+                codes.append(f"{point} {' '.join(command)} {code}\n")
+                peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB
+                print(f"{point} {' '.join(command)}: {elapsed:.2f} s, "
+                      f"peak RSS {peak_mb:.1f} MB", file=sys.stderr)
+        Path("exit_codes.txt").write_text("".join(codes))
+    finally:
+        os.chdir(cwd)
 
 
 # a decimal number as the CSV and JSON writers print it (repr of a float, or an
