@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -139,6 +140,9 @@ def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float
 def _fan_out(cfg: ExperimentConfig, axis: str, grid, mode: str, workers: int) -> list:
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"--workers must be at most the {cpus} CPUs, got {workers}")
     points = sorted(grid)
     table = build_table(cfg)
     # a fork-started pool starts all of its processes up front

@@ -44,7 +44,7 @@ import numpy as np
 from .channel import LinkParams, generate_fading_trace
 from .estimation import sinr_gain
 from .link_adaptation import (MAX_TABULATED_AGES, McsTable, QuadratureConfig, RewardCurve,
-                              _expected_goodputs, max_goodput_array)
+                              _expected_goodputs, _select_blocks)
 
 EXPECTED = "expected"
 REALIZED = "realized"
@@ -93,10 +93,7 @@ def _realized_rewards(eta: np.ndarray, uniforms: np.ndarray, table: McsTable) ->
     """
     rewards = np.empty(eta.size)
     rate_of = np.array([e.rate for e in table.entries])
-    chunk = 1 << 20
-    for start in range(0, eta.size, chunk):
-        sl = slice(start, min(start + chunk, eta.size))
-        _, chosen, chosen_bler = max_goodput_array(eta[sl], table)
+    for sl, (_, chosen, chosen_bler) in _select_blocks(eta, table):
         success = (chosen >= 0) & (uniforms[sl] < 1.0 - chosen_bler)
         rewards[sl] = np.where(success, rate_of[np.maximum(chosen, 0)], 0.0)
     return rewards

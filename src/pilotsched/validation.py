@@ -100,7 +100,9 @@ def mc_expected_goodput(age: int, params: LinkParams, table: McsTable,
     """Monte Carlo oracle for the age-conditional expected goodput.
 
     Draws |y|^2 exponentially and averages the feasible-MCS maximum; returns
-    (mean, standard_error).  Chunked to bound memory.
+    (mean, standard_error).  Draws come in chunks of 10^6 to bound memory;
+    the chunk size also fixes how the sums are grouped, so it stays put,
+    while `max_goodput_array` cuts each chunk into its own blocks.
     """
     rng = np.random.default_rng(seed)
     gain = sinr_gain(age, params)

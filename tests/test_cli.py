@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import os
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -443,17 +444,35 @@ class TestSweepCommands:
                 return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = write_config(tmp_path)
         serial, pooled = tmp_path / "a", tmp_path / "b"
         main(["sweep-snr", "--config", str(cfg), "--out", str(serial)])
         assert main(["sweep-snr", "--config", str(cfg), "--out", str(pooled),
-                     "--workers", "1000000"]) == 0
+                     "--workers", "64"]) == 0
         assert sizes == [2]
         assert (serial / "sweep_snr.csv").read_bytes() == (pooled / "sweep_snr.csv").read_bytes()
         one_point = write_config(tmp_path, name="one.json", speed_grid_mph=[10.0])
         assert main(["sweep-mobility", "--config", str(one_point), "--out", str(pooled),
                      "--workers", "8"]) == 0
         assert sizes == [2]
+
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-mobility"])
+    def test_workers_above_the_cpu_count_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        # the stand-in fails if a pool is built, so no process is ever started
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        cfg = write_config(tmp_path)
+        cpus = os.cpu_count() or 1
+        for workers in (cpus + 1, 5_000, 10 ** 9):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--workers", str(workers)]) == 2
+            err = capsys.readouterr().err
+            assert f"--workers must be at most the {cpus} CPUs, got {workers}" in err
+        assert not (tmp_path / "out" / f"{command.replace('-', '_')}.csv").exists()
 
     def test_one_mcs_table_per_sweep(self, tmp_path, monkeypatch):
         built = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,11 +62,11 @@ def random_logistic_table(rng) -> McsTable:
 
 def probe_points(table, rng) -> np.ndarray:
     """Every feasibility threshold and its float neighbours, the extremes,
-    and a log-normal spread."""
+    +inf included, and a log-normal spread."""
     t = table.feasibility_thresholds
     t = t[np.isfinite(t) & (t > 0)]
     return np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
-                           [0.0, -1.0, 5e-324, 1e-300, 1e-19, 1e300],
+                           [0.0, -1.0, 5e-324, 1e-300, 1e-19, 1e300, np.inf],
                            rng.lognormal(0.0, 5.0, 500)])
 
 
@@ -226,6 +227,62 @@ class TestMaxGoodputArray:
             assert got.shape == (3, 4)
             assert np.array_equal(got, want)
         assert np.all(max_goodput_array(eta, table)[1] == 0)
+
+    def test_infinite_sinr_scans_every_entry(self):
+        # a 5000 dB midpoint is out of the floats' reach, so entry 1's
+        # threshold is +inf, yet the logistic meets the ceiling at +inf dB
+        table = McsTable(entries=[
+            McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, 0.0)),
+            McsEntry(index=2, rate=2.0, bler_curve=LogisticBlerCurve(1.5, 5000.0)),
+        ])
+        assert table.feasibility_thresholds[1] == math.inf
+        goodput, chosen, _ = max_goodput_array(math.inf, table)
+        assert goodput == 2.0 and chosen == 1
+        assert_matches_full_scan(np.array([1e300, np.inf, 1.0, np.inf]), table)
+
+    def test_infinite_sinr_keeps_the_bler_check(self):
+        # a tabulated curve above the ceiling at its last point (threshold
+        # +inf) stays infeasible at +inf
+        table = McsTable(entries=[
+            McsEntry(index=1, rate=1.0, bler_curve=LogisticBlerCurve(1.5, 0.0)),
+            McsEntry(index=2, rate=2.0, bler_curve=flat_curve(0.5)),
+        ])
+        assert table.feasibility_thresholds[1] == math.inf
+        goodput, chosen, _ = max_goodput_array(math.inf, table)
+        assert goodput == 1.0 and chosen == 0
+        assert_matches_full_scan(np.array([1e300, np.inf, 1.0, np.inf]), table)
+
+
+class TestSelectionBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 4096, 62_500, 83_333, 1_000_000])
+    def test_blocks_are_near_equal_and_cover_the_input(self, n):
+        blocks = link_adaptation._blocks(n)
+        lengths = [sl.stop - sl.start for sl in blocks]
+        assert len(blocks) == -(-n // link_adaptation._BLOCK_POINTS)
+        assert [sl.start for sl in blocks] == np.cumsum([0, *lengths])[:-1].tolist()
+        assert sum(lengths) == n
+        if n:
+            assert max(lengths) <= link_adaptation._BLOCK_POINTS
+            assert max(lengths) - min(lengths) <= 1
+
+    def test_blocks_count_items_of_many_points(self):
+        blocks = link_adaptation._blocks(5_000, 64)
+        assert max(sl.stop - sl.start for sl in blocks) * 64 <= link_adaptation._BLOCK_POINTS
+
+    @pytest.mark.parametrize("block", [1, 7, link_adaptation._BLOCK_POINTS])
+    def test_every_block_size_matches_the_full_scan(self, monkeypatch, tmp_path, rng, block):
+        # zero, negative and infinite SINRs and every threshold and its float
+        # neighbours, shuffled so each block mixes bands; at the default
+        # size the input spans three blocks
+        tables = [default_mcs_table(), tabulated_default_table(tmp_path)]
+        monkeypatch.setattr(link_adaptation, "_BLOCK_POINTS", block)
+        for table in tables:
+            probes = np.concatenate([probe_points(table, rng), -rng.lognormal(0.0, 5.0, 50)])
+            spread = rng.lognormal(0.0, 5.0, max(0, 2 * block + 5 - probes.size))
+            eta = np.concatenate([probes, spread])
+            rng.shuffle(eta)
+            assert_matches_full_scan(eta, table)
+            assert_matches_full_scan(eta[:6].reshape(2, 3), table)
 
 
 class TestFeasibilityThresholds:
@@ -470,10 +527,23 @@ class TestBatchedQuadrature:
         for age in (1, 17, 600):
             assert expected_goodput(age, reference_params, default_table) == full[age - 1]
 
+    def test_curve_peak_memory(self, default_table):
+        # a 600-age curve at the low-speed curve-solve point: one selection
+        # block of panel x node points and its working arrays at a time
+        params = ExperimentConfig(snr_db=20.0, speed=0.155).link_params()
+        build_reward_curve(params, default_table, 600)  # warm caches
+        tracemalloc.start()
+        try:
+            build_reward_curve(params, default_table, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+
     def test_age_value_independent_of_chunking(self, monkeypatch, reference_params,
                                                default_table):
         want = build_reward_curve(reference_params, default_table, 300).values
-        monkeypatch.setattr(link_adaptation, "_CHUNK_POINTS", 3 * 64 + 5)
+        monkeypatch.setattr(link_adaptation, "_BLOCK_POINTS", 3 * 64 + 5)
         monkeypatch.setattr(link_adaptation, "_AGE_BLOCK", 7)
         got = build_reward_curve(reference_params, default_table, 300).values
         assert np.array_equal(got, want)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from oracles import orthogonality_metrics
 from pilotsched import ExperimentConfig, LinkParams, build_reward_curve, default_mcs_table
-from pilotsched.validation import check_orthogonality, check_scheduler_triangle, solve_curve
+from pilotsched.validation import (check_orthogonality, check_scheduler_triangle,
+                                  mc_expected_goodput, solve_curve)
 
 
 class TestCheckOrthogonality:
@@ -39,3 +42,19 @@ class TestSolveCurve:
         with pytest.raises(ValueError, match=r"static channel \(speed 0\)") as info:
             check_scheduler_triangle(curve, count=0)
         assert "delta_max" not in str(info.value)
+
+
+class TestMonteCarloOracle:
+    def test_peak_memory_at_a_million_samples(self):
+        # the draws, their SINRs and the three selection outputs are 40 MB;
+        # selection itself adds one block's working arrays
+        params = ExperimentConfig(snr_db=20.0, speed=15.0).link_params()
+        table = default_mcs_table()
+        mc_expected_goodput(5, params, table, 1_000, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            mc_expected_goodput(5, params, table, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 52e6
