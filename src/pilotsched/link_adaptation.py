@@ -8,8 +8,10 @@ composite Gauss-Legendre quadrature split at the MCS feasibility thresholds
 (the integrand jumps there, so plain Gauss rules would stall at low accuracy).
 All ages of a curve are integrated together.  MCS selection runs on
 cache-sized blocks of points (`_blocks`) in arrays reused from block to
-block (`_BlockSelector`), and the quadrature hands it its panel x node
-points one such block at a time.
+block (`_BlockSelector`).  The quadrature hands it its panel x node points
+one such block at a time and selects by panel, since a panel's nodes lie
+between two feasibility cuts and so share one band; it reduces each block
+with one numpy row sum per panel, not a BLAS dot product.
 """
 
 from __future__ import annotations
@@ -268,9 +270,11 @@ class _BlockSelector:
     Every array a block needs beyond its sort order and the BLER evaluations
     is allocated once, here, and reused by each call: the allocator hands
     freed block-sized arrays back to the system, so fresh ones would be
-    paged in again for every block.  With this reuse a 600-age curve at
-    20 dB and 0.155 mph takes about 3,500 page faults instead of 8,200, and
-    a fifth less time.
+    paged in again for every block.
+
+    Calling the selector selects at single points (`__call__`); the
+    quadrature selects by panel (`panel_goodputs`).  Both run the same band
+    candidate loop (`_select`) on runs of points sorted by band.
     """
 
     def __init__(self, table: McsTable, size: int):
@@ -287,14 +291,42 @@ class _BlockSelector:
         self.sorted = (np.empty(size), np.empty(size, np.int64), np.empty(size))
         self.out = (np.empty(size), np.empty(size, np.int64), np.empty(size))
 
+    def _bands(self, x: np.ndarray) -> np.ndarray:
+        """The band code of each of the 1-D points `x`, in the selector's array."""
+        band, hit = self.band[:x.size], self.hit[:x.size]
+        band.fill(self.zeros)
+        for cut in self.cuts:
+            band += np.greater_equal(x, cut, out=hit)
+        return band
+
+    def _select(self, snr_db: np.ndarray, counts, best: np.ndarray,
+                chosen: np.ndarray | None = None, chosen_bler: np.ndarray | None = None):
+        """The band candidate loop.  `snr_db` holds the points of band g in
+        its g-th run of counts[g] points; `best` (and `chosen`, `chosen_bler`
+        when given) are updated in place wherever a candidate, taken in table
+        order with the BLER check kept, beats the value held there."""
+        table = self.table
+        stop = 0
+        for members, count in zip(self.candidates, counts):
+            start, stop = stop, stop + count
+            if count == 0:
+                continue
+            db, b = snr_db[start:stop], best[start:stop]
+            for i in members:
+                entry = table.entries[i]
+                e = entry.bler_curve(db)
+                goodput = entry.rate * (1.0 - e)
+                better = (e <= table.e_max) & (goodput > b)
+                np.copyto(b, goodput, where=better)
+                if chosen is not None:
+                    np.copyto(chosen_bler[start:stop], e, where=better)
+                    np.copyto(chosen[start:stop], i, where=better)
+
     def __call__(self, x: np.ndarray) -> tuple:
         """(goodput, chosen_index, chosen_bler) at the 1-D points `x`, as
         views of the selector's own arrays that the next call overwrites."""
         n = x.size
-        band, hit = self.band[:n], self.hit[:n]
-        band.fill(self.zeros)
-        for cut in self.cuts:
-            band += np.greater_equal(x, cut, out=hit)
+        band = self._bands(x)
         # a stable sort of small unsigned codes is a radix sort; it makes each
         # band one contiguous slice, and `order` scatters the results back
         order = np.argsort(band, kind="stable")
@@ -304,27 +336,47 @@ class _BlockSelector:
         best.fill(-1.0)
         chosen.fill(-1)
         chosen_bler.fill(1.0)
-        table = self.table
-        stop = 0
-        for members, count in zip(self.candidates,
-                                  np.bincount(band, minlength=len(self.candidates))):
-            start, stop = stop, stop + count
-            if count == 0:
-                continue
-            db, b, c, cb = (a[start:stop] for a in (snr_db, best, chosen, chosen_bler))
-            for i in members:
-                entry = table.entries[i]
-                e = entry.bler_curve(db)
-                goodput = entry.rate * (1.0 - e)
-                better = (e <= table.e_max) & (goodput > b)
-                np.copyto(b, goodput, where=better)
-                np.copyto(cb, e, where=better)
-                np.copyto(c, i, where=better)
+        self._select(snr_db, np.bincount(band, minlength=len(self.candidates)),
+                     best, chosen, chosen_bler)
         best[chosen < 0] = 0.0
         out = tuple(a[:n] for a in self.out)
         for values, sorted_values in zip(out, (best, chosen, chosen_bler)):
             values[order] = sorted_values
         return out
+
+    def panel_goodputs(self, x: np.ndarray) -> tuple:
+        """(order, goodput): the best goodput at the points of the C-ordered
+        (panels, nodes) array `x`, with goodput[k] the row of panel order[k].
+
+        A panel whose nodes all lie in one band is selected as a unit: the
+        panels are stable-sorted by band, their rows taken in that order, and
+        each band runs its candidates on one contiguous range of rows.  A
+        panel whose nodes straddle a band edge goes through `__call__`, and
+        its rows come last.  Either way each node gets the goodput that
+        `max_goodput_array` gives it, bit for bit.  `goodput` is a view of the
+        selector's array that the next call overwrites.
+        """
+        panels, nodes = x.shape
+        band = self._bands(x.ravel()).reshape(panels, nodes)
+        same = band.min(axis=1) == band.max(axis=1)
+        unit, straddle = np.flatnonzero(same), np.flatnonzero(~same)
+        code = band[unit, 0]
+        order = unit[np.argsort(code, kind="stable")]
+        counts = np.bincount(code, minlength=len(self.candidates)) * nodes
+        # __call__ reuses the arrays below, so the straddling rows go first
+        rest = self(x[straddle].ravel())[0].copy() if straddle.size else None
+        k = order.size * nodes
+        # the indices are valid; mode "clip" writes straight into `out`,
+        # where the default "raise" goes through a temporary
+        snr_db = np.take(x, order, axis=0, out=self.snr_db[:k].reshape(-1, nodes), mode="clip")
+        _to_db(snr_db, out=snr_db)
+        best = self.sorted[0][:x.size]
+        # only the goodput is read, and a feasible entry's is never below 0
+        best[:k].fill(0.0)
+        self._select(snr_db.ravel(), counts, best[:k])
+        if rest is not None:
+            best[k:] = rest
+        return np.concatenate([order, straddle]), best.reshape(panels, nodes)
 
 
 def max_goodput_array(snr_linear, table: McsTable):
@@ -392,11 +444,6 @@ class RewardCurve:
     def __len__(self) -> int:
         return len(self.values)
 
-    def value(self, age: int) -> float:
-        if not 1 <= age <= len(self.values):
-            raise ValueError(f"age {age} outside tabulated range 1..{len(self.values)}")
-        return float(self.values[age - 1])
-
     @cached_property
     def cumulative(self) -> np.ndarray:
         """cumulative[k] = sum of r(1..k), with cumulative[0] = 0."""
@@ -460,9 +507,11 @@ def _expected_goodputs(ages: np.ndarray, params: LinkParams, table: McsTable,
 
     E[G(sinr_gain(age) * X)] with X exponential of mean P_p*rho0 + noise_var.
     The region below the lowest feasibility threshold contributes exactly
-    zero.  Panels of all ages are evaluated together in chunks; each panel's
-    weighted sum is added to its age in panel order, so an age's value does
-    not depend on which other ages are tabulated with it.
+    zero.  Panels of all ages are evaluated together in chunks, and MCS
+    selection runs by panel (`_BlockSelector.panel_goodputs`).  Each panel's
+    weighted sum is one numpy row sum, whose pairwise order depends only on
+    the node count, and it is added to its age in panel order, so an age's
+    value does not depend on which other ages are tabulated with it.
     """
     scale = sinr_gain(ages, params) * pilot_second_moment(params)
     thresholds, _ = table.selection_groups  # the finite ones, ascending
@@ -479,16 +528,22 @@ def _expected_goodputs(ages: np.ndarray, params: LinkParams, table: McsTable,
         owner += first
         for sl in _blocks(owner.size, quad.nodes):
             hw = 0.5 * (hi[sl] - lo[sl])
-            # u = mid + hw * x_ref and rows = g * exp(-u) in place; float
-            # addition and multiplication commute exactly
+            # u = mid + hw * x_ref in place; float addition commutes exactly
             u = np.multiply(hw[:, None], x_ref, out=u_buf[:hw.size])
             u += (0.5 * (lo[sl] + hi[sl]))[:, None]
             x = np.multiply(u, scale[owner[sl], None], out=x_buf[:hw.size])
-            g, _, _ = select(x.ravel())
-            rows = np.exp(np.negative(u, out=x), out=x)
-            rows *= g.reshape(x.shape)
-            # one dot product per panel, as a single-panel sum would take it
-            sums = np.array([np.dot(w_ref, row) for row in rows])
+            order, g = select.panel_goodputs(x)
+            # rows = w_ref * (g * exp(-u)) in the selector's panel order, in
+            # x's array (its values were read above); float multiplication
+            # commutes exactly
+            rows = np.take(u, order, axis=0, out=x, mode="clip")
+            np.exp(np.negative(rows, out=rows), out=rows)
+            rows *= g
+            rows *= w_ref
+            # one fixed-order (numpy pairwise) row sum per panel, put back in
+            # panel order
+            sums = np.empty(hw.size)
+            sums[order] = rows.sum(axis=1)
             np.add.at(values, owner[sl], hw * sums)
     return values
 

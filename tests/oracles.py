@@ -351,13 +351,15 @@ def max_goodput_matrix(eta, table):
     return best.reshape(eta.shape), chosen.reshape(eta.shape), chosen_bler.reshape(eta.shape)
 
 
-def reward_curve_panels(ages, params, table, quad):
+def reward_curve_panels(ages, params, table, quad, exact_sums=False):
     """r(age) at each of `ages` by composite Gauss-Legendre quadrature, one
     age and one panel at a time.
 
     The u-axis (|y|^2 in units of its mean) is cut at every feasibility
     threshold, each piece is split into panels no longer than quad.max_panel,
-    and each panel's weighted sum is added to the age's total in order.
+    and each panel's weighted sum, `(w_ref * (g * exp(-u))).sum()`, is added
+    to the age's total in order.  With `exact_sums` each panel's terms and
+    then the age's panel values are summed with math.fsum instead.
     """
     feasibility = bisect_thresholds(table)
     x_ref, w_ref = np.polynomial.legendre.leggauss(quad.nodes)
@@ -380,7 +382,7 @@ def reward_curve_panels(ages, params, table, quad):
             continue
         cuts = np.unique(np.concatenate(
             ([u_start, u_end], finite[(finite > u_start) & (finite < u_end)])))
-        total = 0.0
+        panel_values = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             n_sub = max(1, int(math.ceil((b - a) / quad.max_panel)))
             edges = np.linspace(a, b, n_sub + 1)
@@ -388,7 +390,14 @@ def reward_curve_panels(ages, params, table, quad):
                 hw = 0.5 * (hi - lo)
                 u = 0.5 * (lo + hi) + hw * x_ref
                 g, _, _ = max_goodput_matrix(u * scale, table)
-                total += hw * float(np.dot(w_ref, g * np.exp(-u)))
+                terms = w_ref * (g * np.exp(-u))
+                panel_values.append(hw * (math.fsum(terms) if exact_sums else float(terms.sum())))
+        total = 0.0
+        if exact_sums:
+            total = math.fsum(panel_values)
+        else:
+            for value in panel_values:
+                total += value
         out.append(total)
     return np.array(out)
 
@@ -455,7 +464,7 @@ def step(state: SchedulerState, action: str, trace, params, table, mode: str, *,
 
     if mode == EXPECTED:
         if reward_curve is not None and state.age <= len(reward_curve):
-            reward = reward_curve.value(state.age)
+            reward = float(reward_curve.values[state.age - 1])
         else:
             reward = expected_goodput(state.age, params, table)
     else:

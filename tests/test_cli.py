@@ -599,17 +599,37 @@ class TestCliOutputsCompare:
         for root, avg in ((a, "0.5"), (b, "0.5000000000000001")):
             (root / "sweep").mkdir(parents=True)
             (root / "sweep" / "s.csv").write_text(
-                f"snr_db,policy,avg_goodput\n0.0,periodic-2,{avg}\n")
+                f"snr_db,policy,avg_goodput,period\n0.0,periodic-2,{avg},3\n")
             (root / "exit_codes.txt").write_text("default solve 0\n")
         (b / "extra.json").write_text("{}\n")
         assert load_cli_outputs().compare_outputs(a, b) == 1
         out = capsys.readouterr().out.splitlines()
         assert out == ["identical  exit_codes.txt",
                        f"only in {b}  extra.json",
-                       "changed, max relative change 2.2e-16 (1 of 2 numbers)  sweep/s.csv",
-                       "1 of 3 files identical"]
+                       "changed, max relative change 2.2e-16 (1 of 3 numbers moved, "
+                       "0 of 1 integers)  sweep/s.csv",
+                       "1 of 3 files identical, 0 integers moved"]
+
+    def test_moved_integers_are_counted(self, tmp_path, capsys):
+        # a period, a histogram count and an exit code move; the float does not
+        a, b = tmp_path / "a", tmp_path / "b"
+        for root, period, count, code in ((a, 3, 10, 0), (b, 4, 12, 1)):
+            root.mkdir()
+            (root / "solve.json").write_text(
+                f'{{"period": {period}, "gain": 0.25, "counts": [1, {count}]}}\n')
+            (root / "exit_codes.txt").write_text(f"default solve {code}\n")
+        assert load_cli_outputs().compare_outputs(a, b) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["changed, max relative change 1 (1 of 1 numbers moved, "
+                       "1 of 1 integers)  exit_codes.txt",
+                       "changed, max relative change 0.25 (2 of 4 numbers moved, "
+                       "2 of 3 integers)  solve.json",
+                       "0 of 2 files identical, 3 integers moved"]
 
     def test_text_change_is_not_a_numeric_change(self):
         numeric_change = load_cli_outputs().numeric_change
         assert numeric_change('{"period": 3}', '{"period": 3.0, "x": 1}') is None
-        assert numeric_change("periodic-2,1e-05", "periodic-2,2e-05") == (0.5, 1, 1)
+        assert numeric_change("periodic-2,1e-05", "periodic-2,2e-05") == (0.5, 1, 1, 0, 0)
+        # an integer printed as a float on one side still counts as one
+        assert numeric_change("a,3,0.5", "a,3.0,0.5") == (0.0, 0, 2, 0, 1)
+        assert numeric_change("a,-3", "a,-4") == (0.25, 1, 1, 1, 1)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -472,7 +473,7 @@ class TestBuildRewardCurve:
     def test_single_age(self, reference_params, default_table):
         c = build_reward_curve(reference_params, default_table, 1)
         assert len(c) == 1
-        assert c.value(1) == expected_goodput(1, reference_params, default_table)
+        assert c.values[0] == expected_goodput(1, reference_params, default_table)
 
     def test_bit_identical_recomputation(self, reference_params, default_table):
         a = build_reward_curve(reference_params, default_table, 30)
@@ -518,6 +519,63 @@ class TestBatchedQuadrature:
         curve = build_reward_curve(reference_params, default_table, 60, quad)
         want = reward_curve_panels(range(1, 61), reference_params, default_table, quad)
         assert np.array_equal(curve.values, want)
+
+    @pytest.mark.parametrize("snr_db,speed_mph", CURVE_POINTS)
+    def test_panel_sums_within_1e_15_of_exact_sums(self, snr_db, speed_mph, default_table):
+        # the kernel's row sums and the oracle's per-panel sums against
+        # math.fsum over each panel's terms and then over the age's panels
+        params = ExperimentConfig(snr_db=snr_db, speed=speed_mph).link_params()
+        ages = np.arange(1, 601, 3)
+        exact = reward_curve_panels(ages, params, default_table, QuadratureConfig(),
+                                    exact_sums=True)
+        assert np.count_nonzero(exact) > 0
+        for got in (build_reward_curve(params, default_table, 600).values[ages - 1],
+                    reward_curve_panels(ages, params, default_table, QuadratureConfig())):
+            assert np.all(np.abs(got - exact) <= 1e-15 * exact)
+
+    def test_straddling_panel_takes_the_point_path(self, default_table):
+        # rows 0 and 2 lie inside one band each; row 1 runs from band 0 (no
+        # entry feasible) across the lowest threshold, row 3 across the
+        # 5th threshold with its float neighbours on the row
+        t = default_table.selection_groups[0]
+        x = np.stack([np.geomspace(t[3], t[4], 66)[1:-1],
+                      np.linspace(0.5 * t[0], 2.0 * t[0], 64),
+                      np.linspace(t[1], np.nextafter(t[2], 0.0), 64),
+                      np.sort(np.concatenate([np.linspace(0.9 * t[5], 1.1 * t[5], 61),
+                                              [np.nextafter(t[5], 0.0), t[5],
+                                               np.nextafter(t[5], np.inf)]]))])
+        select = link_adaptation._BlockSelector(default_table, x.size)
+        order, goodput = select.panel_goodputs(x)
+        assert order.tolist() == [2, 0, 1, 3]  # by band, then the straddling rows
+        want = max_goodput_array(x, default_table)[0]
+        assert np.array_equal(goodput, want[order])
+        assert want[1, 0] == 0.0 < want[1, -1]
+
+    @staticmethod
+    def _select_every_node(select, x):
+        """`_BlockSelector.panel_goodputs` as the point path at every node."""
+        return np.arange(x.shape[0]), max_goodput_array(x, select.table)[0]
+
+    def assert_panel_selection_matches_point_selection(self, table, params, ages):
+        quad = QuadratureConfig()
+        got = link_adaptation._expected_goodputs(ages, params, table, quad)
+        with mock.patch.object(link_adaptation._BlockSelector, "panel_goodputs",
+                               self._select_every_node):
+            want = link_adaptation._expected_goodputs(ages, params, table, quad)
+        assert np.array_equal(got, want)
+
+    def test_random_logistic_tables_select_by_panel_exactly(self, rng):
+        for _ in range(20):
+            params = ExperimentConfig(snr_db=float(rng.uniform(-10.0, 35.0)),
+                                      speed=float(rng.uniform(0.1, 60.0))).link_params()
+            self.assert_panel_selection_matches_point_selection(
+                random_logistic_table(rng), params, np.arange(1, 121))
+
+    @given(tabulated_tables(), st.floats(-40.0, 60.0))
+    @settings(max_examples=40, deadline=None)
+    def test_tabulated_tables_select_by_panel_exactly(self, table, snr_db):
+        params = ExperimentConfig(snr_db=snr_db, speed=15.0).link_params()
+        self.assert_panel_selection_matches_point_selection(table, params, np.arange(1, 41))
 
     def test_age_value_independent_of_curve_length(self, reference_params, default_table):
         full = build_reward_curve(reference_params, default_table, 600).values

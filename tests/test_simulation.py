@@ -50,7 +50,7 @@ class TestStep:
         state = SchedulerState(age=2, last_pilot_value=0.3 - 1.2j, slot=10)
         _, reward = step(state, DATA, trace, reference_params, default_table,
                          EXPECTED, reward_curve=reference_curve)
-        assert reward == reference_curve.value(2)
+        assert reward == reference_curve.values[1]
 
     def test_expected_reward_without_curve_uses_quadrature(self, reference_params,
                                                            default_table, reference_curve):
@@ -92,7 +92,7 @@ class TestStep:
         rewards = simulation._realized_rewards(eta, uniforms[1::2], default_table)
         assert 2 * res.avg_goodput == rewards.mean()
         se = rewards.std(ddof=1) / math.sqrt(len(rewards))
-        assert rewards.mean() == pytest.approx(reference_curve.value(1), abs=3 * se)
+        assert rewards.mean() == pytest.approx(reference_curve.values[0], abs=3 * se)
 
     def test_unknown_mode_rejected(self, reference_params, default_table):
         trace, noise, _ = derive_streams(reference_params, 1000, 1, seed=5)

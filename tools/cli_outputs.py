@@ -17,10 +17,13 @@ from OUTDIR so that every config names its files relatively, plus
 `exit_codes.txt`; all 39 exit 0 and write one output file each, so there
 are 39 output files besides the configs and the BLER table.  Run it in two
 checkouts and compare them with `--compare A B` (or `diff -r`): it lists
-every file under either directory as identical or changed, and for a changed file the largest relative
-change among its numbers and how many of them moved.  It exits 1 when any
-file differs.  Both realized sweeps run 10^6 slots at 5 seeds and 7 grid
-points, so a run takes several minutes.  Each command's wall time goes to
+every file under either directory as identical or changed, and for a file
+changed only in its numbers the largest relative change among them, how
+many of them moved, and how many of its integers (periods, hitting ages,
+counts and exit codes, printed without a point or exponent) moved; the last
+line totals the integers moved.  It exits 1 when any file differs.  Both
+realized sweeps run 10^6 slots at 5 seeds and 7 grid points, so a run
+takes several minutes.  Each command's wall time goes to
 stderr, never into the output files, so the same run times the commands.
 With it goes the process's peak resident set so far (`ru_maxrss`): the
 command after which it rises is the one that raised the memory peak.
@@ -93,22 +96,30 @@ def write_outputs(out_dir: Path) -> None:
 # a decimal number as the CSV and JSON writers print it (repr of a float, or an
 # int), not the digits inside a name such as "periodic-2"
 NUMBER = re.compile(r"(?<![\w-])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+# an integer as the writers print it (periods, hitting ages, counts, exit codes);
+# a float's repr always has a point or an exponent
+INTEGER = re.compile(r"-?\d+")
 
 
 def numeric_change(a: str, b: str):
-    """(largest relative change, numbers moved, numbers) between two texts that
-    differ only in their numbers; None when the text between the numbers differs."""
+    """(largest relative change, numbers moved, numbers, integers moved,
+    integers) between two texts that differ only in their numbers; None when
+    the text between the numbers differs.  A pair counts as an integer when
+    either side is printed as one."""
     if NUMBER.split(a) != NUMBER.split(b):
         return None
-    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
+    tokens = list(zip(NUMBER.findall(a), NUMBER.findall(b)))
+    pairs = [(float(x), float(y)) for x, y in tokens]
     changes = [abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y]
-    return max(changes, default=0.0), len(changes), len(pairs)
+    integers = [x != y for (x, y), (s, t) in zip(pairs, tokens)
+                if INTEGER.fullmatch(s) or INTEGER.fullmatch(t)]
+    return max(changes, default=0.0), len(changes), len(pairs), sum(integers), len(integers)
 
 
 def compare_outputs(a_dir: Path, b_dir: Path) -> int:
     files = sorted({p.relative_to(d) for d in (a_dir, b_dir) for p in d.rglob("*")
                     if p.is_file()})
-    differ = 0
+    differ = integers_moved = 0
     for rel in files:
         a, b = a_dir / rel, b_dir / rel
         if not (a.is_file() and b.is_file()):
@@ -118,11 +129,15 @@ def compare_outputs(a_dir: Path, b_dir: Path) -> int:
             continue
         else:
             change = numeric_change(a.read_text(), b.read_text())
+            if change is not None:
+                integers_moved += change[3]
             line = ("changed, not only in its numbers" if change is None else
-                    "changed, max relative change {:.2g} ({} of {} numbers)".format(*change))
+                    "changed, max relative change {:.2g} ({} of {} numbers moved, "
+                    "{} of {} integers)".format(*change))
         differ += 1
         print(f"{line}  {rel}")
-    print(f"{len(files) - differ} of {len(files)} files identical")
+    print(f"{len(files) - differ} of {len(files)} files identical, "
+          f"{integers_moved} integers moved")
     return 1 if differ else 0
 
 
