@@ -2,11 +2,13 @@
 
 The channel is a zero-mean circularly-symmetric complex Gaussian process whose
 autocovariance at lag d is  rho(d) = rho0 * J0(2*pi*f_d*T_s*d).  Traces are
-synthesized in the frequency domain (circulant embedding of the covariance).
-The embedding's negative eigenvalues are clipped to 0, so the trace
-reproduces the target autocovariance at every lag shorter than the trace only
-up to that clipping: 0.02-0.9% of the spectral mass at 5*10^5 samples for
-f_d*T_s from 0.45 down to 0.005 (see `generate_fading_trace`).
+synthesized in the frequency domain (circulant embedding of the covariance);
+the embedded covariance is real and even, so its spectrum is the real
+transform of half of it.  The embedding's negative eigenvalues are clipped
+to 0, so the trace reproduces the target autocovariance at every lag shorter
+than the trace only up to that clipping: 0.02-0.9% of the spectral mass at
+5*10^5 samples for f_d*T_s from 0.45 down to 0.005 (see
+`generate_fading_trace`).
 """
 
 from __future__ import annotations
@@ -222,15 +224,22 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     """Draw one stationary complex Gaussian trace with the Jakes autocovariance.
 
     Circulant embedding: the covariance sequence is symmetrically extended to a
-    power-of-two circle, its FFT gives the spectral weights, and shaping
-    i.i.d. complex Gaussians by the square root of those weights yields a
-    process whose autocovariance matches the target at every lag below
-    `length`, exactly only if no weight is negative.  The Jakes embedding has
-    negative weights; they are clipped to 0 and the rest rescaled so the lag-0
-    covariance stays rho0.  At 5*10^5 samples and stride 1 the clipped weights
-    hold 0.02% of the spectral mass at f_d*T_s = 0.45, 0.4% at 0.05 and 0.9%
-    at 0.005; strides 2, 3 and 12 gave 0.003-0.75%.  Deterministic for a given
-    seed.
+    power-of-two circle of m points, whose FFT gives the spectral weights,
+    and shaping i.i.d. complex Gaussians by the square root of those weights
+    yields a process whose autocovariance matches the target at every lag
+    below `length`, exactly only if no weight is negative.  The circle is
+    real and even, so the weights are the real transform of its first
+    m/2 + 1 points (`np.fft.hfft`; within 1e-15 of the largest weight of the
+    complex FFT of the whole circle), and the circle itself is never built.
+    The Jakes embedding has negative weights; they are clipped to 0 and the
+    rest rescaled so the lag-0 covariance stays rho0; the 1/sqrt(2) of a unit
+    complex normal and the sqrt(m) that scales the inverse transform go into
+    the same weights.  Peak traced memory is the complex weights and the
+    inverse transform's output, 32 bytes per embedding point, and only
+    `length` samples of that output are copied out.  At 5*10^5 samples and
+    stride 1 the clipped weights hold 0.02% of the spectral mass at
+    f_d*T_s = 0.45, 0.4% at 0.05 and 0.9% at 0.005; strides 2, 3 and 12 gave
+    0.003-0.75%.  Deterministic for a given seed.
 
     With `stride` P the trace is the process read every P slots: sample k has
     the law of the slot-kP sample, with autocovariance rho(P * d) at lag d.
@@ -256,31 +265,28 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
         samples = np.full(length, h0, dtype=complex)
     else:
         m = 1 << max(2, int(2 * length - 1).bit_length())
-        half = m // 2
-        r = autocorrelation(stride * np.arange(half + 1), params)
-        cov = np.empty(m)
-        cov[:half + 1] = r
-        cov[half + 1:] = r[half - 1:0:-1]
-        del r
-        lam = np.fft.fft(cov).real.copy()  # frees the complex spectrum
-        del cov
+        # the circle's covariance is real and even, so its spectrum is the
+        # real transform of the half covariance r(0 .. m/2)
+        lam = np.fft.hfft(autocorrelation(stride * np.arange(m // 2 + 1), params), m)
         np.maximum(lam, 0.0, out=lam)
         total = lam.sum()
         if total <= 0:
             raise ValueError("degenerate covariance embedding")
-        lam *= (m * rho0) / total  # keep the lag-0 covariance at exactly rho0
+        # keep the lag-0 covariance at exactly rho0; the weights also carry
+        # the 1/sqrt(2) of a unit complex normal and the sqrt(m) that scales
+        # the inverse transform to a sum
+        lam *= (m * rho0) / total * (m / 2.0)
         np.sqrt(lam, out=lam)
 
-        # w = sqrt(lam) * (re + 1j * im) / sqrt(2), built in one buffer
+        # w = weights * (re + 1j * im), both halves drawn through one buffer
         w = np.empty(m, dtype=complex)
-        w.real = rng.standard_normal(m)
-        w.imag = rng.standard_normal(m)
-        w /= math.sqrt(2.0)
-        w *= lam
-        del lam
+        normal = np.empty(m)
+        np.multiply(rng.standard_normal(out=normal), lam, out=w.real)
+        np.multiply(rng.standard_normal(out=normal), lam, out=w.imag)
+        del normal, lam
         h = np.fft.ifft(w)
         del w
-        samples = h[:length] * math.sqrt(m)
+        samples = h[:length].copy()  # a view would keep all m points alive
 
     samples.flags.writeable = False
     return FadingTrace(samples=samples, params=params, seed=seed)

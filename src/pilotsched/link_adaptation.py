@@ -8,10 +8,12 @@ composite Gauss-Legendre quadrature split at the MCS feasibility thresholds
 (the integrand jumps there, so plain Gauss rules would stall at low accuracy).
 All ages of a curve are integrated together.  MCS selection runs on
 cache-sized blocks of points (`_blocks`) in arrays reused from block to
-block (`_BlockSelector`).  The quadrature hands it its panel x node points
-one such block at a time and selects by panel, since a panel's nodes lie
-between two feasibility cuts and so share one band; it reduces each block
-with one numpy row sum per panel, not a BLAS dot product.
+block (`_BlockSelector`), and returns each block's results in band order,
+the choice of entry and its BLER only when asked, so each caller scatters
+back or gathers only what it reads.  The quadrature hands it its panel x
+node points one such block at a time and selects by panel, since a panel's
+nodes lie between two feasibility cuts and so share one band; it reduces
+each block with one numpy row sum per panel, not a BLAS dot product.
 """
 
 from __future__ import annotations
@@ -51,8 +53,16 @@ class LogisticBlerCurve:
         self.midpoint_db = midpoint_db
 
     def __call__(self, snr_db):
-        z = np.clip(self.slope_per_db * (snr_db - self.midpoint_db), -700, 700)
-        return 1.0 / (1.0 + np.exp(z))
+        # 1 / (1 + exp(clip(slope * (snr_db - midpoint), -700, 700))): an
+        # array input is worked on in place in the one array the subtraction
+        # makes, and a 0-d input stays a numpy scalar throughout
+        z = np.subtract(snr_db, self.midpoint_db)
+        out = z if isinstance(z, np.ndarray) else None
+        z *= self.slope_per_db
+        z = np.minimum(np.maximum(z, -700.0, out=out), 700.0, out=out)
+        z = np.exp(z, out=out)
+        z += 1.0
+        return np.divide(1.0, z, out=out)
 
     def threshold(self, e_max: float) -> float:
         """The exact threshold (McsTable.feasibility_thresholds), positive
@@ -243,14 +253,14 @@ def _crossing(curve, e_max: float, guess_db: float) -> float:
 
 
 # Points per block of MCS selection.  A block's working arrays (band codes,
-# sort order, SINRs in dB, and the goodputs, choices and BLERs in band and
-# in input order) take about 60 bytes per point, so a 2^16-point block is
-# served mostly from a 4 MB L2 cache, and the half millisecond of per-band
-# Python calls that every block costs is spread over enough points.  On a
-# 2-vCPU Xeon with 4 MB of L2 per core, 10^6 points took about 70 ns per
-# point in 2^16-point blocks, 73-82 in 2^15, 69-77 in 2^17 and 100-106 in
-# one pass.  The quadrature and realized mode cut their inputs by the same
-# rule (`_blocks`).
+# sort order, SINRs in dB, and the goodputs, choices and BLERs in band order)
+# take about 50 bytes per point, so a 2^16-point block is served mostly from
+# a 4 MB L2 cache, and the half millisecond of per-band Python calls that
+# every block costs is spread over enough points.  On a 2-vCPU Xeon with
+# 4 MB of L2 per core, 10^6 points took about 70 ns per point in 2^16-point
+# blocks, 73-82 in 2^15, 69-77 in 2^17 and 100-106 in one pass.  The
+# quadrature, the Monte Carlo oracle and realized mode cut their inputs by
+# the same rule (`_blocks`).
 _BLOCK_POINTS = 1 << 16
 
 
@@ -272,9 +282,11 @@ class _BlockSelector:
     freed block-sized arrays back to the system, so fresh ones would be
     paged in again for every block.
 
-    Calling the selector selects at single points (`__call__`); the
-    quadrature selects by panel (`panel_goodputs`).  Both run the same band
-    candidate loop (`_select`) on runs of points sorted by band.
+    Calling the selector selects at single points and returns the results in
+    band order (`__call__`), so each caller scatters back, or gathers by the
+    order, only what it reads; the quadrature selects by panel
+    (`panel_goodputs`).  Both run the same band candidate loop (`_select`) on
+    runs of points sorted by band.
     """
 
     def __init__(self, table: McsTable, size: int):
@@ -287,9 +299,8 @@ class _BlockSelector:
         self.band = np.empty(size, np.min_scalar_type(len(self.candidates) - 1))
         self.hit = np.empty(size, bool)
         self.snr_db = np.empty(size)
-        # results in band order, then scattered back into input order
+        # goodput, chosen index and its BLER in band order
         self.sorted = (np.empty(size), np.empty(size, np.int64), np.empty(size))
-        self.out = (np.empty(size), np.empty(size, np.int64), np.empty(size))
 
     def _bands(self, x: np.ndarray) -> np.ndarray:
         """The band code of each of the 1-D points `x`, in the selector's array."""
@@ -322,27 +333,35 @@ class _BlockSelector:
                     np.copyto(chosen_bler[start:stop], e, where=better)
                     np.copyto(chosen[start:stop], i, where=better)
 
-    def __call__(self, x: np.ndarray) -> tuple:
-        """(goodput, chosen_index, chosen_bler) at the 1-D points `x`, as
-        views of the selector's own arrays that the next call overwrites."""
+    def __call__(self, x: np.ndarray, choices: bool) -> tuple:
+        """(order, goodput, chosen_index, chosen_bler) at the 1-D points `x`,
+        in band order: entry k of each result belongs to the point
+        x[order[k]], as `max_goodput_array` gives it there.  Without
+        `choices` only the goodput is computed, and the last two are None.
+        The results are views of the selector's arrays that the next call
+        overwrites.
+        """
         n = x.size
         band = self._bands(x)
         # a stable sort of small unsigned codes is a radix sort; it makes each
-        # band one contiguous slice, and `order` scatters the results back
+        # band one contiguous slice
         order = np.argsort(band, kind="stable")
         snr_db = np.take(x, order, out=self.snr_db[:n])
         _to_db(snr_db, out=snr_db)
-        best, chosen, chosen_bler = (a[:n] for a in self.sorted)
+        counts = np.bincount(band, minlength=len(self.candidates))
+        best = self.sorted[0][:n]
+        if not choices:
+            # a feasible entry's goodput is never below 0
+            best.fill(0.0)
+            self._select(snr_db, counts, best)
+            return order, best, None, None
+        chosen, chosen_bler = self.sorted[1][:n], self.sorted[2][:n]
         best.fill(-1.0)
         chosen.fill(-1)
         chosen_bler.fill(1.0)
-        self._select(snr_db, np.bincount(band, minlength=len(self.candidates)),
-                     best, chosen, chosen_bler)
+        self._select(snr_db, counts, best, chosen, chosen_bler)
         best[chosen < 0] = 0.0
-        out = tuple(a[:n] for a in self.out)
-        for values, sorted_values in zip(out, (best, chosen, chosen_bler)):
-            values[order] = sorted_values
-        return out
+        return order, best, chosen, chosen_bler
 
     def panel_goodputs(self, x: np.ndarray) -> tuple:
         """(order, goodput): the best goodput at the points of the C-ordered
@@ -363,8 +382,13 @@ class _BlockSelector:
         code = band[unit, 0]
         order = unit[np.argsort(code, kind="stable")]
         counts = np.bincount(code, minlength=len(self.candidates)) * nodes
-        # __call__ reuses the arrays below, so the straddling rows go first
-        rest = self(x[straddle].ravel())[0].copy() if straddle.size else None
+        # __call__ reuses the arrays below, so the straddling rows go first,
+        # scattered back into node order
+        rest = None
+        if straddle.size:
+            rest_order, rest_sorted, _, _ = self(x[straddle].ravel(), choices=False)
+            rest = np.empty(rest_order.size)
+            rest[rest_order] = rest_sorted
         k = order.size * nodes
         # the indices are valid; mode "clip" writes straight into `out`,
         # where the default "raise" goes through a temporary
@@ -390,26 +414,28 @@ def max_goodput_array(snr_linear, table: McsTable):
     the band's candidates are evaluated there, in table order with the BLER
     check kept.  The result equals a scan over every entry bit for bit at
     every SINR, +inf included.  The input is processed in the blocks of
-    `_blocks` by one `_BlockSelector`, so working memory beyond the three
-    outputs is a few arrays of one block.
+    `_blocks` by one `_BlockSelector`, whose band-order results are
+    scattered straight into the three outputs, so working memory beyond them
+    is a few arrays of one block.
     """
     eta = np.asarray(snr_linear, dtype=float)
     x = eta.ravel()
     out = (np.empty(x.shape), np.empty(x.shape, np.int64), np.empty(x.shape))
-    for sl, block in _select_blocks(x, table):
-        for values, block_values in zip(out, block):
-            values[sl] = block_values
+    for sl, (order, *results) in _select_blocks(x, table, choices=True):
+        for values, block_values in zip(out, results):
+            values[sl][order] = block_values
     return tuple(values.reshape(eta.shape) for values in out)
 
 
-def _select_blocks(x: np.ndarray, table: McsTable):
-    """Yield (slice, (goodput, chosen_index, chosen_bler)) for each block of
-    the 1-D points `x`; the results are views that the next block overwrites."""
+def _select_blocks(x: np.ndarray, table: McsTable, choices: bool):
+    """Yield (slice, (order, goodput, chosen_index, chosen_bler)) for each
+    block of the 1-D points `x`: `_BlockSelector.__call__` on x[slice], whose
+    results are views that the next block overwrites."""
     blocks = _blocks(x.size)
     if blocks:
         select = _BlockSelector(table, -(-x.size // len(blocks)))  # the longest block
         for sl in blocks:
-            yield sl, select(x[sl])
+            yield sl, select(x[sl], choices)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ ages the CSI by one.  Two reward modes:
   realized  - the slot earns the full physical draw: SINR
               sinr_gain(age) * |y|^2 from the last pilot observation y,
               MCS selection, Bernoulli decoding, all data slots evaluated
-              together as arrays.
+              together as arrays, block by block in the selector's band
+              order, with only the rewards put back in slot order.
 
 Realized mode draws only what the schedule reads: the fading trace and the
 pilot noise at the pilot slots 0, P, 2P, ..., and one decode draw per data
@@ -90,12 +91,15 @@ def _realized_rewards(eta: np.ndarray, uniforms: np.ndarray, table: McsTable) ->
 
     Each slot sends the best feasible MCS for its SINR and earns its rate when
     the draw falls below 1 - BLER, else 0; a slot with no feasible MCS earns 0.
+    Each block is decided in the selector's band order, with the draws
+    gathered into it, and only the rewards are scattered back to slot order.
     """
     rewards = np.empty(eta.size)
-    rate_of = np.array([e.rate for e in table.entries])
-    for sl, (_, chosen, chosen_bler) in _select_blocks(eta, table):
-        success = (chosen >= 0) & (uniforms[sl] < 1.0 - chosen_bler)
-        rewards[sl] = np.where(success, rate_of[np.maximum(chosen, 0)], 0.0)
+    # chosen index -1 (no feasible MCS, BLER 1.0) reads the appended rate 0
+    rate_of = np.array([e.rate for e in table.entries] + [0.0])
+    for sl, (order, _, chosen, chosen_bler) in _select_blocks(eta, table, choices=True):
+        success = uniforms[sl].take(order) < 1.0 - chosen_bler
+        rewards[sl][order] = np.where(success, rate_of.take(chosen), 0.0)
     return rewards
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import (LinkParams, autocorrelation, empirical_autocorrelation,
                       generate_fading_trace)
 from .estimation import mmse_gain, pilot_second_moment, sinr_gain
-from .link_adaptation import McsTable, RewardCurve, expected_goodput, max_goodput_array
+from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodput
 from .scheduler import (HorizonExhaustedError, ThresholdSolution,
                         brute_force_optimal_period, policy_iteration, solve_threshold)
 
@@ -102,7 +102,9 @@ def mc_expected_goodput(age: int, params: LinkParams, table: McsTable,
     Draws |y|^2 exponentially and averages the feasible-MCS maximum; returns
     (mean, standard_error).  Draws come in chunks of 10^6 to bound memory;
     the chunk size also fixes how the sums are grouped, so it stays put,
-    while `max_goodput_array` cuts each chunk into its own blocks.
+    while MCS selection cuts each chunk into its own blocks.  Only the
+    goodput is selected, scattered back into draw order so that each sum
+    runs over the draws in the order they were made.
     """
     rng = np.random.default_rng(seed)
     gain = sinr_gain(age, params)
@@ -110,13 +112,18 @@ def mc_expected_goodput(age: int, params: LinkParams, table: McsTable,
     total = 0.0
     total_sq = 0.0
     chunk = 1_000_000
+    g = np.empty(min(chunk, n_samples))
     remaining = n_samples
     while remaining > 0:
         m = min(chunk, remaining)
+        # the draws become their SINRs, then the squared goodputs, in place
         x = rng.exponential(scale=mean_y2, size=m)
-        g, _, _ = max_goodput_array(gain * x, table)
-        total += float(g.sum())
-        total_sq += float((g * g).sum())
+        x *= gain
+        g_m = g[:m]
+        for sl, (order, goodput, _, _) in _select_blocks(x, table, choices=False):
+            g_m[sl][order] = goodput
+        total += float(g_m.sum())
+        total_sq += float(np.multiply(g_m, g_m, out=x).sum())
         remaining -= m
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)

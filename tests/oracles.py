@@ -14,6 +14,12 @@ pass of `run_policy`, and `slot_streams` lays the realized streams out by
 slot for it.
 `fading_trace_unstrided` is the trace synthesis with every slot read, the
 reference that `generate_fading_trace` at stride 1 must equal bit for bit.
+`mc_expected_goodput_full_outputs` is the Monte Carlo oracle through
+`max_goodput_array`, with all three selection outputs in draw order, that
+the goodput-only `mc_expected_goodput` must equal bit for bit, and
+`realized_rewards_per_slot` decides realized rewards slot by slot from
+`max_goodput_array`, the reference for the band-order decisions of
+`_realized_rewards`.
 `bessel_j0_unblocked` and `orthogonality_metrics` are the whole-array
 formulations, with a fresh temporary per operation, that the blocked J0 and
 the in-place `check_orthogonality` must equal bit for bit.
@@ -148,23 +154,21 @@ def fading_trace_unstrided(params, length: int, seed: int) -> FadingTrace:
         samples = np.full(length, h0, dtype=complex)
     else:
         m = 1 << max(2, int(2 * length - 1).bit_length())
-        half = m // 2
-        r = autocorrelation(np.arange(half + 1), params)
-        cov = np.empty(m)
-        cov[:half + 1] = r
-        cov[half + 1:] = r[half - 1:0:-1]
-        lam = np.fft.fft(cov).real
-        np.maximum(lam, 0.0, out=lam)
+        r = autocorrelation(np.arange(m // 2 + 1), params)
+        lam = np.maximum(np.fft.hfft(r, m), 0.0)
         total = lam.sum()
         if total <= 0:
             raise ValueError("degenerate covariance embedding")
-        lam *= (m * rho0) / total
+        # the rescaling to rho0 at lag 0, the 1/sqrt(2) of a unit complex
+        # normal and the sqrt(m) of the inverse transform, in one factor
+        weights = np.sqrt(lam * ((m * rho0) / total * (m / 2.0)))
 
         re = rng.standard_normal(m)
         im = rng.standard_normal(m)
-        w = (re + 1j * im) / math.sqrt(2.0)
-        h = np.fft.ifft(np.sqrt(lam) * w) * math.sqrt(m)
-        samples = h[:length].copy()
+        w = np.empty(m, dtype=complex)
+        w.real = re * weights
+        w.imag = im * weights
+        samples = np.fft.ifft(w)[:length].copy()
 
     samples.flags.writeable = False
     return FadingTrace(samples=samples, params=params, seed=seed)
@@ -349,6 +353,41 @@ def max_goodput_matrix(eta, table):
     chosen_bler[infeasible] = 1.0
     chosen[infeasible] = -1
     return best.reshape(eta.shape), chosen.reshape(eta.shape), chosen_bler.reshape(eta.shape)
+
+
+def mc_expected_goodput_full_outputs(age: int, params, table, n_samples: int,
+                                     seed: int) -> tuple:
+    """The Monte Carlo oracle with every selection output materialized: each
+    chunk of 10^6 exponential draws goes through `max_goodput_array` at
+    gain * x, and the goodput and its square are summed chunk by chunk;
+    returns (mean, standard_error)."""
+    rng = np.random.default_rng(seed)
+    gain = sinr_gain(age, params)
+    mean_y2 = pilot_second_moment(params)
+    total = 0.0
+    total_sq = 0.0
+    chunk = 1_000_000
+    remaining = n_samples
+    while remaining > 0:
+        m = min(chunk, remaining)
+        x = rng.exponential(scale=mean_y2, size=m)
+        g, _, _ = max_goodput_array(gain * x, table)
+        total += float(g.sum())
+        total_sq += float((g * g).sum())
+        remaining -= m
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)
+
+
+def realized_rewards_per_slot(eta, uniforms, table) -> np.ndarray:
+    """Realized data-slot rewards decided one slot at a time, in slot order,
+    from the choice and BLER that `max_goodput_array` gives each slot."""
+    _, chosen, chosen_bler = max_goodput_array(eta, table)
+    rates = [entry.rate for entry in table.entries]
+    return np.array([rates[c] if c >= 0 and u < 1.0 - b else 0.0
+                     for c, b, u in zip(chosen.tolist(), chosen_bler.tolist(),
+                                        np.asarray(uniforms).tolist())])
 
 
 def reward_curve_panels(ages, params, table, quad, exact_sums=False):

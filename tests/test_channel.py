@@ -201,6 +201,19 @@ class TestGenerateFadingTrace:
             assert np.array_equal(generate_fading_trace(p, length, seed).samples, want)
             assert np.array_equal(generate_fading_trace(p, length, seed, stride=1).samples, want)
 
+    @pytest.mark.parametrize("doppler_hz, stride", [(5.0, 1), (50.0, 1), (450.0, 1),
+                                                    (50.0, 3), (50.0, 12), (450.0, 3)])
+    @pytest.mark.parametrize("m", [1 << 3, 1 << 17])
+    def test_real_transform_within_1e_15_of_the_complex_fft(self, doppler_hz, stride, m):
+        # the spectral weights come from the real transform of the half
+        # covariance; the complex FFT of the whole even circle is the textbook
+        # form.  At 50 Hz x 12 and 450 Hz x 3 the lattice aliases.
+        p = LinkParams(1.0, 1.0, 1.0, doppler_hz=doppler_hz, sample_period=1e-3)
+        r = autocorrelation(stride * np.arange(m // 2 + 1), p)
+        cov = np.concatenate([r, r[-2:0:-1]])
+        want = np.fft.fft(cov).real
+        assert np.max(np.abs(np.fft.hfft(r, m) - want)) <= 1e-15 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("doppler_hz, stride", [(50.0, 2), (50.0, 3), (50.0, 12),
                                                     (450.0, 3)])
     def test_strided_autocovariance_matches_jakes_at_multiples(self, doppler_hz, stride):
@@ -226,8 +239,8 @@ class TestGenerateFadingTrace:
     @pytest.mark.parametrize("stride", [1, 3])
     def test_peak_memory_per_embedding_point(self, flat_params, stride):
         # each embedding-size array is allocated once and freed once unread:
-        # about 40 bytes per point (`tracemalloc` does not see pocketfft's own
-        # working buffers)
+        # 32 bytes per point, the complex weights and the inverse transform's
+        # output (`tracemalloc` does not see pocketfft's own working buffers)
         length = 1 << 17
         points = 1 << (2 * length - 1).bit_length()
         generate_fading_trace(flat_params, length, seed=1, stride=stride)  # warm caches
@@ -237,7 +250,7 @@ class TestGenerateFadingTrace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * points
+        assert peak <= 36 * points
 
     def test_mean_near_zero(self, flat_params):
         t = generate_fading_trace(flat_params, 500_000, seed=13)

@@ -96,6 +96,28 @@ class TestBler:
             assert entry.bler_curve(120.0) <= 1e-6
             assert entry.bler_curve(-120.0) >= 1.0 - 1e-6
 
+    @staticmethod
+    def logistic_with_temporaries(curve, snr_db):
+        """The logistic formula with numpy's clip and a fresh array per step."""
+        z = np.clip(curve.slope_per_db * (snr_db - curve.midpoint_db), -700, 700)
+        return 1.0 / (1.0 + np.exp(z))
+
+    def test_in_place_logistic_equals_the_temporaries(self, rng):
+        # the clip bounds at +-700 are crossed at +-467 dB for slope 1.5
+        for slope, midpoint in [(1.5, -8.2), (0.3, 21.2), (3.0, 0.0), (1e3, 4.4)]:
+            curve = LogisticBlerCurve(slope, midpoint)
+            grid = np.concatenate([rng.uniform(-900.0, 900.0, 9_993),
+                                   [-np.inf, np.inf, 0.0, -0.0, midpoint, 466.0, 468.0]])
+            want = self.logistic_with_temporaries(curve, grid)
+            assert np.array_equal(curve(grid), want)
+            assert np.array_equal(curve(grid.reshape(100, -1)), want.reshape(100, -1))
+            for x in (-np.inf, -1e3, midpoint, 3.7, 1e3, np.inf):
+                for arg in (x, np.float64(x), np.array(x)):
+                    got = curve(arg)
+                    assert type(got) is np.float64
+                    assert got == self.logistic_with_temporaries(curve, x)
+            assert np.isnan(curve(np.nan))
+
     @given(st.floats(min_value=-90.0, max_value=90.0))
     @settings(max_examples=60, deadline=None)
     def test_in_unit_interval(self, snr_db):
@@ -534,22 +556,23 @@ class TestBatchedQuadrature:
             assert np.all(np.abs(got - exact) <= 1e-15 * exact)
 
     def test_straddling_panel_takes_the_point_path(self, default_table):
-        # rows 0 and 2 lie inside one band each; row 1 runs from band 0 (no
-        # entry feasible) across the lowest threshold, row 3 across the
-        # 5th threshold with its float neighbours on the row
+        # rows 0 and 2 lie inside one band each; row 1 runs across the 5th
+        # threshold with its float neighbours on the row, row 3 from band 0
+        # (no entry feasible) across the lowest threshold, so the straddling
+        # points are not in band order and must be scattered back
         t = default_table.selection_groups[0]
         x = np.stack([np.geomspace(t[3], t[4], 66)[1:-1],
-                      np.linspace(0.5 * t[0], 2.0 * t[0], 64),
-                      np.linspace(t[1], np.nextafter(t[2], 0.0), 64),
                       np.sort(np.concatenate([np.linspace(0.9 * t[5], 1.1 * t[5], 61),
                                               [np.nextafter(t[5], 0.0), t[5],
-                                               np.nextafter(t[5], np.inf)]]))])
+                                               np.nextafter(t[5], np.inf)]])),
+                      np.linspace(t[1], np.nextafter(t[2], 0.0), 64),
+                      np.linspace(0.5 * t[0], 2.0 * t[0], 64)])
         select = link_adaptation._BlockSelector(default_table, x.size)
         order, goodput = select.panel_goodputs(x)
         assert order.tolist() == [2, 0, 1, 3]  # by band, then the straddling rows
         want = max_goodput_array(x, default_table)[0]
         assert np.array_equal(goodput, want[order])
-        assert want[1, 0] == 0.0 < want[1, -1]
+        assert want[3, 0] == 0.0 < want[3, -1]
 
     @staticmethod
     def _select_every_node(select, x):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pilotsched.simulation as simulation
-from oracles import DATA, PILOT, SchedulerState, decide, slot_streams, step
-from pilotsched import (EXPECTED, REALIZED, RewardCurve, build_reward_curve, derive_streams,
-                        generate_fading_trace, index_gamma, max_goodput_array, run_policy,
-                        sinr_gain, solve_threshold)
+from oracles import (DATA, PILOT, SchedulerState, decide, realized_rewards_per_slot,
+                     slot_streams, step)
+from pilotsched import (EXPECTED, REALIZED, McsEntry, McsTable, RewardCurve, TabulatedBlerCurve,
+                        build_reward_curve, derive_streams, generate_fading_trace, index_gamma,
+                        max_goodput_array, run_policy, sinr_gain, solve_threshold)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,20 @@ class TestRunPolicy:
         assert peak < 64 * 1024
         assert res.pilot_fraction == 3_333_334 / 10_000_000
 
+    def test_realized_mode_peak_memory(self, reference_params, default_table):
+        # 41,667 pilot slots embed on 2^17 points: the trace synthesis's 32
+        # bytes per point and the run's per-slot arrays (6.2 MB measured; 6.8
+        # MB with the complex covariance FFT and three selection outputs, and
+        # 7.6 MB if the trace were a view of the inverse transform's output)
+        run_policy(3, reference_params, default_table, 125_000, seed=0, mode=REALIZED)
+        tracemalloc.start()
+        try:
+            run_policy(3, reference_params, default_table, 125_000, seed=1, mode=REALIZED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5e6
+
     def test_periodic_pilot_fraction(self, reference_params, default_table, reference_curve):
         horizon = 10_000
         res = run_policy(2, reference_params, default_table,
@@ -367,3 +382,36 @@ class TestRunPolicy:
             per = run_policy(period, reference_params, default_table,
                              horizon, seed=7, mode=EXPECTED, reward_curve=reference_curve)
             assert thr.avg_goodput >= per.avg_goodput - 1e-3
+
+
+def tabulated_table(table) -> McsTable:
+    """`table`'s BLER curves sampled every 2 dB from -30 to 40 dB."""
+    grid = np.arange(-30.0, 42.0, 2.0)
+    return McsTable(entries=[McsEntry(index=e.index, rate=e.rate,
+                                      bler_curve=TabulatedBlerCurve(grid, e.bler_curve(grid)))
+                             for e in table.entries], e_max=table.e_max)
+
+
+class TestRealizedRewards:
+    """`_realized_rewards` decides each block in band order; it must equal
+    the per-slot decisions in slot order bit for bit."""
+
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, (1 << 16) + 1, (1 << 17) + 3])
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_equals_the_per_slot_reference(self, default_table, rng, n, tabulated):
+        table = tabulated_table(default_table) if tabulated else default_table
+        t = table.feasibility_thresholds
+        t = t[np.isfinite(t) & (t > 0)]
+        special = np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                                  [0.0, -0.0, -1.0, -np.inf, 5e-324, np.inf]])
+        eta = rng.lognormal(2.0, 3.0, n)
+        eta[rng.choice(n, 40 * special.size, replace=False)] = np.repeat(special, 40)
+        uniforms = rng.random(n)
+        # draws exactly at 1 - BLER, where a slot just fails
+        _, chosen, chosen_bler = max_goodput_array(eta, table)
+        edge = rng.choice(n, 1000, replace=False)
+        uniforms[edge] = np.where(chosen[edge] >= 0, 1.0 - chosen_bler[edge], 0.0)
+        got = simulation._realized_rewards(eta, uniforms, table)
+        want = realized_rewards_per_slot(eta, uniforms, table)
+        assert np.array_equal(got, want)
+        assert 0 < np.count_nonzero(got) < n

@@ -25,8 +25,10 @@ line totals the integers moved.  It exits 1 when any file differs.  Both
 realized sweeps run 10^6 slots at 5 seeds and 7 grid points, so a run
 takes several minutes.  Each command's wall time goes to
 stderr, never into the output files, so the same run times the commands.
-With it goes the process's peak resident set so far (`ru_maxrss`): the
-command after which it rises is the one that raised the memory peak.
+With it go the minor page faults the command took (the change in
+`ru_minflt`: pages touched for the first time since the allocator got them
+from the system) and the process's peak resident set so far (`ru_maxrss`):
+the command after which it rises is the one that raised the memory peak.
 """
 
 import argparse
@@ -81,13 +83,16 @@ def write_outputs(out_dir: Path) -> None:
                 write_tabulated_bler(point_dir / "bler.csv")
             for command in TABULATED_COMMANDS if point == TABULATED else COMMANDS:
                 name = "_".join(w.replace(":", "") for w in command if not w.startswith("--"))
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 code = main(command + config + ["--out", str(point_dir / name)])
                 elapsed = time.perf_counter() - start
+                usage = resource.getrusage(resource.RUSAGE_SELF)
                 codes.append(f"{point} {' '.join(command)} {code}\n")
-                peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB
                 print(f"{point} {' '.join(command)}: {elapsed:.2f} s, "
-                      f"peak RSS {peak_mb:.1f} MB", file=sys.stderr)
+                      f"{usage.ru_minflt - faults} minor page faults, "
+                      f"peak RSS {usage.ru_maxrss / 1024:.1f} MB",  # KiB
+                      file=sys.stderr)
         Path("exit_codes.txt").write_text("".join(codes))
     finally:
         os.chdir(cwd)
