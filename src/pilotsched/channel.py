@@ -58,20 +58,6 @@ class LinkParams:
         return self.doppler_hz * self.sample_period
 
 
-@dataclass(frozen=True)
-class MobilityParams:
-    """User speed and carrier frequency, from which the Doppler shift follows."""
-
-    speed_mps: float
-    carrier_hz: float
-
-    def __post_init__(self):
-        if not (0 <= self.speed_mps < SPEED_OF_LIGHT):
-            raise ValueError(f"speed_mps must be in [0, c), got {self.speed_mps!r}")
-        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
-            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class FadingTrace:
     """A sampled realization of the fading process, immutable after creation."""
@@ -82,11 +68,6 @@ class FadingTrace:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-def doppler_frequency(mob: MobilityParams) -> float:
-    """Doppler shift v * f_c / c in Hz."""
-    return mob.speed_mps * mob.carrier_hz / SPEED_OF_LIGHT
 
 
 # Rational approximations for J0 (Cephes Math Library, Moshier).  Peak

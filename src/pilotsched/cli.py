@@ -17,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import ExperimentConfig, default_config, load_config
-from .link_adaptation import (McsTable, QuadratureConfig, default_mcs_table,
-                              load_bler_table, load_mcs_rates, parametric_mcs_table,
-                              build_reward_curve)
-from .scheduler import HorizonExhaustedError, load_reward_curve, save_reward_curve
+from .link_adaptation import (McsTable, default_mcs_table, load_bler_table, load_mcs_rates,
+                              load_reward_curve, parametric_mcs_table, build_reward_curve)
+from .scheduler import HorizonExhaustedError
 from .simulation import EXPECTED, run_policy
 from .validation import oracle_deviations, run_all_checks, solve_curve
 
@@ -29,23 +28,19 @@ BASELINE_PERIOD = 2
 
 
 def build_table(cfg: ExperimentConfig):
-    """Materialize the MCS table selected by the config."""
-    rates = e_max = None
-    if cfg.mcs_config != "default":
-        rates, e_max = load_mcs_rates(cfg.mcs_config)
-    if cfg.bler_table == "default":
-        if rates is None:
-            return default_mcs_table()
-        return parametric_mcs_table(rates, e_max)
+    """Materialize the MCS table selected by the config, reading each file once.
+
+    The rate config is read before the BLER table, so its faults come first.
+    """
     rate_config = None if cfg.mcs_config == "default" else cfg.mcs_config
-    return load_bler_table(cfg.bler_table, rate_config=rate_config)
+    if cfg.bler_table != "default":
+        return load_bler_table(cfg.bler_table, rate_config=rate_config)
+    if rate_config is None:
+        return default_mcs_table()
+    return parametric_mcs_table(*load_mcs_rates(rate_config))
 
 
-def _quad(cfg: ExperimentConfig) -> QuadratureConfig:
-    return QuadratureConfig(nodes=cfg.quad_nodes)
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     # repr of a plain float is the shortest exact round-trip form
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -64,9 +59,9 @@ def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Tabulate r(age) for ages 1..delta_max at the configured operating point."""
     params = cfg.link_params()
     table = build_table(cfg)
-    curve = build_reward_curve(params, table, cfg.delta_max, _quad(cfg))
+    curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
     path = out_dir / "goodput_curve.csv"
-    save_reward_curve(curve, path)
+    _write_csv(path, ["age", "reward"], enumerate(curve.values.tolist(), start=1))
     return path
 
 
@@ -94,7 +89,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     if cfg.reward_csv is None:
         params = cfg.link_params()
         table = build_table(cfg)
-        report = _solve_report(build_reward_curve(params, table, cfg.delta_max, _quad(cfg)))
+        report = _solve_report(build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes))
     else:
         curve = load_reward_curve(cfg.reward_csv)
         try:
@@ -116,10 +111,9 @@ def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float
     column is the mean pilot fraction on the SNR axis and the pilot period on
     the speed axis.
     """
-    quad = _quad(cfg)
     try:
         params = cfg.link_params(**{axis: value})
-        curve = build_reward_curve(params, table, cfg.delta_max, quad)
+        curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
         sol = solve_curve(curve)
     except ValueError as exc:
         raise ValueError(f"{axis} {value}: {exc}") from exc
@@ -129,7 +123,7 @@ def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float
         goodputs, fractions = [], []
         for seed in cfg.seeds:
             result = run_policy(period, params, table, cfg.horizon, seed, mode,
-                                reward_curve=curve, quad=quad)
+                                reward_curve=curve, nodes=cfg.quad_nodes)
             goodputs.append(result.avg_goodput)
             fractions.append(result.pilot_fraction)
         last = sum(fractions) / len(fractions) if axis == "snr_db" else period
@@ -191,17 +185,16 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
     seed = cfg.seeds[0]
     params = cfg.link_params()
     table = build_table(cfg)
-    quad = _quad(cfg)
     curve = None  # a fixed period reads r(age) only at the ages it visits
     doc: dict = {"policy": policy_arg, "mode": mode, "seed": seed}
     if policy_arg == "threshold":
-        curve = build_reward_curve(params, table, cfg.delta_max, quad)
+        curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
         sol = solve_curve(curve)
         period = sol.period
         doc["beta"] = sol.beta
     doc["period"] = period
     result = run_policy(period, params, table, cfg.horizon, seed, mode,
-                        reward_curve=curve, quad=quad)
+                        reward_curve=curve, nodes=cfg.quad_nodes)
     doc.update({
         "horizon": result.horizon,
         "avg_goodput": result.avg_goodput,
@@ -217,7 +210,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run the oracle battery; nonzero exit when any check fails."""
     params = cfg.link_params()
     table = build_table(cfg)
-    curve = build_reward_curve(params, table, cfg.delta_max, _quad(cfg))
+    curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
     solve_curve(curve)  # no optimal period: exit 2 before the Monte Carlo checks
     checks = run_all_checks(params, table, physical_curve=curve)
     report = {

@@ -2,7 +2,8 @@
 
 dB and mph are accepted at this boundary only; everything handed to the core
 is linear and SI.  The noise variance follows from the configured average SNR
-as noise = P_d * rho0 / 10^(snr_db/10) when `snr_db` is given.
+as noise = P_d * rho0 / 10^(snr_db/10) when `snr_db` is given, and the
+Doppler shift as f_d = v * f_c / c.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .channel import (LinkParams, MobilityParams, MPH_TO_MPS, doppler_frequency)
+from .channel import LinkParams, MPH_TO_MPS, SPEED_OF_LIGHT
+
+# The longest reward curve that is tabulated (delta_max), and the highest age
+# whose r(age) a simulation integrates past its curve.
+MAX_TABULATED_AGES = 1_000_000
 
 _KNOWN_KEYS = {
     "pilot_power", "data_power", "channel_variance", "noise_variance", "snr_db",
@@ -79,8 +84,11 @@ class ExperimentConfig:
             raise ValueError(f"reward_csv must be a string or null, got {self.reward_csv!r}")
         if (self.noise_variance is None) == (self.snr_db is None):
             raise ValueError("exactly one of 'noise_variance' and 'snr_db' must be given")
-        if self.noise_variance is not None and self.noise_variance <= 0:
-            raise ValueError(f"noise_variance must be positive, got {self.noise_variance}")
+        for name in ("pilot_power", "data_power", "channel_variance", "noise_variance",
+                     "carrier_hz", "sample_period_s"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.speed_unit not in ("mph", "mps"):
             raise ValueError(f"speed_unit must be 'mph' or 'mps', got {self.speed_unit!r}")
         if self.speed < 0:
@@ -89,6 +97,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.delta_max > MAX_TABULATED_AGES:
+            raise ValueError(
+                f"delta_max must be at most {MAX_TABULATED_AGES}, got {self.delta_max}")
         # the quadrature rule needs 8 nodes, and the Gauss-Legendre rule of n
         # nodes is built from an n x n matrix: 8 MiB at the ceiling, 74.5 GiB
         # at 10^5 nodes
@@ -113,17 +124,31 @@ class ExperimentConfig:
 
     def link_params(self, snr_db: float | None = None,
                     speed_mph: float | None = None) -> LinkParams:
-        """Materialize LinkParams, optionally overriding the SNR or speed grid point."""
-        speed_mps = self.speed_mps if speed_mph is None else speed_mph * MPH_TO_MPS
-        mob = MobilityParams(speed_mps=speed_mps, carrier_hz=self.carrier_hz)
-        return LinkParams(
-            pilot_power=self.pilot_power,
-            data_power=self.data_power,
-            noise_variance=self.noise_variance_linear(snr_db),
-            channel_variance=self.channel_variance,
-            doppler_hz=doppler_frequency(mob),
-            sample_period=self.sample_period_s,
-        )
+        """Materialize LinkParams, optionally overriding the SNR or speed grid point.
+
+        A speed outside [0, c), or a Doppler shift that breaks the sampling
+        bound, raises a ValueError naming the keys that set it.
+        """
+        if speed_mph is None:
+            speed, unit, speed_mps = self.speed, self.speed_unit, self.speed_mps
+        else:
+            speed, unit, speed_mps = speed_mph, "mph", speed_mph * MPH_TO_MPS
+        if not 0 <= speed_mps < SPEED_OF_LIGHT:
+            raise ValueError(f"speed must be in [0, c), got {speed!r} {unit}")
+        noise_variance = self.noise_variance_linear(snr_db)
+        try:
+            return LinkParams(
+                pilot_power=self.pilot_power,
+                data_power=self.data_power,
+                noise_variance=noise_variance,
+                channel_variance=self.channel_variance,
+                doppler_hz=speed_mps * self.carrier_hz / SPEED_OF_LIGHT,
+                sample_period=self.sample_period_s,
+            )
+        except ValueError as exc:
+            # every other field is checked above, so the Doppler shift is at fault
+            raise ValueError(f"speed {speed!r} {unit}, carrier_hz {self.carrier_hz!r} and "
+                             f"sample_period_s {self.sample_period_s!r}: {exc}") from exc
 
 
 def read_input_text(path, what: str) -> str:

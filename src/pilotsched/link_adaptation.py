@@ -27,10 +27,8 @@ from importlib import resources
 import numpy as np
 
 from .channel import LinkParams
-from .config import read_csv_input, read_input_text
+from .config import MAX_TABULATED_AGES, read_csv_input, read_input_text
 from .estimation import pilot_second_moment, sinr_gain
-
-MAX_TABULATED_AGES = 1_000_000
 
 # Default per-CQI logistic BLER model: bler(snr) = 1/(1 + exp(a*(snr_dB - b))).
 # Slopes a (per dB) and midpoints b (dB, the 50% BLER point) are model defaults
@@ -438,21 +436,6 @@ def _select_blocks(x: np.ndarray, table: McsTable, choices: bool):
             yield sl, select(x[sl], choices)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Fixed-node quadrature settings for the exponential-measure integral."""
-
-    nodes: int = 64
-    tail: float = 40.0       # integrate u in [0, >= tail] (u = X / mean)
-    max_panel: float = 5.0   # split panels longer than this in u
-
-    def __post_init__(self):
-        if self.nodes < 8:
-            raise ValueError(f"quadrature needs at least 8 nodes, got {self.nodes}")
-        if self.tail <= 0 or self.max_panel <= 0:
-            raise ValueError("tail and max_panel must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class RewardCurve:
     """Tabulated expected goodput r(1..n)."""
@@ -485,19 +468,24 @@ def _gauss_legendre(n: int):
     return _GL_CACHE[n]
 
 
+# The quadrature integrates u = X / mean over [0, >= _QUAD_TAIL], in panels
+# no longer than _MAX_PANEL.
+_QUAD_TAIL = 40.0
+_MAX_PANEL = 5.0
+
 # Ages whose panels are laid out at once: the panel arrays stay small
 # whatever the curve length, and their panel x node points go to MCS
 # selection in chunks of one selection block each (`_blocks`).
 _AGE_BLOCK = 1 << 8
 
 
-def _panels(scale: np.ndarray, thresholds: np.ndarray, quad: QuadratureConfig) -> tuple:
+def _panels(scale: np.ndarray, thresholds: np.ndarray) -> tuple:
     """Quadrature panels on the u-axis for ages with SINR scales `scale`.
 
     u is |y|^2 in units of its mean, and `thresholds` are the sorted finite
     feasibility thresholds.  Each age's u-range runs from its lowest
     threshold to u_end; it is cut at every threshold inside, and each piece
-    is split evenly into panels no longer than quad.max_panel.  Returns
+    is split evenly into panels no longer than _MAX_PANEL.  Returns
     (owner, lo, hi): the index into `scale` of each panel's age and its
     u-interval, ages in order and panels in increasing u within an age.
     Ages with scale 0, or whose range is empty, get no panels.
@@ -506,7 +494,7 @@ def _panels(scale: np.ndarray, thresholds: np.ndarray, quad: QuadratureConfig) -
     cuts = thresholds / scale[live, None]      # ascending along each row
     u_start = cuts[:, 0]
     # exp(-u) underflows past ~745
-    u_end = np.minimum(np.maximum(quad.tail, u_start + 30.0), 700.0)
+    u_end = np.minimum(np.maximum(_QUAD_TAIL, u_start + 30.0), 700.0)
     inner = (cuts > u_start[:, None]) & (cuts < u_end[:, None])
     inner[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
     nonempty = (u_start < u_end)[:, None]
@@ -518,7 +506,7 @@ def _panels(scale: np.ndarray, thresholds: np.ndarray, quad: QuadratureConfig) -
 
     # numpy.linspace(a, b, n + 1) per piece: edge k is k * ((b - a) / n) + a,
     # and the last edge is b itself
-    n = np.maximum(1, np.ceil((b - a) / quad.max_panel)).astype(np.int64)
+    n = np.maximum(1, np.ceil((b - a) / _MAX_PANEL)).astype(np.int64)
     piece = np.repeat(np.arange(n.size), n)
     k = np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)
     step = (b - a) / n
@@ -527,9 +515,10 @@ def _panels(scale: np.ndarray, thresholds: np.ndarray, quad: QuadratureConfig) -
     return owner[piece], lo, hi
 
 
-def _expected_goodputs(ages: np.ndarray, params: LinkParams, table: McsTable,
-                       quad: QuadratureConfig) -> np.ndarray:
-    """r(age) for every age in `ages` (all >= 1) by composite Gauss-Legendre quadrature.
+def expected_goodputs(ages, params: LinkParams, table: McsTable, nodes: int = 64) -> np.ndarray:
+    """r(age), the expected slot goodput at CSI age `age`, for every age in
+    `ages` (all >= 1), by composite Gauss-Legendre quadrature of `nodes`
+    (at least 8) nodes per panel.
 
     E[G(sinr_gain(age) * X)] with X exponential of mean P_p*rho0 + noise_var.
     The region below the lowest feasibility threshold contributes exactly
@@ -539,20 +528,25 @@ def _expected_goodputs(ages: np.ndarray, params: LinkParams, table: McsTable,
     the node count, and it is added to its age in panel order, so an age's
     value does not depend on which other ages are tabulated with it.
     """
+    ages = np.asarray(ages)
+    if ages.size and ages.min() < 1:
+        raise ValueError(f"age must be >= 1, got {ages.min()}")
+    if nodes < 8:
+        raise ValueError(f"quadrature needs at least 8 nodes, got {nodes}")
     scale = sinr_gain(ages, params) * pilot_second_moment(params)
     thresholds, _ = table.selection_groups  # the finite ones, ascending
     values = np.zeros(ages.size)
     if thresholds.size == 0:
         return values
-    x_ref, w_ref = _gauss_legendre(quad.nodes)
-    panels = max(1, _BLOCK_POINTS // quad.nodes)
-    select = _BlockSelector(table, panels * quad.nodes)
+    x_ref, w_ref = _gauss_legendre(nodes)
+    panels = max(1, _BLOCK_POINTS // nodes)
+    select = _BlockSelector(table, panels * nodes)
     # a chunk's nodes and SINRs, reused like the selector's arrays
-    u_buf, x_buf = np.empty((panels, quad.nodes)), np.empty((panels, quad.nodes))
+    u_buf, x_buf = np.empty((panels, nodes)), np.empty((panels, nodes))
     for first in range(0, ages.size, _AGE_BLOCK):
-        owner, lo, hi = _panels(scale[first:first + _AGE_BLOCK], thresholds, quad)
+        owner, lo, hi = _panels(scale[first:first + _AGE_BLOCK], thresholds)
         owner += first
-        for sl in _blocks(owner.size, quad.nodes):
+        for sl in _blocks(owner.size, nodes):
             hw = 0.5 * (hi[sl] - lo[sl])
             # u = mid + hw * x_ref in place; float addition commutes exactly
             u = np.multiply(hw[:, None], x_ref, out=u_buf[:hw.size])
@@ -574,22 +568,14 @@ def _expected_goodputs(ages: np.ndarray, params: LinkParams, table: McsTable,
     return values
 
 
-def expected_goodput(age: int, params: LinkParams, table: McsTable,
-                     quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """Expected slot goodput at CSI age `age`, integrated over the pilot draw."""
-    if age < 1:
-        raise ValueError(f"age must be >= 1, got {age}")
-    return float(_expected_goodputs(np.array([age]), params, table, quad)[0])
-
-
 def build_reward_curve(params: LinkParams, table: McsTable, max_age: int,
-                       quad: QuadratureConfig = QuadratureConfig()) -> RewardCurve:
-    """Tabulate expected_goodput for ages 1 .. max_age."""
+                       nodes: int = 64) -> RewardCurve:
+    """Tabulate expected_goodputs for ages 1 .. max_age."""
     if max_age < 1:
         raise ValueError(f"max_age must be >= 1, got {max_age}")
     if max_age > MAX_TABULATED_AGES:
         raise ValueError(f"max_age {max_age} exceeds the configured bound {MAX_TABULATED_AGES}")
-    return RewardCurve(values=_expected_goodputs(np.arange(1, max_age + 1), params, table, quad))
+    return RewardCurve(values=expected_goodputs(np.arange(1, max_age + 1), params, table, nodes))
 
 
 def parametric_mcs_table(rates: dict, e_max: float) -> McsTable:
@@ -692,3 +678,24 @@ def load_bler_table(path, rate_config=None) -> McsTable:
             raise ValueError(f"{path}: no configured rate for cqi {cqi}")
         entries.append(McsEntry(index=cqi, rate=rates[cqi], bler_curve=curve))
     return McsTable(entries=entries, e_max=e_max)
+
+
+def load_reward_curve(path) -> RewardCurve:
+    """Read an `age,reward` CSV with consecutive ages starting at 1."""
+    values = []
+    for line_no, row in read_csv_input(path, "reward curve", ["age", "reward"]):
+        try:
+            age_text, reward_text = row
+            age, reward = int(age_text), float(reward_text)
+        except ValueError as exc:
+            raise ValueError(f"{path} row {line_no}: malformed row {row}") from exc
+        if age != len(values) + 1:
+            raise ValueError(
+                f"{path} row {line_no}: ages must be consecutive from 1, got {age}")
+        values.append(reward)
+    if not values:
+        raise ValueError(f"{path}: reward curve contains no data rows")
+    try:
+        return RewardCurve(values=np.array(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

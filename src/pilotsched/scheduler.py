@@ -11,13 +11,11 @@ search over periodic policies, and Howard policy iteration on the age MDP.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_csv_input
 from .link_adaptation import RewardCurve
 
 
@@ -187,32 +185,3 @@ def policy_iteration(curve: RewardCurve) -> tuple:
         if np.array_equal(improved, pilot):
             return period, gain, iterations
         pilot = improved
-
-
-def load_reward_curve(path) -> RewardCurve:
-    """Read an `age,reward` CSV with consecutive ages starting at 1."""
-    values = []
-    for line_no, row in read_csv_input(path, "reward curve", ["age", "reward"]):
-        try:
-            age_text, reward_text = row
-            age, reward = int(age_text), float(reward_text)
-        except ValueError as exc:
-            raise ValueError(f"{path} row {line_no}: malformed row {row}") from exc
-        if age != len(values) + 1:
-            raise ValueError(
-                f"{path} row {line_no}: ages must be consecutive from 1, got {age}")
-        values.append(reward)
-    if not values:
-        raise ValueError(f"{path}: reward curve contains no data rows")
-    try:
-        return RewardCurve(values=np.array(values))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_reward_curve(curve: RewardCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["age", "reward"])
-        for age, reward in enumerate(curve.values, start=1):
-            writer.writerow([age, repr(float(reward))])

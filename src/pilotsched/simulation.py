@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkParams, generate_fading_trace
+from .config import MAX_TABULATED_AGES
 from .estimation import sinr_gain
-from .link_adaptation import (MAX_TABULATED_AGES, McsTable, QuadratureConfig, RewardCurve,
-                              _expected_goodputs, _select_blocks)
+from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodputs
 
 EXPECTED = "expected"
 REALIZED = "realized"
@@ -59,8 +59,6 @@ class SimulationResult:
     avg_goodput: float
     pilot_fraction: float
     age_histogram: dict
-    mode: str
-    seed: int
     horizon: int
 
 
@@ -134,7 +132,7 @@ def expected_total(values: np.ndarray, horizon: int, period: int) -> float:
 
 def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, seed: int,
                mode: str, reward_curve: RewardCurve | None = None,
-               quad: QuadratureConfig = QuadratureConfig()) -> SimulationResult:
+               nodes: int = 64) -> SimulationResult:
     """Simulate the schedule that pilots every `period` slots; deterministic given (seed, mode).
 
     Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
@@ -143,9 +141,10 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
     weighted by the exact data-slot count of each age (`expected_total`), so
     its cost is O(period) and independent of the horizon; it reads r only at
     ages 1 .. min(period-1, data slots), integrating those past
-    `reward_curve`.  Realized mode evaluates its rewards in one vectorized
-    pass over the data slots, and only it draws the fading trace and noise,
-    and only when the schedule has data slots.
+    `reward_curve` with `nodes` quadrature nodes.  Realized mode evaluates
+    its rewards in one vectorized pass over the data slots, and only it
+    draws the fading trace and noise, and only when the schedule has data
+    slots.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -169,7 +168,7 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
                                      f"beyond the bound {MAX_TABULATED_AGES}")
                 # r(age) does not depend on the other ages tabulated with it
                 missing = np.arange(values.size + 1, max_needed + 1)
-                values = np.concatenate([values, _expected_goodputs(missing, params, table, quad)])
+                values = np.concatenate([values, expected_goodputs(missing, params, table, nodes)])
             total_reward = expected_total(values, horizon, period)
         else:
             trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed)
@@ -184,7 +183,5 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
         avg_goodput=total_reward / horizon,
         pilot_fraction=pilot_count / horizon,
         age_histogram=histogram,
-        mode=mode,
-        seed=seed,
         horizon=horizon,
     )

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import (LinkParams, autocorrelation, empirical_autocorrelation,
                       generate_fading_trace)
 from .estimation import mmse_gain, pilot_second_moment, sinr_gain
-from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodput
+from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodputs
 from .scheduler import (HorizonExhaustedError, ThresholdSolution,
                         brute_force_optimal_period, policy_iteration, solve_threshold)
 
@@ -149,7 +149,7 @@ def check_quadrature_vs_mc(table: McsTable, count: int = 10, n_samples: int = 1_
             pilot_power=1.0, data_power=1.0,
             noise_variance=10.0 ** (-snr_db / 10.0),
             channel_variance=1.0, doppler_hz=fd_ts * 1000.0, sample_period=1e-3)
-        quad_val = expected_goodput(age, params, table)
+        quad_val = float(expected_goodputs([age], params, table)[0])
         if quad_val < min_value_frac * table.max_rate:
             continue
         mc_val, se = mc_expected_goodput(age, params, table, n_samples,
@@ -247,8 +247,7 @@ def check_scheduler_triangle(physical_curve: RewardCurve | None = None,
 
 
 def run_all_checks(params: LinkParams, table: McsTable,
-                   physical_curve: RewardCurve | None = None,
-                   mc_samples: int = 1_000_000) -> list:
+                   physical_curve: RewardCurve | None = None) -> list:
     """The full validation battery at one operating point.
 
     The Monte Carlo checks run with their own pinned seeds: each is a
@@ -261,6 +260,6 @@ def run_all_checks(params: LinkParams, table: McsTable,
     return [
         check_autocorrelation_fidelity(fidelity_params),
         check_orthogonality(params),
-        check_quadrature_vs_mc(table, n_samples=mc_samples),
+        check_quadrature_vs_mc(table),
         check_scheduler_triangle(physical_curve),
     ]

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from pilotsched import (LinkParams, MobilityParams, MPH_TO_MPS,
-                        default_mcs_table, doppler_frequency)
+from pilotsched import LinkParams, MPH_TO_MPS, SPEED_OF_LIGHT, default_mcs_table
 
 
 @pytest.fixture(scope="session")
 def reference_params() -> LinkParams:
     """The headline operating point: 15 mph, 2.4 GHz, 1 ms slots, 20 dB SNR."""
-    mob = MobilityParams(speed_mps=15 * MPH_TO_MPS, carrier_hz=2.4e9)
     return LinkParams(pilot_power=1.0, data_power=1.0, noise_variance=0.01,
-                      channel_variance=1.0, doppler_hz=doppler_frequency(mob),
+                      channel_variance=1.0,
+                      doppler_hz=15 * MPH_TO_MPS * 2.4e9 / SPEED_OF_LIGHT,
                       sample_period=1e-3)
 
 

@@ -33,10 +33,11 @@ import numpy as np
 
 from pilotsched import (EXPECTED, FadingTrace, HorizonExhaustedError,
                         RewardCurve, ThresholdSolution, autocorrelation, derive_streams,
-                        expected_goodput, hitting_age, index_gamma, max_goodput_array)
+                        expected_goodputs, hitting_age, index_gamma, max_goodput_array)
 from pilotsched.channel import (_DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ,
                                 _SQ2OPI)
 from pilotsched.estimation import mmse_gain, pilot_second_moment, sinr_gain
+from pilotsched.link_adaptation import _MAX_PANEL, _QUAD_TAIL
 from pilotsched.simulation import MODES
 
 PILOT = "pilot"
@@ -390,18 +391,19 @@ def realized_rewards_per_slot(eta, uniforms, table) -> np.ndarray:
                                         np.asarray(uniforms).tolist())])
 
 
-def reward_curve_panels(ages, params, table, quad, exact_sums=False):
-    """r(age) at each of `ages` by composite Gauss-Legendre quadrature, one
-    age and one panel at a time.
+def reward_curve_panels(ages, params, table, nodes=64, exact_sums=False):
+    """r(age) at each of `ages` by composite Gauss-Legendre quadrature of
+    `nodes` nodes per panel, one age and one panel at a time.
 
     The u-axis (|y|^2 in units of its mean) is cut at every feasibility
-    threshold, each piece is split into panels no longer than quad.max_panel,
-    and each panel's weighted sum, `(w_ref * (g * exp(-u))).sum()`, is added
-    to the age's total in order.  With `exact_sums` each panel's terms and
-    then the age's panel values are summed with math.fsum instead.
+    threshold up to the package's tail (_QUAD_TAIL), each piece is split into
+    panels no longer than its _MAX_PANEL, and each panel's weighted sum,
+    `(w_ref * (g * exp(-u))).sum()`, is added to the age's total in order.
+    With `exact_sums` each panel's terms and then the age's panel values are
+    summed with math.fsum instead.
     """
     feasibility = bisect_thresholds(table)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(quad.nodes)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
     out = []
     for age in ages:
         gain = sinr_gain(int(age), params)
@@ -415,7 +417,7 @@ def reward_curve_panels(ages, params, table, quad, exact_sums=False):
             out.append(0.0)
             continue
         u_start = float(finite.min())
-        u_end = min(max(quad.tail, u_start + 30.0), 700.0)
+        u_end = min(max(_QUAD_TAIL, u_start + 30.0), 700.0)
         if u_start >= u_end:
             out.append(0.0)
             continue
@@ -423,7 +425,7 @@ def reward_curve_panels(ages, params, table, quad, exact_sums=False):
             ([u_start, u_end], finite[(finite > u_start) & (finite < u_end)])))
         panel_values = []
         for a, b in zip(cuts[:-1], cuts[1:]):
-            n_sub = max(1, int(math.ceil((b - a) / quad.max_panel)))
+            n_sub = max(1, int(math.ceil((b - a) / _MAX_PANEL)))
             edges = np.linspace(a, b, n_sub + 1)
             for lo, hi in zip(edges[:-1], edges[1:]):
                 hw = 0.5 * (hi - lo)
@@ -505,7 +507,7 @@ def step(state: SchedulerState, action: str, trace, params, table, mode: str, *,
         if reward_curve is not None and state.age <= len(reward_curve):
             reward = float(reward_curve.values[state.age - 1])
         else:
-            reward = expected_goodput(state.age, params, table)
+            reward = float(expected_goodputs([state.age], params, table)[0])
     else:
         eta = sinr_gain(state.age, params) * abs(state.last_pilot_value) ** 2
         _, chosen, chosen_bler = max_goodput_array(eta, table)

@@ -7,37 +7,11 @@ import scipy.special
 
 import pilotsched.channel as channel
 from oracles import bessel_j0_unblocked, fading_trace_unstrided, j0_series
-from pilotsched import (FadingTrace, LinkParams, MobilityParams, MPH_TO_MPS,
-                        SPEED_OF_LIGHT, autocorrelation, bessel_j0,
-                        doppler_frequency, empirical_autocorrelation,
-                        generate_fading_trace)
+from pilotsched import (FadingTrace, LinkParams, autocorrelation, bessel_j0,
+                        empirical_autocorrelation, generate_fading_trace)
 
 J0_FIRST_ZEROS = [2.404825557695773, 5.520078110286311, 8.653727912911012,
                   11.791534439014281, 14.930917708487786]
-
-
-class TestDopplerFrequency:
-    def test_zero_speed(self):
-        assert doppler_frequency(MobilityParams(speed_mps=0.0, carrier_hz=5e9)) == 0.0
-
-    def test_reference_point_15mph(self):
-        # 15 mph at 2.4 GHz: (15 * 0.44704) * 2.4e9 / 299792458
-        mob = MobilityParams(speed_mps=15 * MPH_TO_MPS, carrier_hz=2.4e9)
-        fd = doppler_frequency(mob)
-        assert fd == pytest.approx(53.6819375, abs=1e-4)
-        assert fd == (15 * 0.44704) * 2.4e9 / 299792458.0
-
-    def test_linear_in_speed(self):
-        f15 = doppler_frequency(MobilityParams(15 * MPH_TO_MPS, 2.4e9))
-        f30 = doppler_frequency(MobilityParams(30 * MPH_TO_MPS, 2.4e9))
-        assert f30 == pytest.approx(2 * f15, rel=1e-15)
-
-    def test_exact_speed_of_light(self):
-        assert SPEED_OF_LIGHT == 299_792_458.0
-
-    def test_superluminal_rejected(self):
-        with pytest.raises(ValueError):
-            MobilityParams(speed_mps=SPEED_OF_LIGHT, carrier_hz=1e9)
 
 
 class TestBesselJ0:

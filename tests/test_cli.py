@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pilotsched.cli as cli
-from pilotsched import ExperimentConfig, load_config, run_policy
+from pilotsched import SPEED_OF_LIGHT, ExperimentConfig, load_config, run_policy
 from pilotsched.cli import main
 
 
@@ -87,6 +87,9 @@ class TestConfig:
         ({}, ["goodput-curve", "--config", "{tmp}/absent_config.json"], "absent_config.json"),
         ({}, ["solve", "--config", "{tmp}/a_dir"], "a_dir"),
         ({"mcs_config": "{tmp}/absent_rates.json"}, ["goodput-curve"], "absent_rates.json"),
+        # the rate config is read first, so its fault is the one named
+        ({"mcs_config": "{tmp}/absent_rates.json", "bler_table": "{tmp}/a_dir"},
+         ["goodput-curve"], "absent_rates.json"),
         ({"bler_table": "{tmp}/a_dir"}, ["goodput-curve"], "a_dir"),
         ({"reward_csv": "{tmp}/absent_reward.csv"}, ["solve"], "absent_reward.csv"),
         ({}, ["simulate", "--policy", "periodic:abc"],
@@ -113,6 +116,20 @@ class TestConfig:
         ({"speed": 0}, ["validate"], "as on a static channel (speed 0)"),
         ({"delta_max": 5, "speed": 0.15}, ["validate"],
          "no pilot period found within the 5 tabulated ages (delta_max)"),
+        ({"pilot_power": 0}, ["goodput-curve"], "pilot_power must be positive, got 0"),
+        ({"data_power": 0}, ["solve"], "data_power must be positive, got 0"),
+        ({"channel_variance": 0}, ["simulate"], "channel_variance must be positive, got 0"),
+        ({"sample_period_s": 0}, ["validate"], "sample_period_s must be positive, got 0"),
+        ({"carrier_hz": -1.0}, ["sweep-mobility"], "carrier_hz must be positive, got -1.0"),
+        # rejected at load, before the reward curve is read
+        ({"data_power": 0, "reward_csv": "{tmp}/absent_reward.csv"}, ["solve"],
+         "data_power must be positive, got 0"),
+        ({"delta_max": 1_000_001}, ["goodput-curve"],
+         "delta_max must be at most 1000000, got 1000001"),
+        ({"carrier_hz": 1e300}, ["solve"],
+         "speed 15 mph, carrier_hz 1e+300 and sample_period_s 0.001: normalized Doppler"),
+        ({"sample_period_s": 1}, ["simulate"],
+         "speed 15 mph, carrier_hz 2400000000.0 and sample_period_s 1: normalized Doppler"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, overrides, argv, named):
         # {tmp} is the test's directory, which holds a subdirectory a_dir, two
@@ -168,6 +185,41 @@ class TestConfig:
     def test_explicit_noise_used(self):
         cfg = ExperimentConfig(noise_variance=0.25)
         assert cfg.link_params().noise_variance == 0.25
+
+
+class TestDopplerFrequency:
+    """The Doppler shift v * f_c / c that ExperimentConfig.link_params computes."""
+
+    def test_zero_speed(self):
+        cfg = ExperimentConfig(snr_db=20.0, speed=0.0, carrier_hz=5e9)
+        assert cfg.link_params().doppler_hz == 0.0
+
+    def test_reference_point_15mph(self):
+        # 15 mph at 2.4 GHz: (15 * 0.44704) * 2.4e9 / 299792458
+        cfg = ExperimentConfig(snr_db=20.0, speed=15, speed_unit="mph", carrier_hz=2.4e9)
+        fd = cfg.link_params().doppler_hz
+        assert fd == pytest.approx(53.6819375, abs=1e-4)
+        assert fd == (15 * 0.44704) * 2.4e9 / 299792458.0
+
+    def test_linear_in_speed(self):
+        cfg = ExperimentConfig(snr_db=20.0, carrier_hz=2.4e9)
+        f15 = cfg.link_params(speed_mph=15).doppler_hz
+        f30 = cfg.link_params(speed_mph=30).doppler_hz
+        assert f30 == pytest.approx(2 * f15, rel=1e-15)
+
+    def test_exact_speed_of_light(self):
+        assert SPEED_OF_LIGHT == 299_792_458.0
+
+    def test_superluminal_rejected(self):
+        cfg = ExperimentConfig(snr_db=20.0, speed=SPEED_OF_LIGHT, speed_unit="mps",
+                               carrier_hz=1e9)
+        with pytest.raises(ValueError, match=r"speed must be in \[0, c\)"):
+            cfg.link_params()
+
+    def test_negative_grid_speed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, speed_grid_mph=[10.0, -1.0])
+        assert main(["sweep-mobility", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "speed_mph -1.0: speed must be in [0, c), got -1.0 mph" in capsys.readouterr().err
 
 
 class TestGoodputCurveCommand:
@@ -474,6 +526,26 @@ class TestSweepCommands:
             assert f"--workers must be at most the {cpus} CPUs, got {workers}" in err
         assert not (tmp_path / "out" / f"{command.replace('-', '_')}.csv").exists()
 
+    def test_build_table_reads_each_file_once(self, tmp_path, monkeypatch):
+        import pilotsched.config as config
+        import pilotsched.link_adaptation as link_adaptation
+        reads = []
+        read = config.read_input_text
+
+        def counting_read(path, what):
+            reads.append(str(path))
+            return read(path, what)
+
+        monkeypatch.setattr(config, "read_input_text", counting_read)
+        monkeypatch.setattr(link_adaptation, "read_input_text", counting_read)
+        rates, bler = tmp_path / "rates.json", tmp_path / "bler.csv"
+        rates.write_text('{"e_max": 0.1, "rates": {"1": 0.5, "2": 1.0}}')
+        bler.write_text("cqi,snr_db,bler\n1,0.0,0.9\n1,10.0,0.0\n2,0.0,0.9\n2,10.0,0.0\n")
+        cfg = ExperimentConfig(snr_db=20.0, mcs_config=str(rates), bler_table=str(bler))
+        table = cli.build_table(cfg)
+        assert sorted(reads) == sorted([str(rates), str(bler)])
+        assert [(e.index, e.rate) for e in table.entries] == [(1, 0.5), (2, 1.0)]
+
     def test_one_mcs_table_per_sweep(self, tmp_path, monkeypatch):
         built = []
 
@@ -525,10 +597,10 @@ class TestSimulateCommand:
         # tabulated curve gives the same result
         path = write_config(tmp_path)
         cfg = load_config(path)
-        params, table, quad = cfg.link_params(), cli.build_table(cfg), cli._quad(cfg)
-        curve = cli.build_reward_curve(params, table, cfg.delta_max, quad)
+        params, table = cfg.link_params(), cli.build_table(cfg)
+        curve = cli.build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
         want = run_policy(2, params, table, cfg.horizon, cfg.seeds[0], mode,
-                          reward_curve=curve, quad=quad)
+                          reward_curve=curve, nodes=cfg.quad_nodes)
 
         def refuse(*args, **kwargs):
             raise AssertionError("periodic:2 must not tabulate the reward curve")

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import bisect_thresholds, max_goodput_matrix, reward_curve_panels
 from pilotsched import (LinkParams, LogisticBlerCurve, McsEntry, McsTable,
-                        QuadratureConfig, TabulatedBlerCurve,
-                        autocorrelation, build_reward_curve, default_mcs_table,
-                        expected_goodput, link_adaptation, load_bler_table,
-                        load_mcs_rates, max_goodput_array)
+                        TabulatedBlerCurve, autocorrelation, build_reward_curve,
+                        default_mcs_table, expected_goodputs, link_adaptation,
+                        load_bler_table, load_mcs_rates, max_goodput_array)
 from pilotsched.config import ExperimentConfig
 from pilotsched.validation import mc_expected_goodput
 
@@ -438,16 +437,16 @@ class TestExpectedGoodput:
         p = LinkParams(1.0, 1.0, 0.01, doppler_hz=2.404825557695773 / (2 * math.pi * 7) * 1000,
                        sample_period=1e-3)
         assert autocorrelation(7, p) == pytest.approx(0.0, abs=1e-12)
-        assert expected_goodput(7, p, default_mcs_table()) == 0.0
+        assert expected_goodputs([7], p, default_mcs_table())[0] == 0.0
 
     def test_always_feasible_single_entry(self, reference_params):
         # bler 0 at every SINR: r(age) = R for any age with rho != 0
         table = single_entry_table(3.0, flat_curve(0.0))
-        val = expected_goodput(1, reference_params, table)
+        val = expected_goodputs([1], reference_params, table)[0]
         assert val == pytest.approx(3.0, rel=1e-12)
 
     def test_dip_near_first_bessel_zero(self, reference_params, default_table):
-        r = [expected_goodput(d, reference_params, default_table) for d in range(1, 21)]
+        r = expected_goodputs(np.arange(1, 21), reference_params, default_table)
         argmin = int(np.argmin(r)) + 1
         assert argmin in (6, 7, 8)
         assert r[argmin + 3 - 1] > r[argmin - 1]
@@ -462,7 +461,7 @@ class TestExpectedGoodput:
             age = int(rng.integers(1, 6))
             p = LinkParams(1.0, 1.0, 10 ** (-snr_db / 10.0),
                            doppler_hz=fd_ts * 1000.0, sample_period=1e-3)
-            quad_val = expected_goodput(age, p, default_table)
+            quad_val = float(expected_goodputs([age], p, default_table)[0])
             if quad_val < 0.05 * default_table.max_rate:
                 continue
             mc_val, _ = mc_expected_goodput(age, p, default_table, 1_000_000,
@@ -470,24 +469,27 @@ class TestExpectedGoodput:
             assert abs(quad_val - mc_val) / mc_val <= 1e-3
             checked += 1
 
-    def test_node_count_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes=4)
+    def test_node_count_floor(self, reference_params, default_table):
+        with pytest.raises(ValueError, match="at least 8 nodes, got 4"):
+            expected_goodputs([1], reference_params, default_table, nodes=4)
+
+    def test_age_floor(self, reference_params, default_table):
+        with pytest.raises(ValueError, match="age must be >= 1, got 0"):
+            expected_goodputs([3, 0], reference_params, default_table)
 
     def test_node_doubling_converged(self, reference_params, default_table):
         # rate crossings inside a panel cap convergence around 1e-11; the
         # contract is 1e-4, so 1e-9 leaves a wide regression margin
-        for age in (1, 3, 5, 10):
-            a = expected_goodput(age, reference_params, default_table, QuadratureConfig(nodes=64))
-            b = expected_goodput(age, reference_params, default_table,
-                                 QuadratureConfig(nodes=128, max_panel=2.0))
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-300)
+        ages = np.array([1, 3, 5, 10])
+        a = expected_goodputs(ages, reference_params, default_table, nodes=64)
+        b = expected_goodputs(ages, reference_params, default_table, nodes=128)
+        assert a == pytest.approx(b, rel=1e-9, abs=1e-300)
 
     def test_age_depends_only_on_rho_magnitude(self, default_table):
         # rho(10) < 0 at fd*Ts = 0.05; flipping the sign of rho leaves r unchanged
         # (structurally: the SINR gain uses rho^2), so equal |rho| gives equal r.
         p0 = LinkParams(1.0, 1.0, 0.1, doppler_hz=0.0)
-        vals = [expected_goodput(d, p0, default_table) for d in (1, 5, 20)]
+        vals = expected_goodputs([1, 5, 20], p0, default_table)
         assert vals[0] == vals[1] == vals[2]
 
 
@@ -495,7 +497,7 @@ class TestBuildRewardCurve:
     def test_single_age(self, reference_params, default_table):
         c = build_reward_curve(reference_params, default_table, 1)
         assert len(c) == 1
-        assert c.values[0] == expected_goodput(1, reference_params, default_table)
+        assert c.values[0] == expected_goodputs([1], reference_params, default_table)[0]
 
     def test_bit_identical_recomputation(self, reference_params, default_table):
         a = build_reward_curve(reference_params, default_table, 30)
@@ -527,19 +529,18 @@ class TestBatchedQuadrature:
         params = ExperimentConfig(snr_db=snr_db, speed=speed_mph).link_params()
         curve = build_reward_curve(params, default_table, 600)
         ages = np.arange(1, 601, 3)
-        want = reward_curve_panels(ages, params, default_table, QuadratureConfig())
+        want = reward_curve_panels(ages, params, default_table)
         assert np.array_equal(curve.values[ages - 1], want)
 
     def test_matches_oracle_for_loaded_bler_table(self, tmp_path, reference_params):
         table = tabulated_default_table(tmp_path)
         curve = build_reward_curve(reference_params, table, 60)
-        want = reward_curve_panels(range(1, 61), reference_params, table, QuadratureConfig())
+        want = reward_curve_panels(range(1, 61), reference_params, table)
         assert np.array_equal(curve.values, want)
 
     def test_matches_oracle_with_finer_panels(self, reference_params, default_table):
-        quad = QuadratureConfig(nodes=128, max_panel=2.0)
-        curve = build_reward_curve(reference_params, default_table, 60, quad)
-        want = reward_curve_panels(range(1, 61), reference_params, default_table, quad)
+        curve = build_reward_curve(reference_params, default_table, 60, nodes=128)
+        want = reward_curve_panels(range(1, 61), reference_params, default_table, nodes=128)
         assert np.array_equal(curve.values, want)
 
     @pytest.mark.parametrize("snr_db,speed_mph", CURVE_POINTS)
@@ -548,11 +549,10 @@ class TestBatchedQuadrature:
         # math.fsum over each panel's terms and then over the age's panels
         params = ExperimentConfig(snr_db=snr_db, speed=speed_mph).link_params()
         ages = np.arange(1, 601, 3)
-        exact = reward_curve_panels(ages, params, default_table, QuadratureConfig(),
-                                    exact_sums=True)
+        exact = reward_curve_panels(ages, params, default_table, exact_sums=True)
         assert np.count_nonzero(exact) > 0
         for got in (build_reward_curve(params, default_table, 600).values[ages - 1],
-                    reward_curve_panels(ages, params, default_table, QuadratureConfig())):
+                    reward_curve_panels(ages, params, default_table)):
             assert np.all(np.abs(got - exact) <= 1e-15 * exact)
 
     def test_straddling_panel_takes_the_point_path(self, default_table):
@@ -580,11 +580,10 @@ class TestBatchedQuadrature:
         return np.arange(x.shape[0]), max_goodput_array(x, select.table)[0]
 
     def assert_panel_selection_matches_point_selection(self, table, params, ages):
-        quad = QuadratureConfig()
-        got = link_adaptation._expected_goodputs(ages, params, table, quad)
+        got = expected_goodputs(ages, params, table)
         with mock.patch.object(link_adaptation._BlockSelector, "panel_goodputs",
                                self._select_every_node):
-            want = link_adaptation._expected_goodputs(ages, params, table, quad)
+            want = expected_goodputs(ages, params, table)
         assert np.array_equal(got, want)
 
     def test_random_logistic_tables_select_by_panel_exactly(self, rng):
@@ -606,7 +605,7 @@ class TestBatchedQuadrature:
             assert np.array_equal(full[:k],
                                   build_reward_curve(reference_params, default_table, k).values)
         for age in (1, 17, 600):
-            assert expected_goodput(age, reference_params, default_table) == full[age - 1]
+            assert expected_goodputs([age], reference_params, default_table)[0] == full[age - 1]
 
     def test_curve_peak_memory(self, default_table):
         # a 600-age curve at the low-speed curve-solve point: one selection
@@ -702,5 +701,5 @@ class TestLoadBlerTable:
         rates = self._write(tmp_path, '{"e_max": 0.1, "rates": {"1": 1.0, "2": 2.0}}',
                             name="rates.json")
         table = load_bler_table(path, rate_config=rates)
-        val = expected_goodput(1, reference_params, table)
+        val = expected_goodputs([1], reference_params, table)[0]
         assert 0.0 < val <= 2.0

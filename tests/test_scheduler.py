@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (DATA, PILOT, ConvergenceError, best_period_brute, gamma_brute,
                      index_gamma_per_age, relative_value_iteration, solve_threshold_bisection)
-from pilotsched import (HorizonExhaustedError, QuadratureConfig, RewardCurve,
+from pilotsched import (HorizonExhaustedError, RewardCurve,
                         brute_force_optimal_period, build_reward_curve, default_config,
                         default_mcs_table, hitting_age, index_gamma, load_reward_curve,
-                        policy_iteration, save_reward_curve, solve_threshold)
+                        policy_iteration, solve_threshold)
+from pilotsched.cli import _write_csv
 from pilotsched.validation import random_reward_curves
 
 
@@ -45,7 +46,7 @@ def outcome(solve, curve) -> tuple:
 def physical_curve(**overrides) -> RewardCurve:
     cfg = dataclasses.replace(default_config(), **overrides)
     return build_reward_curve(cfg.link_params(), default_mcs_table(), cfg.delta_max,
-                              QuadratureConfig(nodes=cfg.quad_nodes))
+                              cfg.quad_nodes)
 
 
 def full_window_maximum(curve) -> np.ndarray:
@@ -404,9 +405,10 @@ class TestDecide:
 
 class TestRewardCurveCsv:
     def test_round_trip(self, tmp_path, rng):
+        # written as goodput-curve writes it
         curve = RewardCurve(values=rng.uniform(0, 3, size=12))
         path = tmp_path / "curve.csv"
-        save_reward_curve(curve, path)
+        _write_csv(path, ["age", "reward"], enumerate(curve.values.tolist(), start=1))
         loaded = load_reward_curve(path)
         assert np.array_equal(loaded.values, curve.values)
 

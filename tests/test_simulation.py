@@ -159,13 +159,13 @@ class TestRunPolicy:
                                                               reference_params, default_table):
         # period 2400 over a 600-age curve needs r(601..2399) and nothing else
         curve = build_reward_curve(reference_params, default_table, 600)
-        kernel, asked = simulation._expected_goodputs, []
+        kernel, asked = simulation.expected_goodputs, []
 
         def recording_kernel(ages, *args):
             asked.append(ages.copy())
             return kernel(ages, *args)
 
-        monkeypatch.setattr(simulation, "_expected_goodputs", recording_kernel)
+        monkeypatch.setattr(simulation, "expected_goodputs", recording_kernel)
         res = run_policy(2400, reference_params, default_table, 5000, seed=1,
                          mode=EXPECTED, reward_curve=curve)
         assert len(asked) == 1 and np.array_equal(asked[0], np.arange(601, 2400))
