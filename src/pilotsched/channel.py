@@ -114,6 +114,7 @@ _PIO4 = 7.85398163397448309616e-1      # pi/4
 
 
 _J0_BLOCK = 1 << 13  # points per block of bessel_j0's work arrays
+_DRAW_BLOCK = 1 << 14  # points per block of a trace's normal draws
 
 
 def _polevl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -200,6 +201,52 @@ def autocorrelation(delta, params: LinkParams):
     return params.channel_variance * bessel_j0(arg)
 
 
+def _normal_blocks(rng, n: int):
+    """n standard normal draws from `rng`, as (slice, block) pairs.
+
+    The blocks are successive views of one buffer of at most _DRAW_BLOCK
+    points, each overwritten by the next; the generator continues one stream
+    across them, so they hold the draws of one n-point call.
+    """
+    buf = np.empty(min(n, _DRAW_BLOCK))
+    for start in range(0, n, buf.size):
+        stop = min(start + buf.size, n)
+        yield slice(start, stop), rng.standard_normal(out=buf[:stop - start])
+
+
+def _complex_normal(rng, n: int, scale: float) -> np.ndarray:
+    """scale * (re + 1j * im) for n standard normal draws re, then n more im."""
+    z = np.empty(n, dtype=complex)
+    for part in (z.real, z.imag):
+        for sl, normal in _normal_blocks(rng, n):
+            part[sl] = normal
+    z *= scale
+    return z
+
+
+def _spectral_weights(params: LinkParams, stride: int, out: np.ndarray) -> None:
+    """The circulant embedding's shaping weights, written into `out` (m points).
+
+    The circle's covariance is real and even, so its spectrum is the real
+    transform of the half covariance rho(stride * (0 .. m/2));
+    `np.fft.irfft(..., norm="forward")` of a real input is bit for bit
+    `np.fft.hfft`.  Negative weights are clipped to 0 and the rest rescaled
+    so the lag-0 covariance stays rho0; the 1/sqrt(2) of a unit complex
+    normal and the sqrt(m) that scales the inverse transform to a sum go into
+    the same weights, which end as square roots.  `out` may be a strided view
+    (the imaginary part of a complex array).
+    """
+    m = out.size
+    np.fft.irfft(autocorrelation(stride * np.arange(m // 2 + 1), params), m,
+                 norm="forward", out=out)
+    np.maximum(out, 0.0, out=out)
+    total = out.sum()
+    if total <= 0:
+        raise ValueError("degenerate covariance embedding")
+    out *= (m * params.channel_variance) / total * (m / 2.0)
+    np.sqrt(out, out=out)
+
+
 def generate_fading_trace(params: LinkParams, length: int, seed: int,
                           stride: int = 1) -> FadingTrace:
     """Draw one stationary complex Gaussian trace with the Jakes autocovariance.
@@ -210,17 +257,23 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     yields a process whose autocovariance matches the target at every lag
     below `length`, exactly only if no weight is negative.  The circle is
     real and even, so the weights are the real transform of its first
-    m/2 + 1 points (`np.fft.hfft`; within 1e-15 of the largest weight of the
-    complex FFT of the whole circle), and the circle itself is never built.
-    The Jakes embedding has negative weights; they are clipped to 0 and the
-    rest rescaled so the lag-0 covariance stays rho0; the 1/sqrt(2) of a unit
-    complex normal and the sqrt(m) that scales the inverse transform go into
-    the same weights.  Peak traced memory is the complex weights and the
-    inverse transform's output, 32 bytes per embedding point, and only
-    `length` samples of that output are copied out.  At 5*10^5 samples and
-    stride 1 the clipped weights hold 0.02% of the spectral mass at
-    f_d*T_s = 0.45, 0.4% at 0.05 and 0.9% at 0.005; strides 2, 3 and 12 gave
-    0.003-0.75%.  Deterministic for a given seed.
+    m/2 + 1 points (within 1e-15 of the largest weight of the complex FFT of
+    the whole circle), and the circle itself is never built; the Jakes
+    embedding has negative weights, clipped to 0 (`_spectral_weights`).
+
+    All of it runs in one complex array w of m points: the weights are
+    written into w.imag; the real-part normals, then the imaginary-part
+    normals, are drawn through one small buffer (`_normal_blocks`) and
+    multiplied into w.real and w.imag; the inverse transform runs in place,
+    and only `length` samples are copied out.  The process RSS rises by
+    about 49 bytes per embedding point: w and pocketfft's own working
+    buffers inside `np.fft`, about 32 bytes per point, which no bit-identical
+    change removes.  Traced memory (`tracemalloc` does not see pocketfft's
+    buffers) peaks at 32 bytes per point while the half covariance is
+    computed, before w is written.  At 5*10^5 samples and stride 1
+    the clipped weights hold 0.02% of the spectral mass at f_d*T_s = 0.45,
+    0.4% at 0.05 and 0.9% at 0.005; strides 2, 3 and 12 gave 0.003-0.75%.
+    Deterministic for a given seed.
 
     With `stride` P the trace is the process read every P slots: sample k has
     the law of the slot-kP sample, with autocovariance rho(P * d) at lag d.
@@ -237,37 +290,24 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
         raise ValueError("normalized Doppler must be < 0.5")
 
     rng = np.random.default_rng(seed)
-    rho0 = params.channel_variance
 
     if params.normalized_doppler == 0.0:
         # Degenerate spectrum: the process is a single coherent draw.
         re, im = rng.standard_normal(2)
-        h0 = math.sqrt(rho0 / 2.0) * complex(re, im)
+        h0 = math.sqrt(params.channel_variance / 2.0) * complex(re, im)
         samples = np.full(length, h0, dtype=complex)
     else:
         m = 1 << max(2, int(2 * length - 1).bit_length())
-        # the circle's covariance is real and even, so its spectrum is the
-        # real transform of the half covariance r(0 .. m/2)
-        lam = np.fft.hfft(autocorrelation(stride * np.arange(m // 2 + 1), params), m)
-        np.maximum(lam, 0.0, out=lam)
-        total = lam.sum()
-        if total <= 0:
-            raise ValueError("degenerate covariance embedding")
-        # keep the lag-0 covariance at exactly rho0; the weights also carry
-        # the 1/sqrt(2) of a unit complex normal and the sqrt(m) that scales
-        # the inverse transform to a sum
-        lam *= (m * rho0) / total * (m / 2.0)
-        np.sqrt(lam, out=lam)
-
-        # w = weights * (re + 1j * im), both halves drawn through one buffer
         w = np.empty(m, dtype=complex)
-        normal = np.empty(m)
-        np.multiply(rng.standard_normal(out=normal), lam, out=w.real)
-        np.multiply(rng.standard_normal(out=normal), lam, out=w.imag)
-        del normal, lam
-        h = np.fft.ifft(w)
-        del w
-        samples = h[:length].copy()  # a view would keep all m points alive
+        weights = w.imag
+        _spectral_weights(params, stride, weights)
+        # w = weights * (re + 1j * im); the imaginary part overwrites the
+        # weights it is scaled by, block by block, after the real part
+        for part in (w.real, w.imag):
+            for sl, normal in _normal_blocks(rng, m):
+                np.multiply(normal, weights[sl], out=part[sl])
+        np.fft.ifft(w, out=w)
+        samples = w[:length].copy()  # a view would keep all m points alive
 
     samples.flags.writeable = False
     return FadingTrace(samples=samples, params=params, seed=seed)

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import ExperimentConfig, default_config, load_config
@@ -142,6 +141,9 @@ def _fan_out(cfg: ExperimentConfig, axis: str, grid, mode: str, workers: int) ->
     # a fork-started pool starts all of its processes up front
     workers = min(workers, len(points))
     if workers > 1:
+        # imported here: the pool module pulls in multiprocessing, which a
+        # serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_point, cfg, table, axis, p, mode) for p in points]
             results = [f.result() for f in futures]

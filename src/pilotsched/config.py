@@ -119,7 +119,9 @@ class ExperimentConfig:
         except (OverflowError, ZeroDivisionError):
             noise = 0.0
         if not 0.0 < noise < math.inf:
-            raise ValueError(f"snr_db {snr!r} gives no finite positive noise variance")
+            raise ValueError(f"snr_db {snr!r} gives no finite positive noise variance "
+                             f"with data_power {self.data_power!r} and "
+                             f"channel_variance {self.channel_variance!r}")
         return noise
 
     def link_params(self, snr_db: float | None = None,

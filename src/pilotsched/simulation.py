@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkParams, generate_fading_trace
+from .channel import LinkParams, _complex_normal, generate_fading_trace
 from .config import MAX_TABULATED_AGES
 from .estimation import sinr_gain
 from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodputs
@@ -76,10 +76,8 @@ def derive_streams(params: LinkParams, horizon: int, period: int, seed: int):
     fade_seed, noise_seed, decode_seed = (int(s) for s in root.integers(0, 2 ** 63, size=3))
     pilots = -(-horizon // period)
     trace = generate_fading_trace(params, pilots, fade_seed, stride=period)
-    noise_rng = np.random.default_rng(noise_seed)
-    sigma = math.sqrt(params.noise_variance / 2.0)
-    pilot_noise = sigma * (noise_rng.standard_normal(pilots)
-                           + 1j * noise_rng.standard_normal(pilots))
+    pilot_noise = _complex_normal(np.random.default_rng(noise_seed), pilots,
+                                  math.sqrt(params.noise_variance / 2.0))
     decode_uniforms = np.random.default_rng(decode_seed).random(horizon - pilots)
     return trace, pilot_noise, decode_uniforms
 
@@ -172,7 +170,12 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
             total_reward = expected_total(values, horizon, period)
         else:
             trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed)
-            y_sq = np.abs(math.sqrt(params.pilot_power) * trace.samples + pilot_noise) ** 2
+            # |y|^2 of the pilot observations y = sqrt(pp) * h + noise
+            y = np.multiply(math.sqrt(params.pilot_power), trace.samples)
+            y += pilot_noise
+            y_sq = np.abs(y)
+            np.square(y_sq, out=y_sq)
+            del trace, pilot_noise, y  # only |y|^2 is read below
             # pilot k is followed by the data slots of ages 1 .. period-1, so
             # the rows of this outer product, read in order, are the data slots
             gains = sinr_gain(np.arange(1, period), params)

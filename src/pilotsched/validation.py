@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (LinkParams, autocorrelation, empirical_autocorrelation,
-                      generate_fading_trace)
+from .channel import (LinkParams, _complex_normal, autocorrelation,
+                      empirical_autocorrelation, generate_fading_trace)
 from .estimation import mmse_gain, pilot_second_moment, sinr_gain
 from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodputs
 from .scheduler import (HorizonExhaustedError, ThresholdSolution,
@@ -43,15 +43,6 @@ def check_autocorrelation_fidelity(params: LinkParams, length: int = 1_000_000,
         detail=f"RMSE {rmse:.3e} vs limit {limit:.3e} over lags 0..{max_lag}",
         metrics={"rmse": rmse, "limit": limit},
     )
-
-
-def _complex_normal(rng, n: int, scale: float) -> np.ndarray:
-    """scale * (re + 1j * im) for n standard normal draws re, then n more im."""
-    z = np.empty(n, dtype=complex)
-    z.real = rng.standard_normal(n)
-    z.imag = rng.standard_normal(n)
-    z *= scale
-    return z
 
 
 def draw_joint_channel_pair(params: LinkParams, age: int, n: int, rng) -> tuple:
@@ -100,7 +91,8 @@ def mc_expected_goodput(age: int, params: LinkParams, table: McsTable,
     """Monte Carlo oracle for the age-conditional expected goodput.
 
     Draws |y|^2 exponentially and averages the feasible-MCS maximum; returns
-    (mean, standard_error).  Draws come in chunks of 10^6 to bound memory;
+    (mean, standard_error).  Draws come in chunks of 10^6, through one
+    reused buffer, to bound memory;
     the chunk size also fixes how the sums are grouped, so it stays put,
     while MCS selection cuts each chunk into its own blocks.  Only the
     goodput is selected, scattered back into draw order so that each sum
@@ -112,12 +104,15 @@ def mc_expected_goodput(age: int, params: LinkParams, table: McsTable,
     total = 0.0
     total_sq = 0.0
     chunk = 1_000_000
-    g = np.empty(min(chunk, n_samples))
+    draws = np.empty(min(chunk, n_samples))
+    g = np.empty_like(draws)
     remaining = n_samples
     while remaining > 0:
         m = min(chunk, remaining)
-        # the draws become their SINRs, then the squared goodputs, in place
-        x = rng.exponential(scale=mean_y2, size=m)
+        # the draws become their SINRs, then the squared goodputs, in place;
+        # scaling standard exponentials is what exponential(scale=...) does
+        x = rng.standard_exponential(out=draws[:m])
+        x *= mean_y2
         x *= gain
         g_m = g[:m]
         for sl, (order, goodput, _, _) in _select_blocks(x, table, choices=False):

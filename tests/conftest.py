@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pilotsched
 from pilotsched import LinkParams, MPH_TO_MPS, SPEED_OF_LIGHT, default_mcs_table
 
 
@@ -30,3 +36,15 @@ def rng():
     # function-scoped: each test draws from a fresh generator, so outcomes do
     # not depend on which other tests ran first
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def run_python():
+    """Run a Python snippet in a fresh interpreter that imports this pilotsched; return its stdout."""
+    src = str(Path(pilotsched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(code: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True).stdout
+    return run

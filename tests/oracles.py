@@ -13,7 +13,10 @@ the closed loop one slot at a time, the slot-level reference for the array
 pass of `run_policy`, and `slot_streams` lays the realized streams out by
 slot for it.
 `fading_trace_unstrided` is the trace synthesis with every slot read, the
-reference that `generate_fading_trace` at stride 1 must equal bit for bit.
+reference that `generate_fading_trace` at stride 1 must equal bit for bit;
+`fading_trace_strided` is the strided synthesis with a fresh embedding-size
+array per step, which the one-array `generate_fading_trace` must equal bit
+for bit at every stride.
 `mc_expected_goodput_full_outputs` is the Monte Carlo oracle through
 `max_goodput_array`, with all three selection outputs in draw order, that
 the goodput-only `mc_expected_goodput` must equal bit for bit, and
@@ -169,6 +172,44 @@ def fading_trace_unstrided(params, length: int, seed: int) -> FadingTrace:
         w = np.empty(m, dtype=complex)
         w.real = re * weights
         w.imag = im * weights
+        samples = np.fft.ifft(w)[:length].copy()
+
+    samples.flags.writeable = False
+    return FadingTrace(samples=samples, params=params, seed=seed)
+
+
+def fading_trace_strided(params, length: int, seed: int, stride: int = 1) -> FadingTrace:
+    """The strided trace synthesis with a fresh embedding-size array per step:
+    the weights from `np.fft.hfft`, one normals buffer, the complex weights
+    and the out-of-place inverse transform."""
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if params.normalized_doppler >= 0.5:
+        raise ValueError("normalized Doppler must be < 0.5")
+
+    rng = np.random.default_rng(seed)
+    rho0 = params.channel_variance
+
+    if params.normalized_doppler == 0.0:
+        re, im = rng.standard_normal(2)
+        h0 = math.sqrt(rho0 / 2.0) * complex(re, im)
+        samples = np.full(length, h0, dtype=complex)
+    else:
+        m = 1 << max(2, int(2 * length - 1).bit_length())
+        lam = np.fft.hfft(autocorrelation(stride * np.arange(m // 2 + 1), params), m)
+        np.maximum(lam, 0.0, out=lam)
+        total = lam.sum()
+        if total <= 0:
+            raise ValueError("degenerate covariance embedding")
+        lam *= (m * rho0) / total * (m / 2.0)
+        np.sqrt(lam, out=lam)
+
+        w = np.empty(m, dtype=complex)
+        normal = np.empty(m)
+        np.multiply(rng.standard_normal(out=normal), lam, out=w.real)
+        np.multiply(rng.standard_normal(out=normal), lam, out=w.imag)
         samples = np.fft.ifft(w)[:length].copy()
 
     samples.flags.writeable = False

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import scipy.special
 
 import pilotsched.channel as channel
-from oracles import bessel_j0_unblocked, fading_trace_unstrided, j0_series
+from oracles import (bessel_j0_unblocked, fading_trace_strided, fading_trace_unstrided,
+                     j0_series)
 from pilotsched import (FadingTrace, LinkParams, autocorrelation, bessel_j0,
                         empirical_autocorrelation, generate_fading_trace)
 
@@ -187,6 +189,8 @@ class TestGenerateFadingTrace:
         cov = np.concatenate([r, r[-2:0:-1]])
         want = np.fft.fft(cov).real
         assert np.max(np.abs(np.fft.hfft(r, m) - want)) <= 1e-15 * np.max(np.abs(want))
+        # the synthesis writes it with irfft, which can take an output array
+        assert np.array_equal(np.fft.irfft(r, m, norm="forward"), np.fft.hfft(r, m))
 
     @pytest.mark.parametrize("doppler_hz, stride", [(50.0, 2), (50.0, 3), (50.0, 12),
                                                     (450.0, 3)])
@@ -210,11 +214,46 @@ class TestGenerateFadingTrace:
         with pytest.raises(ValueError, match="stride"):
             generate_fading_trace(flat_params, 100, seed=1, stride=0)
 
+    @pytest.mark.parametrize("doppler_hz", [0.0, 50.0, 450.0])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 12])
+    def test_one_array_synthesis_equals_the_strided_oracle(self, doppler_hz, stride):
+        # 40,000 samples embed in 2^17 points, eight draw blocks per part;
+        # at 50 Hz x 12 and 450 Hz x 2, 3 and 12 the lattice aliases
+        p = LinkParams(1.0, 1.0, 1.0, channel_variance=2.5, doppler_hz=doppler_hz,
+                       sample_period=1e-3)
+        for length in (1, 3, 1000, 40_000):
+            for seed in (0, 11):
+                want = fading_trace_strided(p, length, seed, stride).samples
+                got = generate_fading_trace(p, length, seed, stride=stride).samples
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_rss_rise_per_embedding_point(self, run_python):
+        # a fresh process, so the high-water mark is this trace's: w (16 B)
+        # and pocketfft's own working buffers (32 B) per point, 50.1 B
+        # measured at 2^18 points; 73 B with a fresh array per step
+        probe = """
+import numpy as np
+from pilotsched import LinkParams, generate_fading_trace
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key))
+
+p = LinkParams(1.0, 1.0, 1.0, doppler_hz=50.0)
+generate_fading_trace(p, 1000, seed=1)
+before = status("VmRSS:")
+generate_fading_trace(p, 1 << 17, seed=2)
+print((status("VmHWM:") - before) * 1024)
+"""
+        assert int(run_python(probe)) <= 52 * (1 << 18)
+
     @pytest.mark.parametrize("stride", [1, 3])
     def test_peak_memory_per_embedding_point(self, flat_params, stride):
-        # each embedding-size array is allocated once and freed once unread:
-        # 32 bytes per point, the complex weights and the inverse transform's
-        # output (`tracemalloc` does not see pocketfft's own working buffers)
+        # the embedding-size array w is allocated once, and the trace copied
+        # out of it: 32 bytes per point at the peak, w while the half
+        # covariance's temporaries are live (`tracemalloc` does not see
+        # pocketfft's own working buffers)
         length = 1 << 17
         points = 1 << (2 * length - 1).bit_length()
         generate_fading_trace(flat_params, length, seed=1, stride=stride)  # warm caches

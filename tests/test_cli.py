@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import json
@@ -130,6 +131,11 @@ class TestConfig:
          "speed 15 mph, carrier_hz 1e+300 and sample_period_s 0.001: normalized Doppler"),
         ({"sample_period_s": 1}, ["simulate"],
          "speed 15 mph, carrier_hz 2400000000.0 and sample_period_s 1: normalized Doppler"),
+        # positive powers whose product underflows: every field of the
+        # noise variance is named
+        ({"data_power": 1e-300, "channel_variance": 1e-300}, ["solve"],
+         "snr_db 20.0 gives no finite positive noise variance with data_power 1e-300 "
+         "and channel_variance 1e-300"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, overrides, argv, named):
         # {tmp} is the test's directory, which holds a subdirectory a_dir, two
@@ -495,7 +501,7 @@ class TestSweepCommands:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = write_config(tmp_path)
         serial, pooled = tmp_path / "a", tmp_path / "b"
@@ -509,6 +515,13 @@ class TestSweepCommands:
                      "--workers", "8"]) == 0
         assert sizes == [2]
 
+    def test_importing_the_cli_leaves_the_pool_module_unloaded(self, run_python):
+        # the process pool is imported only when a sweep runs on workers > 1
+        probe = ("import sys; import pilotsched.cli; "
+                 "print('concurrent.futures.process' in sys.modules, "
+                 "'multiprocessing' in sys.modules)")
+        assert run_python(probe).split() == ["False", "False"]
+
     @pytest.mark.parametrize("command", ["sweep-snr", "sweep-mobility"])
     def test_workers_above_the_cpu_count_exit_2(self, tmp_path, monkeypatch, capsys, command):
         # the stand-in fails if a pool is built, so no process is ever started
@@ -516,7 +529,7 @@ class TestSweepCommands:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         cfg = write_config(tmp_path)
         cpus = os.cpu_count() or 1
         for workers in (cpus + 1, 5_000, 10 ** 9):

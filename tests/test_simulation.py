@@ -218,9 +218,11 @@ class TestRunPolicy:
 
     def test_realized_mode_peak_memory(self, reference_params, default_table):
         # 41,667 pilot slots embed on 2^17 points: the trace synthesis's 32
-        # bytes per point and the run's per-slot arrays (6.2 MB measured; 6.8
-        # MB with the complex covariance FFT and three selection outputs, and
-        # 7.6 MB if the trace were a view of the inverse transform's output)
+        # bytes per point and the run's per-slot arrays (4.8 MB measured; 6.2
+        # MB while the trace, the pilot noise and the observations stayed
+        # live past |y|^2, 6.8 MB with the complex covariance FFT and three
+        # selection outputs, and 7.6 MB if the trace were a view of the
+        # inverse transform's output)
         run_policy(3, reference_params, default_table, 125_000, seed=0, mode=REALIZED)
         tracemalloc.start()
         try:
@@ -228,7 +230,7 @@ class TestRunPolicy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5e6
+        assert peak <= 5.2e6
 
     def test_periodic_pilot_fraction(self, reference_params, default_table, reference_curve):
         horizon = 10_000
@@ -360,6 +362,16 @@ class TestRunPolicy:
         # the trace is the channel at the pilot slots, `period` slots apart
         lattice = generate_fading_trace(reference_params, pilots, trace.seed, stride=period)
         assert np.array_equal(trace.samples, lattice.samples)
+
+    @pytest.mark.parametrize("horizon, period", [(125_000, 2), (1000, 7)])
+    def test_pilot_noise_equals_the_temporaries(self, reference_params, horizon, period):
+        # 62,500 draws per half cross three whole draw blocks and a partial one
+        _, noise, _ = derive_streams(reference_params, horizon, period, seed=3)
+        noise_seed = int(np.random.default_rng(3).integers(0, 2 ** 63, size=3)[1])
+        rng = np.random.default_rng(noise_seed)
+        sigma = math.sqrt(reference_params.noise_variance / 2.0)
+        want = sigma * (rng.standard_normal(noise.size) + 1j * rng.standard_normal(noise.size))
+        assert noise.tobytes() == want.tobytes()
 
     def test_realized_matches_expected_in_mean(self, reference_params, default_table,
                                                reference_curve, reference_solution):
