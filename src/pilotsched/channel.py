@@ -286,8 +286,6 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
         raise ValueError(f"length must be >= 1, got {length}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if params.normalized_doppler >= 0.5:
-        raise ValueError("normalized Doppler must be < 0.5")
 
     rng = np.random.default_rng(seed)
 

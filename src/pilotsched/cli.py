@@ -116,17 +116,20 @@ def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float
         sol = solve_curve(curve)
     except ValueError as exc:
         raise ValueError(f"{axis} {value}: {exc}") from exc
-    rows = []
+    rows, runs = [], {}
     for name, period in (("threshold", sol.period),
                          (f"periodic-{BASELINE_PERIOD}", BASELINE_PERIOD)):
-        goodputs, fractions = [], []
-        for seed in cfg.seeds:
-            result = run_policy(period, params, table, cfg.horizon, seed, mode,
-                                reward_curve=curve, nodes=cfg.quad_nodes)
-            goodputs.append(result.avg_goodput)
-            fractions.append(result.pilot_fraction)
-        last = sum(fractions) / len(fractions) if axis == "snr_db" else period
-        rows.append((float(value), name, sum(goodputs) / len(goodputs), last))
+        # a threshold at the baseline period runs the same schedules as the
+        # baseline, so its runs serve both rows
+        if period not in runs:
+            runs[period] = [run_policy(period, params, table, cfg.horizon, seed, mode,
+                                       reward_curve=curve, nodes=cfg.quad_nodes)
+                            for seed in cfg.seeds]
+        results = runs[period]
+        goodput = sum(r.avg_goodput for r in results) / len(results)
+        last = (sum(r.pilot_fraction for r in results) / len(results) if axis == "snr_db"
+                else period)
+        rows.append((float(value), name, goodput, last))
     return rows
 
 

@@ -52,8 +52,6 @@ def sinr_gain(age, params: LinkParams):
     """
     if np.any(np.asarray(age) < 1):
         raise ValueError(f"age must be >= 1 at a data slot, got {age}")
-    if params.noise_variance <= 0:
-        raise ValueError("noise variance must be strictly positive")
     gain, err = _mmse_terms(autocorrelation(age, params), params)
     den = params.data_power * err + params.noise_variance
     return params.data_power * gain * gain / den

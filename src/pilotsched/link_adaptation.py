@@ -6,14 +6,14 @@ over all MCS entries whose BLER stays below e_max, and the age curve r(d) is
 the exponential-measure integral of that maximum, evaluated by deterministic
 composite Gauss-Legendre quadrature split at the MCS feasibility thresholds
 (the integrand jumps there, so plain Gauss rules would stall at low accuracy).
-All ages of a curve are integrated together.  MCS selection runs on
-cache-sized blocks of points (`_blocks`) in arrays reused from block to
-block (`_BlockSelector`), and returns each block's results in band order,
-the choice of entry and its BLER only when asked, so each caller scatters
-back or gathers only what it reads.  The quadrature hands it its panel x
-node points one such block at a time and selects by panel, since a panel's
-nodes lie between two feasibility cuts and so share one band; it reduces
-each block with one numpy row sum per panel, not a BLAS dot product.
+All ages of a curve are integrated together.  MCS selection has one method,
+`_BlockSelector.__call__`: it takes cache-sized blocks (`_blocks`) of rows
+of nondecreasing points, bands each row by its two end nodes, and returns
+the results row by row in band order, the choice of entry and its BLER only
+when asked, so each caller scatters back or gathers only what it reads.
+Single points are one-node rows.  The quadrature's rows are its panels,
+whose nodes lie between two feasibility cuts and so share one band; it
+reduces each block with one numpy row sum per panel, not a BLAS dot product.
 """
 
 from __future__ import annotations
@@ -250,15 +250,17 @@ def _crossing(curve, e_max: float, guess_db: float) -> float:
     return float(np.int64(hi).view(np.float64))
 
 
-# Points per block of MCS selection.  A block's working arrays (band codes,
-# sort order, SINRs in dB, and the goodputs, choices and BLERs in band order)
-# take about 50 bytes per point, so a 2^16-point block is served mostly from
-# a 4 MB L2 cache, and the half millisecond of per-band Python calls that
-# every block costs is spread over enough points.  On a 2-vCPU Xeon with
-# 4 MB of L2 per core, 10^6 points took about 70 ns per point in 2^16-point
-# blocks, 73-82 in 2^15, 69-77 in 2^17 and 100-106 in one pass.  The
-# quadrature, the Monte Carlo oracle and realized mode cut their inputs by
-# the same rule (`_blocks`).
+# Points per block of MCS selection.  A block's working arrays (SINRs in dB,
+# the goodputs, choices and BLERs in band order, and the BLER evaluations)
+# take about 40 bytes per point, plus about a dozen per row for its band
+# codes and sort order: about 50 per single point, and a fifth of a byte more
+# per node of a 64-node panel.  A 2^16-point block is served mostly from a
+# 4 MB L2 cache, and the half millisecond of per-band Python calls that every
+# block costs is spread over enough points.
+# On a 2-vCPU Xeon with 4 MB of L2 per core, 10^6 points took about 70 ns per
+# point in 2^16-point blocks, 73-82 in 2^15, 69-77 in 2^17 and 100-106 in one
+# pass.  The quadrature, the Monte Carlo oracle and realized mode cut their
+# inputs by the same rule (`_blocks`).
 _BLOCK_POINTS = 1 << 16
 
 
@@ -279,12 +281,6 @@ class _BlockSelector:
     is allocated once, here, and reused by each call: the allocator hands
     freed block-sized arrays back to the system, so fresh ones would be
     paged in again for every block.
-
-    Calling the selector selects at single points and returns the results in
-    band order (`__call__`), so each caller scatters back, or gathers by the
-    order, only what it reads; the quadrature selects by panel
-    (`panel_goodputs`).  Both run the same band candidate loop (`_select`) on
-    runs of points sorted by band.
     """
 
     def __init__(self, table: McsTable, size: int):
@@ -294,29 +290,67 @@ class _BlockSelector:
         # +inf is a band of its own
         self.zeros = int(np.count_nonzero(edges == 0.0))
         self.cuts = np.append(edges[self.zeros:], np.inf)
-        self.band = np.empty(size, np.min_scalar_type(len(self.candidates) - 1))
+        self.band = np.empty(size, np.min_scalar_type(len(self.candidates)))
         self.hit = np.empty(size, bool)
         self.snr_db = np.empty(size)
         # goodput, chosen index and its BLER in band order
         self.sorted = (np.empty(size), np.empty(size, np.int64), np.empty(size))
 
-    def _bands(self, x: np.ndarray) -> np.ndarray:
-        """The band code of each of the 1-D points `x`, in the selector's array."""
-        band, hit = self.band[:x.size], self.hit[:x.size]
+    def __call__(self, x: np.ndarray, choices: bool = False) -> tuple:
+        """(order, goodput, chosen_index, chosen_bler) at the points of the
+        C-ordered (rows, nodes) array `x`, each row nondecreasing: row k of
+        each result belongs to row order[k] of x, and holds at each node what
+        `max_goodput_array` gives there, bit for bit.  Without `choices` only
+        the goodput is computed, and the last two are None.  The results are
+        views of the selector's arrays that the next call overwrites.
+
+        A row is banded by its first and last node, which bound the bands of
+        the nodes between.  Rows whose ends share a band are selected as
+        units: stable-sorted by band, taken in that order, and each band runs
+        its candidates, in table order with the BLER check kept, on one
+        contiguous range of rows.  A row whose ends straddle a band edge goes
+        back through this method as single-node rows, and its results come
+        last.
+        """
+        rows, nodes = x.shape
+        ends = x[:, ::max(1, nodes - 1)]  # the first and last node, or the only one
+        band = self.band[:ends.size].reshape(ends.shape)
         band.fill(self.zeros)
         for cut in self.cuts:
-            band += np.greater_equal(x, cut, out=hit)
-        return band
-
-    def _select(self, snr_db: np.ndarray, counts, best: np.ndarray,
-                chosen: np.ndarray | None = None, chosen_bler: np.ndarray | None = None):
-        """The band candidate loop.  `snr_db` holds the points of band g in
-        its g-th run of counts[g] points; `best` (and `chosen`, `chosen_bler`
-        when given) are updated in place wherever a candidate, taken in table
-        order with the BLER check kept, beats the value held there."""
+            band += np.greater_equal(ends, cut, out=self.hit[:ends.size].reshape(ends.shape))
+        # a straddling row gets the code past the last band, and the stable
+        # sort of small unsigned codes (a radix sort) puts it last
+        code = band[:, 0]
+        code[code != band[:, -1]] = len(self.candidates)
+        order = np.argsort(code, kind="stable")
+        counts = np.bincount(code, minlength=len(self.candidates) + 1)
+        unit, straddle = order[:rows - counts[-1]], order[rows - counts[-1]:]
+        k = unit.size * nodes
+        results = [values[:x.size] for values in self.sorted[:3 if choices else 1]]
+        # the selector's arrays are reused below, so the straddling rows go
+        # first, scattered back into node order
+        tail = []
+        if straddle.size:
+            tail_order, *tail_sorted = self(x[straddle].reshape(-1, 1), choices)
+            for values in tail_sorted[:len(results)]:
+                tail.append(np.empty(values.size, values.dtype))
+                tail[-1][tail_order] = values.ravel()
+        # the indices are valid; mode "clip" writes straight into `out`,
+        # where the default "raise" goes through a temporary
+        snr_db = np.take(x, unit, axis=0, out=self.snr_db[:k].reshape(-1, nodes), mode="clip")
+        snr_db = _to_db(snr_db, out=snr_db).ravel()
+        best = results[0]
+        if choices:
+            chosen, chosen_bler = results[1], results[2]
+            best[:k].fill(-1.0)
+            chosen[:k].fill(-1)
+            chosen_bler[:k].fill(1.0)
+        else:
+            # a feasible entry's goodput is never below 0
+            best[:k].fill(0.0)
         table = self.table
         stop = 0
-        for members, count in zip(self.candidates, counts):
+        for members, count in zip(self.candidates, counts * nodes):
             start, stop = stop, stop + count
             if count == 0:
                 continue
@@ -327,78 +361,15 @@ class _BlockSelector:
                 goodput = entry.rate * (1.0 - e)
                 better = (e <= table.e_max) & (goodput > b)
                 np.copyto(b, goodput, where=better)
-                if chosen is not None:
+                if choices:
                     np.copyto(chosen_bler[start:stop], e, where=better)
                     np.copyto(chosen[start:stop], i, where=better)
-
-    def __call__(self, x: np.ndarray, choices: bool) -> tuple:
-        """(order, goodput, chosen_index, chosen_bler) at the 1-D points `x`,
-        in band order: entry k of each result belongs to the point
-        x[order[k]], as `max_goodput_array` gives it there.  Without
-        `choices` only the goodput is computed, and the last two are None.
-        The results are views of the selector's arrays that the next call
-        overwrites.
-        """
-        n = x.size
-        band = self._bands(x)
-        # a stable sort of small unsigned codes is a radix sort; it makes each
-        # band one contiguous slice
-        order = np.argsort(band, kind="stable")
-        snr_db = np.take(x, order, out=self.snr_db[:n])
-        _to_db(snr_db, out=snr_db)
-        counts = np.bincount(band, minlength=len(self.candidates))
-        best = self.sorted[0][:n]
-        if not choices:
-            # a feasible entry's goodput is never below 0
-            best.fill(0.0)
-            self._select(snr_db, counts, best)
-            return order, best, None, None
-        chosen, chosen_bler = self.sorted[1][:n], self.sorted[2][:n]
-        best.fill(-1.0)
-        chosen.fill(-1)
-        chosen_bler.fill(1.0)
-        self._select(snr_db, counts, best, chosen, chosen_bler)
-        best[chosen < 0] = 0.0
-        return order, best, chosen, chosen_bler
-
-    def panel_goodputs(self, x: np.ndarray) -> tuple:
-        """(order, goodput): the best goodput at the points of the C-ordered
-        (panels, nodes) array `x`, with goodput[k] the row of panel order[k].
-
-        A panel whose nodes all lie in one band is selected as a unit: the
-        panels are stable-sorted by band, their rows taken in that order, and
-        each band runs its candidates on one contiguous range of rows.  A
-        panel whose nodes straddle a band edge goes through `__call__`, and
-        its rows come last.  Either way each node gets the goodput that
-        `max_goodput_array` gives it, bit for bit.  `goodput` is a view of the
-        selector's array that the next call overwrites.
-        """
-        panels, nodes = x.shape
-        band = self._bands(x.ravel()).reshape(panels, nodes)
-        same = band.min(axis=1) == band.max(axis=1)
-        unit, straddle = np.flatnonzero(same), np.flatnonzero(~same)
-        code = band[unit, 0]
-        order = unit[np.argsort(code, kind="stable")]
-        counts = np.bincount(code, minlength=len(self.candidates)) * nodes
-        # __call__ reuses the arrays below, so the straddling rows go first,
-        # scattered back into node order
-        rest = None
-        if straddle.size:
-            rest_order, rest_sorted, _, _ = self(x[straddle].ravel(), choices=False)
-            rest = np.empty(rest_order.size)
-            rest[rest_order] = rest_sorted
-        k = order.size * nodes
-        # the indices are valid; mode "clip" writes straight into `out`,
-        # where the default "raise" goes through a temporary
-        snr_db = np.take(x, order, axis=0, out=self.snr_db[:k].reshape(-1, nodes), mode="clip")
-        _to_db(snr_db, out=snr_db)
-        best = self.sorted[0][:x.size]
-        # only the goodput is read, and a feasible entry's is never below 0
-        best[:k].fill(0.0)
-        self._select(snr_db.ravel(), counts, best[:k])
-        if rest is not None:
-            best[k:] = rest
-        return np.concatenate([order, straddle]), best.reshape(panels, nodes)
+        if choices:
+            best[:k][chosen[:k] < 0] = 0.0
+        for values, tail_values in zip(results, tail):
+            values[k:] = tail_values
+        results = [values.reshape(rows, nodes) for values in results]
+        return order, *results, *[None] * (3 - len(results))
 
 
 def max_goodput_array(snr_linear, table: McsTable):
@@ -427,13 +398,15 @@ def max_goodput_array(snr_linear, table: McsTable):
 
 def _select_blocks(x: np.ndarray, table: McsTable, choices: bool):
     """Yield (slice, (order, goodput, chosen_index, chosen_bler)) for each
-    block of the 1-D points `x`: `_BlockSelector.__call__` on x[slice], whose
-    results are views that the next block overwrites."""
+    block of the 1-D points `x`: `_BlockSelector.__call__` on x[slice] as
+    single-node rows, its results raveled; they are views that the next
+    block overwrites."""
     blocks = _blocks(x.size)
     if blocks:
         select = _BlockSelector(table, -(-x.size // len(blocks)))  # the longest block
         for sl in blocks:
-            yield sl, select(x[sl], choices)
+            yield sl, tuple(None if r is None else r.ravel()
+                            for r in select(x[sl].reshape(-1, 1), choices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,7 +496,7 @@ def expected_goodputs(ages, params: LinkParams, table: McsTable, nodes: int = 64
     E[G(sinr_gain(age) * X)] with X exponential of mean P_p*rho0 + noise_var.
     The region below the lowest feasibility threshold contributes exactly
     zero.  Panels of all ages are evaluated together in chunks, and MCS
-    selection runs by panel (`_BlockSelector.panel_goodputs`).  Each panel's
+    selection takes each panel as one row (`_BlockSelector`).  Each panel's
     weighted sum is one numpy row sum, whose pairwise order depends only on
     the node count, and it is added to its age in panel order, so an age's
     value does not depend on which other ages are tabulated with it.
@@ -552,7 +525,7 @@ def expected_goodputs(ages, params: LinkParams, table: McsTable, nodes: int = 64
             u = np.multiply(hw[:, None], x_ref, out=u_buf[:hw.size])
             u += (0.5 * (lo[sl] + hi[sl]))[:, None]
             x = np.multiply(u, scale[owner[sl], None], out=x_buf[:hw.size])
-            order, g = select.panel_goodputs(x)
+            order, g, _, _ = select(x)
             # rows = w_ref * (g * exp(-u)) in the selector's panel order, in
             # x's array (its values were read above); float multiplication
             # commutes exactly

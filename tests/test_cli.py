@@ -572,6 +572,26 @@ class TestSweepCommands:
         assert main(["sweep-snr", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(built) == 1
 
+    @pytest.mark.parametrize("mode", ["expected", "realized"])
+    @pytest.mark.parametrize("axis,value", [("snr_db", 25.0), ("speed_mph", 30.0)])
+    def test_threshold_at_the_baseline_period_runs_once(self, tmp_path, monkeypatch,
+                                                        axis, value, mode):
+        # both grid points solve to period 2, the baseline's, so each seed
+        # runs once and the two rows agree
+        calls = []
+
+        def counting_run_policy(period, *args, **kwargs):
+            calls.append(period)
+            return run_policy(period, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_policy", counting_run_policy)
+        cfg = load_config(write_config(tmp_path, seeds=[1, 2, 3]))
+        (_, threshold, *a), (_, baseline, *b) = cli._sweep_point(
+            cfg, cli.build_table(cfg), axis, value, mode)
+        assert (threshold, baseline) == ("threshold", f"periodic-{cli.BASELINE_PERIOD}")
+        assert calls == [cli.BASELINE_PERIOD] * 3
+        assert a == b
+
     def test_parallel_workers_same_output(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

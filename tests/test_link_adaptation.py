@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import bisect_thresholds, max_goodput_matrix, reward_curve_panels
 from pilotsched import (LinkParams, LogisticBlerCurve, McsEntry, McsTable,
@@ -518,6 +518,33 @@ class TestBuildRewardCurve:
         assert np.all(c.values <= default_table.max_rate)
 
 
+# The selector itself, before any test patches it
+_SELECT_ROWS = link_adaptation._BlockSelector.__call__
+
+
+@given(st.one_of(tabulated_tables(), st.integers(0, 2 ** 32 - 1).map(
+           lambda seed: random_logistic_table(np.random.default_rng(seed)))),
+       st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=12),
+       st.sampled_from([8, 9, 15, 64, 100, 127, 128, 1023, 1024]))
+@settings(max_examples=100, deadline=None)
+def test_quadrature_rows_are_nondecreasing(table, scale, nodes):
+    # the selector bands each row by its end nodes, which bound the bands of
+    # the nodes between only when the row is monotone: form the panel nodes
+    # and SINRs as expected_goodputs does (at a sample of node counts from 8
+    # to 1024, since each new count costs a Gauss-Legendre eigenproblem)
+    thresholds, _ = table.selection_groups
+    assume(thresholds.size)
+    scale = np.array(scale)
+    owner, lo, hi = link_adaptation._panels(scale, thresholds)
+    x_ref, _ = link_adaptation._gauss_legendre(nodes)
+    for sl in link_adaptation._blocks(owner.size, nodes):
+        hw = 0.5 * (hi[sl] - lo[sl])
+        u = np.multiply(hw[:, None], x_ref)
+        u += (0.5 * (lo[sl] + hi[sl]))[:, None]
+        x = np.multiply(u, scale[owner[sl], None])
+        assert np.all(np.diff(x, axis=1) >= 0.0)
+
+
 # Operating points spanning the SNR axis at 15 mph and the speed axis at 20 dB,
 # down to a slow 0.155 mph point
 CURVE_POINTS = [(-4.5, 15.0), (24.5, 15.0), (20.0, 2.1), (20.0, 59.0), (20.0, 0.155)]
@@ -568,20 +595,23 @@ class TestBatchedQuadrature:
                       np.linspace(t[1], np.nextafter(t[2], 0.0), 64),
                       np.linspace(0.5 * t[0], 2.0 * t[0], 64)])
         select = link_adaptation._BlockSelector(default_table, x.size)
-        order, goodput = select.panel_goodputs(x)
+        order, goodput, _, _ = select(x)
         assert order.tolist() == [2, 0, 1, 3]  # by band, then the straddling rows
-        want = max_goodput_array(x, default_table)[0]
+        want = max_goodput_matrix(x, default_table)[0]
         assert np.array_equal(goodput, want[order])
         assert want[3, 0] == 0.0 < want[3, -1]
 
     @staticmethod
-    def _select_every_node(select, x):
-        """`_BlockSelector.panel_goodputs` as the point path at every node."""
-        return np.arange(x.shape[0]), max_goodput_array(x, select.table)[0]
+    def _select_every_node(select, x, choices=False):
+        """`_BlockSelector.__call__` with each node of `x` its own single-node row."""
+        order, goodput, _, _ = _SELECT_ROWS(select, x.reshape(-1, 1))
+        by_node = np.empty(x.size)
+        by_node[order] = goodput.ravel()
+        return np.arange(x.shape[0]), by_node.reshape(x.shape), None, None
 
     def assert_panel_selection_matches_point_selection(self, table, params, ages):
         got = expected_goodputs(ages, params, table)
-        with mock.patch.object(link_adaptation._BlockSelector, "panel_goodputs",
+        with mock.patch.object(link_adaptation._BlockSelector, "__call__",
                                self._select_every_node):
             want = expected_goodputs(ages, params, table)
         assert np.array_equal(got, want)
