@@ -19,7 +19,7 @@ from .config import ExperimentConfig, default_config, load_config
 from .link_adaptation import (McsTable, default_mcs_table, load_bler_table, load_mcs_rates,
                               load_reward_curve, parametric_mcs_table, build_reward_curve)
 from .scheduler import HorizonExhaustedError
-from .simulation import EXPECTED, run_policy
+from .simulation import EXPECTED, MODES, run_policy
 from .validation import oracle_deviations, run_all_checks, solve_curve
 
 ORACLE_TOLERANCE = 1e-6
@@ -54,19 +54,36 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """Tabulate r(age) for ages 1..delta_max at the configured operating point."""
+def _link(cfg: ExperimentConfig, tabulate: bool = True) -> tuple:
+    """The config's link parameters, MCS table and, if `tabulate`, r(1 .. delta_max)."""
     params = cfg.link_params()
     table = build_table(cfg)
-    curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
+    curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes) if tabulate else None
+    return params, table, curve
+
+
+def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Tabulate r(age) for ages 1..delta_max at the configured operating point."""
+    curve = _link(cfg)[2]
     path = out_dir / "goodput_curve.csv"
     _write_csv(path, ["age", "reward"], enumerate(curve.values.tolist(), start=1))
-    return path
+    print(f"wrote {path}")
+    return 0
 
 
-def _solve_report(curve) -> dict:
-    dev = oracle_deviations(curve)
-    return {
+def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Solve the threshold and cross-check it against both oracles."""
+    if cfg.reward_csv is None:
+        dev = oracle_deviations(_link(cfg)[2])
+    else:
+        curve = load_reward_curve(cfg.reward_csv)
+        try:
+            dev = oracle_deviations(curve)
+        except HorizonExhaustedError as exc:
+            # the file, not delta_max or speed, sets this curve
+            raise ValueError(f"{cfg.reward_csv}: no pilot period found within the "
+                             f"{len(curve)} ages of the reward curve") from exc
+    report = {
         "beta": dev["beta"],
         "hitting_age": dev["period"],
         "period": dev["period"],
@@ -81,25 +98,9 @@ def _solve_report(curve) -> dict:
         "tolerance": ORACLE_TOLERANCE,
         "consistent": dev["max_pairwise"] <= ORACLE_TOLERANCE,
     }
-
-
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> tuple:
-    """Solve the threshold and cross-check it against both oracles."""
-    if cfg.reward_csv is None:
-        params = cfg.link_params()
-        table = build_table(cfg)
-        report = _solve_report(build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes))
-    else:
-        curve = load_reward_curve(cfg.reward_csv)
-        try:
-            report = _solve_report(curve)
-        except HorizonExhaustedError as exc:
-            # the file, not delta_max or speed, sets this curve
-            raise ValueError(f"{cfg.reward_csv}: no pilot period found within the "
-                             f"{len(curve)} ages of the reward curve") from exc
-    path = out_dir / "solve.json"
-    _write_json(path, report)
-    return report, 0 if report["consistent"] else 1
+    _write_json(out_dir / "solve.json", report)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0 if report["consistent"] else 1
 
 
 def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float,
@@ -133,7 +134,12 @@ def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float
     return rows
 
 
-def _fan_out(cfg: ExperimentConfig, axis: str, grid, mode: str, workers: int) -> list:
+def _sweep(cfg: ExperimentConfig, out_dir: Path, command: str, axis: str, grid_key: str,
+           mode: str, workers: int) -> int:
+    """Both policies at every point of the config's `grid_key` grid, as one CSV."""
+    grid = getattr(cfg, grid_key)
+    if not grid:
+        raise ValueError(f"{grid_key} must be nonempty for {command}")
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
     cpus = os.cpu_count() or 1
@@ -152,48 +158,38 @@ def _fan_out(cfg: ExperimentConfig, axis: str, grid, mode: str, workers: int) ->
             results = [f.result() for f in futures]
     else:
         results = [_sweep_point(cfg, table, axis, p, mode) for p in points]
-    return [row for rows in results for row in rows]
+    path = out_dir / f"{command.replace('-', '_')}.csv"
+    last = "pilot_fraction" if axis == "snr_db" else "period"
+    _write_csv(path, [axis, "policy", "avg_goodput", last],
+               [row for rows in results for row in rows])
+    print(f"wrote {path}")
+    return 0
 
 
-def cmd_sweep_snr(cfg: ExperimentConfig, out_dir: Path, mode: str = EXPECTED,
-                  workers: int = 1) -> Path:
-    if not cfg.snr_grid_db:
-        raise ValueError("snr_grid_db must be nonempty for sweep-snr")
-    rows = _fan_out(cfg, "snr_db", cfg.snr_grid_db, mode, workers)
-    path = out_dir / "sweep_snr.csv"
-    _write_csv(path, ["snr_db", "policy", "avg_goodput", "pilot_fraction"], rows)
-    return path
+def cmd_sweep_snr(cfg: ExperimentConfig, out_dir: Path, mode: str, workers: int) -> int:
+    return _sweep(cfg, out_dir, "sweep-snr", "snr_db", "snr_grid_db", mode, workers)
 
 
-def cmd_sweep_mobility(cfg: ExperimentConfig, out_dir: Path, mode: str = EXPECTED,
-                       workers: int = 1) -> Path:
-    if not cfg.speed_grid_mph:
-        raise ValueError("speed_grid_mph must be nonempty for sweep-mobility")
-    rows = _fan_out(cfg, "speed_mph", cfg.speed_grid_mph, mode, workers)
-    path = out_dir / "sweep_mobility.csv"
-    _write_csv(path, ["speed_mph", "policy", "avg_goodput", "period"], rows)
-    return path
+def cmd_sweep_mobility(cfg: ExperimentConfig, out_dir: Path, mode: str, workers: int) -> int:
+    return _sweep(cfg, out_dir, "sweep-mobility", "speed_mph", "speed_grid_mph", mode, workers)
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
-                 policy_arg: str = "threshold") -> Path:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str, policy: str) -> int:
     """Run one policy at the configured point with the first configured seed."""
     period = 0  # rejected below unless the policy names one
-    if policy_arg.startswith("periodic:"):
+    if policy.startswith("periodic:"):
         try:
-            period = int(policy_arg.split(":", 1)[1])
+            period = int(policy.split(":", 1)[1])
         except ValueError:
             pass
-    if policy_arg != "threshold" and period < 1:
-        raise ValueError(f"--policy {policy_arg!r}: use 'threshold' or 'periodic:<p>' "
+    if policy != "threshold" and period < 1:
+        raise ValueError(f"--policy {policy!r}: use 'threshold' or 'periodic:<p>' "
                          "with an integer p >= 1")
     seed = cfg.seeds[0]
-    params = cfg.link_params()
-    table = build_table(cfg)
-    curve = None  # a fixed period reads r(age) only at the ages it visits
-    doc: dict = {"policy": policy_arg, "mode": mode, "seed": seed}
-    if policy_arg == "threshold":
-        curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
+    # a fixed period reads r(age) only at the ages it visits
+    params, table, curve = _link(cfg, tabulate=policy == "threshold")
+    doc: dict = {"policy": policy, "mode": mode, "seed": seed}
+    if curve is not None:
         sol = solve_curve(curve)
         period = sol.period
         doc["beta"] = sol.beta
@@ -208,14 +204,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, mode: str,
     })
     path = out_dir / "simulate.json"
     _write_json(path, doc)
-    return path
+    print(f"wrote {path}")
+    return 0
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run the oracle battery; nonzero exit when any check fails."""
-    params = cfg.link_params()
-    table = build_table(cfg)
-    curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
+    params, table, curve = _link(cfg)
     solve_curve(curve)  # no optimal period: exit 2 before the Monte Carlo checks
     checks = run_all_checks(params, table, physical_curve=curve)
     report = {
@@ -229,12 +224,22 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def _add_common(sub, mode_flag=True):
-    sub.add_argument("--config", help="experiment config JSON (defaults apply if omitted)")
-    sub.add_argument("--out", help="output directory (default: config output_dir)")
-    sub.add_argument("--seed", type=int, help="override the config seed list with one seed")
-    if mode_flag:
-        sub.add_argument("--mode", choices=["expected", "realized"], default="expected")
+_SEED = ("--seed", {"type": int, "help": "override the config seed list with one seed"})
+_MODE = ("--mode", {"choices": MODES, "default": EXPECTED})
+_WORKERS = ("--workers", {"type": int, "default": 1})
+_POLICY = ("--policy", {"default": "threshold", "help": "'threshold' or 'periodic:<period>'"})
+
+# Each subcommand: its name, its help and the flags it reads beyond --config
+# and --out.  `main` calls the handler cmd_<name> with the flags other than
+# --seed as keyword arguments.
+COMMANDS = (
+    ("goodput-curve", "tabulate r(age) as CSV", ()),
+    ("solve", "solve the threshold and cross-check oracles", ()),
+    ("sweep-snr", "policy comparison over the SNR grid", (_SEED, _MODE, _WORKERS)),
+    ("sweep-mobility", "policy comparison over the speed grid", (_SEED, _MODE, _WORKERS)),
+    ("simulate", "run one policy and dump the result", (_SEED, _MODE, _POLICY)),
+    ("validate", "run the oracle/property battery", ()),
+)
 
 
 def main(argv=None) -> int:
@@ -243,56 +248,26 @@ def main(argv=None) -> int:
         description="Pilot/data scheduling over a time-correlated fading link: "
                     "goodput curves, optimal thresholds, policy sweeps, validation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, flags in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config",
+                             help="experiment config JSON (defaults apply if omitted)")
+        command.add_argument("--out", help="output directory (default: config output_dir)")
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
 
-    _add_common(sub.add_parser("goodput-curve", help="tabulate r(age) as CSV"),
-                mode_flag=False)
-    _add_common(sub.add_parser("solve", help="solve the threshold and cross-check oracles"),
-                mode_flag=False)
-    p_snr = sub.add_parser("sweep-snr", help="policy comparison over the SNR grid")
-    _add_common(p_snr)
-    p_snr.add_argument("--workers", type=int, default=1)
-    p_mob = sub.add_parser("sweep-mobility", help="policy comparison over the speed grid")
-    _add_common(p_mob)
-    p_mob.add_argument("--workers", type=int, default=1)
-    p_sim = sub.add_parser("simulate", help="run one policy and dump the result")
-    _add_common(p_sim)
-    p_sim.add_argument("--policy", default="threshold",
-                       help="'threshold' or 'periodic:<period>'")
-    _add_common(sub.add_parser("validate", help="run the oracle/property battery"),
-                mode_flag=False)
-
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    name, config, out = flags.pop("command"), flags.pop("config"), flags.pop("out")
+    seed = flags.pop("seed", None)
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
+        cfg = load_config(config) if config else default_config()
+        if seed is not None:
             # replace() reruns the config checks on the overridden seeds
-            cfg = dataclasses.replace(cfg, seeds=[args.seed])
-        out_dir = Path(args.out if args.out else cfg.output_dir)
+            cfg = dataclasses.replace(cfg, seeds=[seed])
+        out_dir = Path(out if out else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "goodput-curve":
-            path = cmd_goodput_curve(cfg, out_dir)
-            print(f"wrote {path}")
-            return 0
-        if args.command == "solve":
-            report, code = cmd_solve(cfg, out_dir)
-            print(json.dumps(report, indent=2, sort_keys=True))
-            return code
-        if args.command == "sweep-snr":
-            path = cmd_sweep_snr(cfg, out_dir, mode=args.mode, workers=args.workers)
-            print(f"wrote {path}")
-            return 0
-        if args.command == "sweep-mobility":
-            path = cmd_sweep_mobility(cfg, out_dir, mode=args.mode, workers=args.workers)
-            print(f"wrote {path}")
-            return 0
-        if args.command == "simulate":
-            path = cmd_simulate(cfg, out_dir, args.mode, args.policy)
-            print(f"wrote {path}")
-            return 0
-        if args.command == "validate":
-            return cmd_validate(cfg, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        # looked up at call time, so a handler rebound on the module is the one run
+        return globals()["cmd_" + name.replace("-", "_")](cfg, out_dir, **flags)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,21 +13,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .channel import LinkParams, MPH_TO_MPS, SPEED_OF_LIGHT
 
 # The longest reward curve that is tabulated (delta_max), and the highest age
 # whose r(age) a simulation integrates past its curve.
 MAX_TABULATED_AGES = 1_000_000
-
-_KNOWN_KEYS = {
-    "pilot_power", "data_power", "channel_variance", "noise_variance", "snr_db",
-    "speed", "speed_unit", "carrier_hz", "sample_period_s",
-    "mcs_config", "bler_table", "reward_csv",
-    "delta_max", "tau_max", "horizon", "seeds", "quad_nodes",
-    "snr_grid_db", "speed_grid_mph", "output_dir",
-}
 
 _REAL_FIELDS = ("pilot_power", "data_power", "channel_variance", "noise_variance", "snr_db",
                 "speed", "carrier_hz", "sample_period_s")
@@ -187,6 +179,10 @@ def read_csv_input(path, what: str, header: list) -> list:
     if [h.strip() for h in records[0]] != header:
         raise ValueError(f"{path}: expected header '{','.join(header)}', got {records[0]}")
     return [(row_no, row) for row_no, row in enumerate(records[1:], start=2) if row]
+
+
+# every field, plus tau_max, which older configs set and load_config drops
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} | {"tau_max"}
 
 
 def load_config(path) -> ExperimentConfig:

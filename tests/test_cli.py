@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -155,6 +156,15 @@ class TestConfig:
         assert main(args + [fill(a) for a in argv[1:]]) == 2
         assert named in capsys.readouterr().err
 
+    def test_config_naming_every_field_loads(self, tmp_path):
+        # the known keys are the dataclass fields, so a new field is one too
+        doc = {f.name: getattr(ExperimentConfig(snr_db=20.0), f.name)
+               for f in dataclasses.fields(ExperimentConfig)}
+        doc.update(snr_db=None, noise_variance=0.01, reward_csv="r.csv")
+        path = tmp_path / "every.json"
+        path.write_text(json.dumps(doc))
+        assert dataclasses.asdict(load_config(path)) == doc
+
     def test_retired_tau_max_key_loads(self, tmp_path):
         # tau_max once bounded the index window; configs that set it still load
         cfg = load_config(write_config(tmp_path, tau_max=512))
@@ -172,13 +182,44 @@ class TestConfig:
         assert "quad_nodes must be from 8 to 1024, got 100000" in capsys.readouterr().err
         assert ExperimentConfig(snr_db=20.0, quad_nodes=1024).quad_nodes == 1024
 
-    @pytest.mark.parametrize("command", ["goodput-curve", "solve", "sweep-snr",
-                                         "sweep-mobility", "simulate", "validate"])
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-mobility", "simulate"])
     def test_seed_override_validated(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
         assert "seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["goodput-curve", "solve", "validate"])
+    def test_seed_rejected_where_no_seed_is_read(self, tmp_path, capsys, command):
+        # these commands draw nothing at random, so they take no --seed
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_exist_only_where_the_table_declares_them(self, tmp_path, capsys):
+        declared = {name: {flag for flag, _ in flags} for name, _, flags in cli.COMMANDS}
+        assert declared == {
+            "goodput-curve": set(), "solve": set(), "validate": set(),
+            "sweep-snr": {"--seed", "--mode", "--workers"},
+            "sweep-mobility": {"--seed", "--mode", "--workers"},
+            "simulate": {"--seed", "--mode", "--policy"},
+        }
+        values = {"--mode": "expected", "--workers": "1", "--policy": "threshold"}
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for name, flags in declared.items():
+            for flag, value in values.items():
+                if flag in flags:
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    main([name, "--config", str(cfg), "--out", str(out), flag, value])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mph_conversion(self):
         cfg = ExperimentConfig(snr_db=20.0, speed=10.0, speed_unit="mph")

@@ -601,6 +601,33 @@ class TestBatchedQuadrature:
         assert np.array_equal(goodput, want[order])
         assert want[3, 0] == 0.0 < want[3, -1]
 
+    @given(st.one_of(tabulated_tables(), st.integers(0, 2 ** 32 - 1).map(
+               lambda seed: random_logistic_table(np.random.default_rng(seed)))),
+           st.integers(1, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_ending_around_thresholds_match_the_oracle(self, table, nodes, data):
+        # each row runs from a float within 2 ulps of one feasibility
+        # threshold to one within 2 ulps of the same or a higher one, so its
+        # end nodes share a band or straddle one or more edges; positive
+        # floats order as their bit patterns, so a row is nondecreasing
+        edges = table.selection_groups[0]
+        bits = edges[edges > 0].view(np.int64)
+        assume(bits.size)
+        ulps = st.integers(-2, 2)
+        x = np.empty((data.draw(st.integers(1, 8)), nodes), np.int64)
+        for row in x:
+            i, j = sorted(data.draw(st.lists(st.integers(0, bits.size - 1),
+                                             min_size=2, max_size=2)))
+            first, last = sorted([max(bits[i] + data.draw(ulps), 0), bits[j] + data.draw(ulps)])
+            row[:] = sorted(data.draw(st.lists(st.integers(first, last),
+                                               min_size=nodes, max_size=nodes)))
+            row[0], row[-1] = first, last
+        x = x.view(float)
+        select = link_adaptation._BlockSelector(table, x.size)
+        order, *got = select(x, choices=True)
+        for values, want in zip(got, max_goodput_matrix(x, table)):
+            assert np.array_equal(values, want[order])
+
     @staticmethod
     def _select_every_node(select, x, choices=False):
         """`_BlockSelector.__call__` with each node of `x` its own single-node row."""
