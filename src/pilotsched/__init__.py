@@ -10,7 +10,7 @@ from .channel import (LinkParams, FadingTrace, SPEED_OF_LIGHT, MPH_TO_MPS, besse
 from .estimation import mmse_gain, sinr_gain, error_variance, pilot_second_moment
 from .link_adaptation import (McsEntry, McsTable, RewardCurve,
                               LogisticBlerCurve, TabulatedBlerCurve,
-                              max_goodput_array, expected_goodputs, build_reward_curve,
+                              expected_goodputs, build_reward_curve,
                               load_bler_table, load_mcs_rates, load_reward_curve,
                               default_mcs_table, parametric_mcs_table)
 from .scheduler import (ThresholdSolution, HorizonExhaustedError,

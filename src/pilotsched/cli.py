@@ -74,30 +74,17 @@ def cmd_goodput_curve(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Solve the threshold and cross-check it against both oracles."""
     if cfg.reward_csv is None:
-        dev = oracle_deviations(_link(cfg)[2])
+        report = oracle_deviations(_link(cfg)[2])
     else:
         curve = load_reward_curve(cfg.reward_csv)
         try:
-            dev = oracle_deviations(curve)
+            report = oracle_deviations(curve)
         except HorizonExhaustedError as exc:
             # the file, not delta_max or speed, sets this curve
             raise ValueError(f"{cfg.reward_csv}: no pilot period found within the "
                              f"{len(curve)} ages of the reward curve") from exc
-    report = {
-        "beta": dev["beta"],
-        "hitting_age": dev["period"],
-        "period": dev["period"],
-        "oracles": {
-            "brute_force_average": dev["brute_force"],
-            "brute_force_period": dev["brute_force_period"],
-            "mdp_gain": dev["mdp_gain"],
-            "mdp_iterations": dev["mdp_iterations"],
-        },
-        "deviations": dev["deviations"],
-        "max_deviation": dev["max_pairwise"],
-        "tolerance": ORACLE_TOLERANCE,
-        "consistent": dev["max_pairwise"] <= ORACLE_TOLERANCE,
-    }
+    report["tolerance"] = ORACLE_TOLERANCE
+    report["consistent"] = report["max_deviation"] <= ORACLE_TOLERANCE
     _write_json(out_dir / "solve.json", report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["consistent"] else 1

@@ -299,10 +299,13 @@ class _BlockSelector:
     def __call__(self, x: np.ndarray, choices: bool = False) -> tuple:
         """(order, goodput, chosen_index, chosen_bler) at the points of the
         C-ordered (rows, nodes) array `x`, each row nondecreasing: row k of
-        each result belongs to row order[k] of x, and holds at each node what
-        `max_goodput_array` gives there, bit for bit.  Without `choices` only
-        the goodput is computed, and the last two are None.  The results are
-        views of the selector's arrays that the next call overwrites.
+        each result belongs to row order[k] of x.  At each node the goodput
+        is the best rate * (1 - BLER) over the entries within the ceiling,
+        ties to the first entry, and the choice is -1 with BLER 1.0 where no
+        entry is feasible: what a scan over every entry gives there, bit for
+        bit, +inf included.  Without `choices` only the goodput is computed,
+        and the last two are None.  The results are views of the selector's
+        arrays that the next call overwrites.
 
         A row is banded by its first and last node, which bound the bands of
         the nodes between.  Rows whose ends share a band are selected as
@@ -370,30 +373,6 @@ class _BlockSelector:
             values[k:] = tail_values
         results = [values.reshape(rows, nodes) for values in results]
         return order, *results, *[None] * (3 - len(results))
-
-
-def max_goodput_array(snr_linear, table: McsTable):
-    """Best rate * (1 - BLER) over entries within the ceiling, per SINR.
-
-    Returns (goodput, chosen_index, chosen_bler), each shaped like the input;
-    chosen_index is -1 and chosen_bler is 1.0 where no entry is feasible.
-    Ties go to the first entry.
-
-    Points are grouped by their band of `table.selection_groups`, and only
-    the band's candidates are evaluated there, in table order with the BLER
-    check kept.  The result equals a scan over every entry bit for bit at
-    every SINR, +inf included.  The input is processed in the blocks of
-    `_blocks` by one `_BlockSelector`, whose band-order results are
-    scattered straight into the three outputs, so working memory beyond them
-    is a few arrays of one block.
-    """
-    eta = np.asarray(snr_linear, dtype=float)
-    x = eta.ravel()
-    out = (np.empty(x.shape), np.empty(x.shape, np.int64), np.empty(x.shape))
-    for sl, (order, *results) in _select_blocks(x, table, choices=True):
-        for values, block_values in zip(out, results):
-            values[sl][order] = block_values
-    return tuple(values.reshape(eta.shape) for values in out)
 
 
 def _select_blocks(x: np.ndarray, table: McsTable, choices: bool):

@@ -98,14 +98,12 @@ def solve_threshold(curve: RewardCurve) -> ThresholdSolution:
     iteration then stops at the larger average it holds.
     """
     cs = curve.cumulative
-    gamma = index_gamma(curve)
-    forced = len(curve) + 1
+    # the forced pilot at L+1 is a hitting age every b reaches
+    gamma = np.append(index_gamma(curve), -np.inf)
+    forced = len(gamma)
     beta, h = 0.0, None
     while True:
-        try:
-            h_next = hitting_age(beta, gamma)
-        except HorizonExhaustedError:
-            h_next = forced
+        h_next = hitting_age(beta, gamma)
         beta_next = float(cs[h_next - 1]) / h_next
         if h_next == h or beta_next < beta:
             break
@@ -123,13 +121,9 @@ def brute_force_optimal_period(curve: RewardCurve, p_max: int) -> tuple:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     if p_max > len(curve) + 1:
         raise ValueError(f"p_max {p_max} exceeds tabulated ages + 1 = {len(curve) + 1}")
-    cs = curve.cumulative
-    best_p, best_avg = 1, 0.0
-    for p in range(1, p_max + 1):
-        avg = float(cs[p - 1]) / p
-        if avg > best_avg:
-            best_p, best_avg = p, avg
-    return best_p, best_avg
+    avg = curve.cumulative[:p_max] / np.arange(1, p_max + 1)
+    best = int(np.argmax(avg))  # the first maximum: ties to the smallest period
+    return best + 1, float(avg[best])
 
 
 def policy_iteration(curve: RewardCurve) -> tuple:

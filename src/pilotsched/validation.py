@@ -1,14 +1,15 @@
 """Self-checks tying the implementation to its independent oracles.
 
 Each check returns a CheckResult; the CLI `validate` command runs the whole
-battery and fails on any red check.  The same functions back the test suite,
-with tests pinning their own seeds and tolerances.
+battery and fails on any red check.  Each check fixes its own sample sizes,
+seeds and tolerances, so every run certifies the same statistics; the test
+suite calls the same functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,15 +29,15 @@ class CheckResult:
     metrics: dict = field(default_factory=dict)
 
 
-def check_autocorrelation_fidelity(params: LinkParams, length: int = 1_000_000,
-                                   max_lag: int = 100, seed: int = 7,
-                                   rmse_limit_frac: float = 0.02) -> CheckResult:
-    """Empirical lag autocovariance of a generated trace vs the Jakes curve."""
-    trace = generate_fading_trace(params, length, seed)
+def check_autocorrelation_fidelity(params: LinkParams) -> CheckResult:
+    """Empirical lag autocovariance of a 10^6-slot trace vs the Jakes curve,
+    RMSE over lags 0..100 within 2% of the channel power."""
+    max_lag = 100
+    trace = generate_fading_trace(params, 1_000_000, seed=7)
     empirical = empirical_autocorrelation(trace, max_lag)
     theory = autocorrelation(np.arange(max_lag + 1), params)
     rmse = float(np.sqrt(np.mean((empirical - theory) ** 2)))
-    limit = rmse_limit_frac * params.channel_variance
+    limit = 0.02 * params.channel_variance
     return CheckResult(
         name="autocorrelation-fidelity",
         passed=bool(rmse <= limit),
@@ -48,7 +49,7 @@ def check_autocorrelation_fidelity(params: LinkParams, length: int = 1_000_000,
 def draw_joint_channel_pair(params: LinkParams, age: int, n: int, rng) -> tuple:
     """Sample (h_past, h_now) jointly complex Gaussian with the Jakes covariance."""
     rho0 = params.channel_variance
-    rho = autocorrelation(np.arange(age + 1), params)[age]
+    rho = autocorrelation(age, params)
     h_past = _complex_normal(rng, n, math.sqrt(rho0 / 2.0))
     resid_var = rho0 - rho * rho / rho0
     innov = _complex_normal(rng, n, math.sqrt(max(resid_var, 0.0) / 2.0))
@@ -125,15 +126,15 @@ def mc_expected_goodput(age: int, params: LinkParams, table: McsTable,
     return mean, math.sqrt(var / n_samples)
 
 
-def check_quadrature_vs_mc(table: McsTable, count: int = 10, n_samples: int = 1_000_000,
-                           rel_tol: float = 1e-3, seed: int = 59,
-                           min_value_frac: float = 0.05) -> CheckResult:
-    """Quadrature r(age) against an independent Monte Carlo for random operating points.
+def check_quadrature_vs_mc(table: McsTable) -> CheckResult:
+    """Quadrature r(age) against an independent Monte Carlo of 10^6 draws at
+    10 random operating points, within 1e-3 relative.
 
-    Points whose goodput is below min_value_frac of the top rate are redrawn:
-    a relative comparison there tests only Monte Carlo shot noise.
+    Points whose goodput is below 5% of the top rate are redrawn: a relative
+    comparison there tests only Monte Carlo shot noise.
     """
-    rng = np.random.default_rng(seed)
+    count, n_samples, rel_tol = 10, 1_000_000, 1e-3
+    rng = np.random.default_rng(59)
     worst = 0.0
     checked = 0
     while checked < count:
@@ -145,7 +146,7 @@ def check_quadrature_vs_mc(table: McsTable, count: int = 10, n_samples: int = 1_
             noise_variance=10.0 ** (-snr_db / 10.0),
             channel_variance=1.0, doppler_hz=fd_ts * 1000.0, sample_period=1e-3)
         quad_val = float(expected_goodputs([age], params, table)[0])
-        if quad_val < min_value_frac * table.max_rate:
+        if quad_val < 0.05 * table.max_rate:
             continue
         mc_val, se = mc_expected_goodput(age, params, table, n_samples,
                                          seed=int(rng.integers(0, 2 ** 63)))
@@ -161,15 +162,15 @@ def check_quadrature_vs_mc(table: McsTable, count: int = 10, n_samples: int = 1_
     )
 
 
-def random_reward_curves(count: int, rng, max_support: int = 50,
-                         pad_to: int = 200) -> list:
-    """Nonnegative finite-support curves padded with zeros, for oracle tests."""
+def random_reward_curves(count: int, rng) -> list:
+    """Nonnegative curves of 1-50 random values padded with zeros to 200
+    ages, for oracle tests."""
     curves = []
     for _ in range(count):
-        support = int(rng.integers(1, max_support + 1))
+        support = int(rng.integers(1, 51))
         values = rng.uniform(0.0, 5.0, size=support)
         values[rng.random(support) < 0.2] = 0.0
-        padded = np.zeros(pad_to)
+        padded = np.zeros(200)
         padded[:support] = values
         curves.append(RewardCurve(values=padded))
     return curves
@@ -196,7 +197,8 @@ def solve_curve(curve: RewardCurve) -> ThresholdSolution:
 
 
 def oracle_deviations(curve: RewardCurve) -> dict:
-    """The threshold solution of one curve and its deviations from both oracles.
+    """The threshold solution of one curve and its deviations from both
+    oracles, under the keys of `solve.json`.
 
     Brute force searches every period up to len(curve) + 1 and policy
     iteration runs over ages 1 .. len(curve) + 1, so no period the curve can
@@ -212,48 +214,46 @@ def oracle_deviations(curve: RewardCurve) -> dict:
     }
     return {
         "beta": sol.beta,
-        "brute_force": bf_avg,
-        "mdp_gain": mdp_gain,
-        "mdp_iterations": mdp_iterations,
+        "hitting_age": sol.period,
         "period": sol.period,
-        "brute_force_period": bf_period,
+        "oracles": {
+            "brute_force_average": bf_avg,
+            "brute_force_period": bf_period,
+            "mdp_gain": mdp_gain,
+            "mdp_iterations": mdp_iterations,
+        },
         "deviations": deviations,
-        "max_pairwise": max(deviations.values()),
+        "max_deviation": max(deviations.values()),
     }
 
 
-def check_scheduler_triangle(physical_curve: RewardCurve | None = None,
-                             count: int = 20, tol: float = 1e-6,
-                             seed: int = 37) -> CheckResult:
-    """Three-way agreement of the threshold solver, brute force, and policy iteration."""
-    rng = np.random.default_rng(seed)
+def check_scheduler_triangle(physical_curve: RewardCurve, count: int = 20) -> CheckResult:
+    """Three-way agreement of the threshold solver, brute force and policy
+    iteration, within 1e-6, on `count` random curves and `physical_curve`."""
+    tol = 1e-6
+    rng = np.random.default_rng(37)
     worst = 0.0
-    for curve in random_reward_curves(count, rng):
-        worst = max(worst, oracle_deviations(curve)["max_pairwise"])
-    if physical_curve is not None:
-        worst = max(worst, oracle_deviations(physical_curve)["max_pairwise"])
+    for curve in [*random_reward_curves(count, rng), physical_curve]:
+        worst = max(worst, oracle_deviations(curve)["max_deviation"])
     return CheckResult(
         name="scheduler-oracle-triangle",
         passed=bool(worst <= tol),
         detail=f"worst pairwise deviation {worst:.3e} vs {tol:.0e} "
-               f"({count} random curves{' + physical' if physical_curve is not None else ''})",
+               f"({count} random curves + physical)",
         metrics={"worst_pairwise": worst, "tol": tol},
     )
 
 
 def run_all_checks(params: LinkParams, table: McsTable,
-                   physical_curve: RewardCurve | None = None) -> list:
+                   physical_curve: RewardCurve) -> list:
     """The full validation battery at one operating point.
 
     The Monte Carlo checks run with their own pinned seeds: each is a
     calibrated statistical certification, deterministic on rerun.
     """
-    fidelity_params = LinkParams(
-        pilot_power=params.pilot_power, data_power=params.data_power,
-        noise_variance=params.noise_variance, channel_variance=params.channel_variance,
-        doppler_hz=0.05 / params.sample_period, sample_period=params.sample_period)
     return [
-        check_autocorrelation_fidelity(fidelity_params),
+        check_autocorrelation_fidelity(
+            replace(params, doppler_hz=0.05 / params.sample_period)),
         check_orthogonality(params),
         check_quadrature_vs_mc(table),
         check_scheduler_triangle(physical_curve),

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: the Bessel oracle is an
 arbitrary-precision power series, the scheduler oracles are plain Python
-loops over the definitions, the index evaluated one age at a time, damped
+loops over the definitions, the index evaluated one age at a time, the
+best cycle average one period at a time (`best_period_prefix_loop`), damped
 relative value iteration on the age MDP (the slow reference for
 `policy_iteration`), or the tolerance bisection for the threshold that
 `solve_threshold`'s fixed-point iteration must equal bit for bit, and the
@@ -17,12 +18,15 @@ reference that `generate_fading_trace` at stride 1 must equal bit for bit;
 `fading_trace_strided` is the strided synthesis with a fresh embedding-size
 array per step, which the one-array `generate_fading_trace` must equal bit
 for bit at every stride.
-`mc_expected_goodput_full_outputs` is the Monte Carlo oracle through
-`max_goodput_array`, with all three selection outputs in draw order, that
-the goodput-only `mc_expected_goodput` must equal bit for bit, and
-`realized_rewards_per_slot` decides realized rewards slot by slot from
-`max_goodput_array`, the reference for the band-order decisions of
-`_realized_rewards`.
+`max_goodput_matrix` selects the MCS by an argmax over every entry at
+every point, the reference that the band-order selection
+(`_BlockSelector`) must equal bit for bit.  Through it,
+`mc_expected_goodput_full_outputs` is the Monte Carlo oracle with all three
+selection outputs in draw order, which the goodput-only
+`mc_expected_goodput` must equal bit for bit; `realized_rewards_per_slot`
+decides realized rewards slot by slot, the reference for the band-order
+decisions of `_realized_rewards`; and `step` selects a realized data slot's
+MCS.
 `bessel_j0_unblocked` and `orthogonality_metrics` are the whole-array
 formulations, with a fresh temporary per operation, that the blocked J0 and
 the in-place `check_orthogonality` must equal bit for bit.
@@ -36,7 +40,7 @@ import numpy as np
 
 from pilotsched import (EXPECTED, FadingTrace, HorizonExhaustedError,
                         RewardCurve, ThresholdSolution, autocorrelation, derive_streams,
-                        expected_goodputs, hitting_age, index_gamma, max_goodput_array)
+                        expected_goodputs, hitting_age, index_gamma)
 from pilotsched.channel import (_DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ,
                                 _SQ2OPI)
 from pilotsched.estimation import mmse_gain, pilot_second_moment, sinr_gain
@@ -247,6 +251,19 @@ def best_period_brute(values, p_max: int):
     return best_p, best_avg
 
 
+def best_period_prefix_loop(curve: RewardCurve, p_max: int):
+    """(period, average): the first strict maximum of cs[p-1] / p over the
+    curve's own prefix sums, one period at a time, the loop that the array
+    pass of `brute_force_optimal_period` must equal bit for bit."""
+    cs = curve.cumulative.tolist()
+    best_p, best_avg = 1, 0.0
+    for p in range(1, p_max + 1):
+        avg = cs[p - 1] / p
+        if avg > best_avg:
+            best_p, best_avg = p, avg
+    return best_p, best_avg
+
+
 @dataclass(frozen=True, eq=False)
 class MdpSolution:
     gain: float
@@ -374,33 +391,42 @@ def bisect_thresholds(table):
 def max_goodput_matrix(eta, table):
     """Best feasible rate * (1 - BLER) by argmax over an (entries, points) matrix.
 
-    Returns (goodput, chosen_index, chosen_bler) like max_goodput_array.
-    A linear SINR of 0 is -inf dB.
+    Returns (goodput, chosen_index, chosen_bler), each shaped like `eta`;
+    chosen_index is -1 and chosen_bler is 1.0 where no entry is feasible,
+    and ties go to the first entry.  A linear SINR of 0 is -inf dB.  The
+    points go through in slices of 2^16, so the matrices stay small however
+    many points there are.
     """
     eta = np.asarray(eta, dtype=float)
-    snr_db = np.full(eta.size, -np.inf)
-    pos = eta.ravel() > 0
-    snr_db[pos] = 10.0 * np.log10(eta.ravel()[pos])
-    blers = np.empty((len(table.entries), eta.size))
-    for i, entry in enumerate(table.entries):
-        blers[i] = entry.bler_curve(snr_db)
+    flat = eta.ravel()
     rates = np.array([e.rate for e in table.entries])
-    goodput = rates[:, None] * (1.0 - blers)
-    goodput[blers > table.e_max] = -1.0
-    chosen = np.argmax(goodput, axis=0)
-    best = goodput[chosen, np.arange(eta.size)]
-    infeasible = best < 0
-    best[infeasible] = 0.0
-    chosen_bler = blers[chosen, np.arange(eta.size)]
-    chosen_bler[infeasible] = 1.0
-    chosen[infeasible] = -1
+    best = np.empty(flat.size)
+    chosen = np.empty(flat.size, np.int64)
+    chosen_bler = np.empty(flat.size)
+    for start in range(0, flat.size, 1 << 16):
+        x = flat[start:start + (1 << 16)]
+        snr_db = np.full(x.size, -np.inf)
+        pos = x > 0
+        snr_db[pos] = 10.0 * np.log10(x[pos])
+        blers = np.empty((len(table.entries), x.size))
+        for i, entry in enumerate(table.entries):
+            blers[i] = entry.bler_curve(snr_db)
+        goodput = rates[:, None] * (1.0 - blers)
+        goodput[blers > table.e_max] = -1.0
+        c = np.argmax(goodput, axis=0)
+        g = goodput[c, np.arange(x.size)]
+        b = blers[c, np.arange(x.size)]
+        infeasible = g < 0
+        g[infeasible], b[infeasible], c[infeasible] = 0.0, 1.0, -1
+        sl = slice(start, start + x.size)
+        best[sl], chosen[sl], chosen_bler[sl] = g, c, b
     return best.reshape(eta.shape), chosen.reshape(eta.shape), chosen_bler.reshape(eta.shape)
 
 
 def mc_expected_goodput_full_outputs(age: int, params, table, n_samples: int,
                                      seed: int) -> tuple:
     """The Monte Carlo oracle with every selection output materialized: each
-    chunk of 10^6 exponential draws goes through `max_goodput_array` at
+    chunk of 10^6 exponential draws goes through `max_goodput_matrix` at
     gain * x, and the goodput and its square are summed chunk by chunk;
     returns (mean, standard_error)."""
     rng = np.random.default_rng(seed)
@@ -413,7 +439,7 @@ def mc_expected_goodput_full_outputs(age: int, params, table, n_samples: int,
     while remaining > 0:
         m = min(chunk, remaining)
         x = rng.exponential(scale=mean_y2, size=m)
-        g, _, _ = max_goodput_array(gain * x, table)
+        g, _, _ = max_goodput_matrix(gain * x, table)
         total += float(g.sum())
         total_sq += float((g * g).sum())
         remaining -= m
@@ -424,8 +450,8 @@ def mc_expected_goodput_full_outputs(age: int, params, table, n_samples: int,
 
 def realized_rewards_per_slot(eta, uniforms, table) -> np.ndarray:
     """Realized data-slot rewards decided one slot at a time, in slot order,
-    from the choice and BLER that `max_goodput_array` gives each slot."""
-    _, chosen, chosen_bler = max_goodput_array(eta, table)
+    from the choice and BLER that `max_goodput_matrix` gives each slot."""
+    _, chosen, chosen_bler = max_goodput_matrix(eta, table)
     rates = [entry.rate for entry in table.entries]
     return np.array([rates[c] if c >= 0 and u < 1.0 - b else 0.0
                      for c, b, u in zip(chosen.tolist(), chosen_bler.tolist(),
@@ -551,7 +577,7 @@ def step(state: SchedulerState, action: str, trace, params, table, mode: str, *,
             reward = float(expected_goodputs([state.age], params, table)[0])
     else:
         eta = sinr_gain(state.age, params) * abs(state.last_pilot_value) ** 2
-        _, chosen, chosen_bler = max_goodput_array(eta, table)
+        _, chosen, chosen_bler = max_goodput_matrix(eta, table)
         if chosen >= 0 and decode_uniform is None:
             raise ValueError("a realized data slot needs a decode draw")
         success = chosen >= 0 and decode_uniform < 1.0 - chosen_bler

@@ -43,12 +43,12 @@ def test_criterion_1_scheduler_oracle_triangle(reference_point):
     params, table = reference_point
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for curve in random_reward_curves(20, rng, max_support=50, pad_to=200):
+    for curve in random_reward_curves(20, rng):
         dev = oracle_deviations(curve)
-        worst = max(worst, dev["max_pairwise"])
+        worst = max(worst, dev["max_deviation"])
     physical = build_reward_curve(params, table, 600)
     dev = oracle_deviations(physical)
-    worst = max(worst, dev["max_pairwise"])
+    worst = max(worst, dev["max_deviation"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
     report(1, ok, f"worst pairwise deviation {worst:.3e} (tol 1e-6), "
@@ -151,8 +151,7 @@ def test_criterion_6_channel_fidelity(reference_point):
     params, _ = reference_point
     fid_params = LinkParams(pilot_power=1.0, data_power=1.0, noise_variance=0.01,
                             channel_variance=1.0, doppler_hz=50.0, sample_period=1e-3)
-    fid = check_autocorrelation_fidelity(fid_params, length=1_000_000,
-                                         max_lag=100, seed=7)
+    fid = check_autocorrelation_fidelity(fid_params)
     orth = check_orthogonality(params, age=3, n=1_000_000, seed=11)
     ok = fid.passed and orth.passed
     report(6, ok, f"{fid.detail}; {orth.detail}")

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -308,6 +309,20 @@ class TestSolveCommand:
         assert report["beta"] == 0.75
         assert report["period"] == 4
         assert report["consistent"] is True
+
+    def test_report_keys_are_the_readme_list(self, tmp_path):
+        # the README's "`solve.json` keys" bullet names every key of the
+        # report, those of its two objects as oracles.<key> and deviations.<key>
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split("- `solve.json` keys:", 1)[1].split("\n\n", 1)[0]
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        keys = set()
+        for key, value in report.items():
+            keys |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+        assert keys == set(re.findall(r"`([a-z_.]+)`", bullet))
+        assert {"oracles", "deviations"} <= report.keys()
 
     def test_all_zero_curve(self, tmp_path):
         reward = tmp_path / "r.csv"

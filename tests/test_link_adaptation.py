@@ -10,7 +10,7 @@ from oracles import bisect_thresholds, max_goodput_matrix, reward_curve_panels
 from pilotsched import (LinkParams, LogisticBlerCurve, McsEntry, McsTable,
                         TabulatedBlerCurve, autocorrelation, build_reward_curve,
                         default_mcs_table, expected_goodputs, link_adaptation,
-                        load_bler_table, load_mcs_rates, max_goodput_array)
+                        load_bler_table, load_mcs_rates)
 from pilotsched.config import ExperimentConfig
 from pilotsched.validation import mc_expected_goodput
 
@@ -70,8 +70,21 @@ def probe_points(table, rng) -> np.ndarray:
                            rng.lognormal(0.0, 5.0, 500)])
 
 
+def select_points(eta, table):
+    """(goodput, chosen_index, chosen_bler) shaped like `eta`, by the
+    package's point path: `_select_blocks` over the raveled points, each
+    block's band-order results scattered back into input order."""
+    eta = np.asarray(eta, dtype=float)
+    x = eta.ravel()
+    out = (np.empty(x.shape), np.empty(x.shape, np.int64), np.empty(x.shape))
+    for sl, (order, *results) in link_adaptation._select_blocks(x, table, choices=True):
+        for values, block_values in zip(out, results):
+            values[sl][order] = block_values
+    return tuple(values.reshape(eta.shape) for values in out)
+
+
 def assert_matches_full_scan(eta, table):
-    for got, want in zip(max_goodput_array(eta, table), max_goodput_matrix(eta, table)):
+    for got, want in zip(select_points(eta, table), max_goodput_matrix(eta, table)):
         assert got.shape == np.shape(eta)
         assert np.array_equal(got, want)
 
@@ -138,7 +151,7 @@ class TestTabulatedBlerCurve:
 
 class TestMaxGoodput:
     def test_zero_sinr_infeasible(self, default_table):
-        goodput, chosen, chosen_bler = max_goodput_array(0.0, default_table)
+        goodput, chosen, chosen_bler = select_points(0.0, default_table)
         assert goodput == 0.0 and chosen == -1 and chosen_bler == 1.0
 
     def test_single_entry_hand_value(self):
@@ -148,7 +161,7 @@ class TestMaxGoodput:
         # invert: bler = 0.05 at z where 1/(1+e^z) = 0.05 -> z = ln(19)
         eta_db = math.log(19.0) / 1.5
         eta = 10 ** (eta_db / 10.0)
-        goodput, chosen, _ = max_goodput_array(eta, table)
+        goodput, chosen, _ = select_points(eta, table)
         assert chosen == 0
         assert goodput == pytest.approx(1.9, rel=1e-9)
 
@@ -158,16 +171,16 @@ class TestMaxGoodput:
             McsEntry(index=1, rate=1.0, bler_curve=flat_curve(0.0)),
             McsEntry(index=2, rate=4.0, bler_curve=flat_curve(0.5)),
         ], e_max=0.1)
-        goodput, chosen, _ = max_goodput_array(5.0, table)
+        goodput, chosen, _ = select_points(5.0, table)
         assert goodput == 1.0
         assert chosen == 0
 
     def test_nondecreasing_in_eta(self, default_table):
-        goodput, _, _ = max_goodput_array(np.geomspace(1e-4, 1e4, 400), default_table)
+        goodput, _, _ = select_points(np.geomspace(1e-4, 1e4, 400), default_table)
         assert np.all(np.diff(goodput) >= -1e-12)
 
     def test_bounded_by_max_rate(self, default_table):
-        goodput, _, _ = max_goodput_array(np.geomspace(1e-3, 1e9, 100), default_table)
+        goodput, _, _ = select_points(np.geomspace(1e-3, 1e9, 100), default_table)
         assert np.all(goodput <= default_table.max_rate)
 
 
@@ -175,7 +188,7 @@ class TestMaxGoodputArray:
     def test_matches_argmax_over_all_entries(self, default_table, rng):
         eta = np.concatenate([[0.0, 1e-300, 1e300],
                               rng.lognormal(0.0, 4.0, 4997)]).reshape(50, 100)
-        for got, want in zip(max_goodput_array(eta, default_table),
+        for got, want in zip(select_points(eta, default_table),
                              max_goodput_matrix(eta, default_table)):
             assert got.shape == eta.shape
             assert np.array_equal(got, want)
@@ -200,7 +213,7 @@ class TestMaxGoodputArray:
         ], e_max=0.5)
         assert table.feasibility_thresholds[1] == 1.0
         assert_matches_full_scan(np.array([1.0, 0.5, 2.0]), table)
-        goodput, chosen, _ = max_goodput_array(1.0, table)
+        goodput, chosen, _ = select_points(1.0, table)
         assert goodput == 1.0 and chosen == 0
 
     def test_far_left_thresholds_are_exact(self):
@@ -212,7 +225,7 @@ class TestMaxGoodputArray:
         ])
         t = table.feasibility_thresholds
         assert 0.0 < t[0] < 1e-29 and 1e-19 < t[1] < 1e-18
-        goodput, chosen, _ = max_goodput_array(1e-19, table)
+        goodput, chosen, _ = select_points(1e-19, table)
         assert chosen == 0 and goodput == 1.0
         assert_matches_full_scan(np.geomspace(1e-25, 1e5, 301), table)
 
@@ -229,7 +242,7 @@ class TestMaxGoodputArray:
         ])
         assert table.feasibility_thresholds[3] == 0.0
         assert_matches_full_scan(probe_points(table, rng), table)
-        goodput, chosen, _ = max_goodput_array(-1.0, table)
+        goodput, chosen, _ = select_points(-1.0, table)
         assert chosen == 3 and goodput == 3.0 * (1.0 - 0.02)
 
     def test_loaded_bler_table_matches_full_scan(self, tmp_path, rng):
@@ -245,10 +258,10 @@ class TestMaxGoodputArray:
             McsEntry(index=2, rate=2.0, bler_curve=flat_curve(0.5)),
         ], e_max=0.6)
         eta = np.linspace(0.0, 10.0, 12).reshape(3, 4)
-        for got, want in zip(max_goodput_array(eta, table), max_goodput_matrix(eta, table)):
+        for got, want in zip(select_points(eta, table), max_goodput_matrix(eta, table)):
             assert got.shape == (3, 4)
             assert np.array_equal(got, want)
-        assert np.all(max_goodput_array(eta, table)[1] == 0)
+        assert np.all(select_points(eta, table)[1] == 0)
 
     def test_infinite_sinr_scans_every_entry(self):
         # a 5000 dB midpoint is out of the floats' reach, so entry 1's
@@ -258,7 +271,7 @@ class TestMaxGoodputArray:
             McsEntry(index=2, rate=2.0, bler_curve=LogisticBlerCurve(1.5, 5000.0)),
         ])
         assert table.feasibility_thresholds[1] == math.inf
-        goodput, chosen, _ = max_goodput_array(math.inf, table)
+        goodput, chosen, _ = select_points(math.inf, table)
         assert goodput == 2.0 and chosen == 1
         assert_matches_full_scan(np.array([1e300, np.inf, 1.0, np.inf]), table)
 
@@ -270,7 +283,7 @@ class TestMaxGoodputArray:
             McsEntry(index=2, rate=2.0, bler_curve=flat_curve(0.5)),
         ])
         assert table.feasibility_thresholds[1] == math.inf
-        goodput, chosen, _ = max_goodput_array(math.inf, table)
+        goodput, chosen, _ = select_points(math.inf, table)
         assert goodput == 1.0 and chosen == 0
         assert_matches_full_scan(np.array([1e300, np.inf, 1.0, np.inf]), table)
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (DATA, PILOT, ConvergenceError, best_period_brute, gamma_brute,
-                     index_gamma_per_age, relative_value_iteration, solve_threshold_bisection)
+from oracles import (DATA, PILOT, ConvergenceError, best_period_brute,
+                     best_period_prefix_loop, gamma_brute, index_gamma_per_age,
+                     relative_value_iteration, solve_threshold_bisection)
 from pilotsched import (HorizonExhaustedError, RewardCurve,
                         brute_force_optimal_period, build_reward_curve, default_config,
                         default_mcs_table, hitting_age, index_gamma, load_reward_curve,
@@ -267,6 +268,21 @@ class TestBruteForce:
             want = best_period_brute(values.tolist(), 31)
             assert got[0] == want[0]
             assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+    def test_equals_the_loop_over_prefix_sums(self, rng):
+        # uniform values, subnormal multiples (whose averages round by up to
+        # half their value), eighths, and repeats of a short block, whose
+        # cycle averages tie or nearly tie
+        for k in range(400):
+            n = int(rng.integers(1, 60))
+            values = [rng.uniform(0.0, 5.0, n), rng.integers(0, 8, n) * 5e-324,
+                      rng.integers(0, 17, n) / 8.0,
+                      np.resize(rng.uniform(0.0, 3.0, int(rng.integers(1, 6))), n)][k % 4]
+            c = RewardCurve(values=np.concatenate([values, np.zeros(int(rng.integers(0, 30)))]))
+            for p_max in (1, int(rng.integers(1, len(c) + 2)), len(c) + 1):
+                got = brute_force_optimal_period(c, p_max)
+                assert got == best_period_prefix_loop(c, p_max)
+                assert type(got[0]) is int and type(got[1]) is float
 
     def test_p_max_bound(self):
         with pytest.raises(ValueError):

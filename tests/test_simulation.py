@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pilotsched.simulation as simulation
-from oracles import (DATA, PILOT, SchedulerState, decide, realized_rewards_per_slot,
-                     slot_streams, step)
+from oracles import (DATA, PILOT, SchedulerState, decide, max_goodput_matrix,
+                     realized_rewards_per_slot, slot_streams, step)
 from pilotsched import (EXPECTED, REALIZED, McsEntry, McsTable, RewardCurve, TabulatedBlerCurve,
                         build_reward_curve, derive_streams, generate_fading_trace, index_gamma,
-                        max_goodput_array, run_policy, sinr_gain, solve_threshold)
+                        run_policy, sinr_gain, solve_threshold)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ class TestStep:
         y = 1.1 - 0.4j
         age = 2
         eta = sinr_gain(age, reference_params) * abs(y) ** 2
-        goodput, chosen, _ = max_goodput_array(eta, default_table)
+        goodput, chosen, _ = max_goodput_matrix(eta, default_table)
         assert chosen >= 0
         uniforms = np.random.default_rng(31).random(100_000)
         draws = simulation._realized_rewards(np.full(uniforms.size, eta), uniforms,
@@ -420,7 +420,7 @@ class TestRealizedRewards:
         eta[rng.choice(n, 40 * special.size, replace=False)] = np.repeat(special, 40)
         uniforms = rng.random(n)
         # draws exactly at 1 - BLER, where a slot just fails
-        _, chosen, chosen_bler = max_goodput_array(eta, table)
+        _, chosen, chosen_bler = max_goodput_matrix(eta, table)
         edge = rng.choice(n, 1000, replace=False)
         uniforms[edge] = np.where(chosen[edge] >= 0, 1.0 - chosen_bler[edge], 0.0)
         got = simulation._realized_rewards(eta, uniforms, table)
