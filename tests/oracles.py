@@ -13,11 +13,14 @@ an argmax over all entries.  `step` advances
 the closed loop one slot at a time, the slot-level reference for the array
 pass of `run_policy`, and `slot_streams` lays the realized streams out by
 slot for it.
-`fading_trace_unstrided` is the trace synthesis with every slot read, the
-reference that `generate_fading_trace` at stride 1 must equal bit for bit;
-`fading_trace_strided` is the strided synthesis with a fresh embedding-size
-array per step, which the one-array `generate_fading_trace` must equal bit
-for bit at every stride.
+`fading_trace_unstrided` is the trace synthesis with every slot read and
+`fading_trace_strided` the strided synthesis with a fresh embedding-size
+array per step, both with one m-point `np.fft.ifft`: `generate_fading_trace`
+splits that transform in two of m/2 points, so it must equal them within
+rounding (1e-13 of their rms) at stride 1 and at every stride.
+`embedding_weights` is the strided synthesis' spectral weights from the
+whole half covariance and `np.fft.hfft`, which the block-wise
+`_spectral_weights` must equal bit for bit.
 `max_goodput_matrix` selects the MCS by an argmax over every entry at
 every point, the reference that the band-order selection
 (`_BlockSelector`) must equal bit for bit.  Through it,
@@ -182,6 +185,19 @@ def fading_trace_unstrided(params, length: int, seed: int) -> FadingTrace:
     return FadingTrace(samples=samples, params=params, seed=seed)
 
 
+def embedding_weights(params, m: int, stride: int = 1) -> np.ndarray:
+    """The m spectral weights of the strided embedding: `np.fft.hfft` of the
+    whole half covariance, clipped at 0, rescaled and square-rooted."""
+    lam = np.fft.hfft(autocorrelation(stride * np.arange(m // 2 + 1), params), m)
+    np.maximum(lam, 0.0, out=lam)
+    total = lam.sum()
+    if total <= 0:
+        raise ValueError("degenerate covariance embedding")
+    lam *= (m * params.channel_variance) / total * (m / 2.0)
+    np.sqrt(lam, out=lam)
+    return lam
+
+
 def fading_trace_strided(params, length: int, seed: int, stride: int = 1) -> FadingTrace:
     """The strided trace synthesis with a fresh embedding-size array per step:
     the weights from `np.fft.hfft`, one normals buffer, the complex weights
@@ -202,14 +218,7 @@ def fading_trace_strided(params, length: int, seed: int, stride: int = 1) -> Fad
         samples = np.full(length, h0, dtype=complex)
     else:
         m = 1 << max(2, int(2 * length - 1).bit_length())
-        lam = np.fft.hfft(autocorrelation(stride * np.arange(m // 2 + 1), params), m)
-        np.maximum(lam, 0.0, out=lam)
-        total = lam.sum()
-        if total <= 0:
-            raise ValueError("degenerate covariance embedding")
-        lam *= (m * rho0) / total * (m / 2.0)
-        np.sqrt(lam, out=lam)
-
+        lam = embedding_weights(params, m, stride)
         w = np.empty(m, dtype=complex)
         normal = np.empty(m)
         np.multiply(rng.standard_normal(out=normal), lam, out=w.real)
