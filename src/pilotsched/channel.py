@@ -347,8 +347,17 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     m/2 points after one radix-2 split pass (`_ifft_head`), from which only
     `length` samples are copied out.  The process RSS rises by about 32
     bytes per embedding point (32.3-32.7 at 2^18 points, 32.0 at 2^21,
-    from `VmHWM`): w and pocketfft's own working buffers for an m/2-point
-    transform, 16 bytes per point, half what one m-point transform takes.
+    from `VmHWM`), and two phases each reach it.  The weights alone take
+    32.0-32.1 at 2^21 and 31.9-32.5 at 2^18: the half covariance (8), the
+    weights (8) and the m-point `irfft`'s own buffers (16).  The transform
+    takes w (16) and pocketfft's own working buffers for an m/2-point
+    transform (16), half what one m-point transform takes.  A smaller
+    transform therefore cannot lower the peak.  Nor can weights computed in
+    another rounding order: moving the eigenvalues by up to 4 ulp of the
+    largest one moved the samples by up to 2.9e-11 of the rms (3*10^5
+    samples at f_d*T_s = 0.054, where 45% of the weights are clipped),
+    through the square root near the clipped ones, some 300 times the
+    tests' 1e-13 bound.
     The split changes the order in which the transform rounds, so the
     samples differ from those of one m-point `np.fft.ifft` by rounding only:
     at most 2e-15 of the rms from 1 to 2^17 samples at strides 1-12 and at

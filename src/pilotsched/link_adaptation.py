@@ -416,8 +416,59 @@ _GL_CACHE: dict = {}
 
 def _gauss_legendre(n: int):
     if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+        _GL_CACHE[n] = _legendre_rule(n)
     return _GL_CACHE[n]
+
+
+def _legval(x: np.ndarray, c) -> np.ndarray:
+    """The Legendre series with coefficients c[0..L-1] (L >= 2) at x, by
+    Clenshaw's recursion written operation for operation as
+    `numpy.polynomial.legendre.legval` writes it."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, nd + 1):
+        tmp = c0
+        nd -= 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legendre_rule(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule (n >= 2) on [-1, 1]: bit for bit
+    `numpy.polynomial.legendre.leggauss(n)` of numpy 2.4, whose algorithm
+    this is, without importing `numpy.polynomial` (3 ms, more than the
+    rule takes to compute).
+
+    The nodes are the eigenvalues of L_n's symmetric companion matrix, each
+    refined by one Newton step; the weights come from L_n' and L_{n-1} at
+    the refined nodes, symmetrized and scaled to sum to 2.  L_n' is the
+    series sum of (2k + 1) L_k over k = n-1, n-3, ..., whose coefficients
+    are the exact integers numpy's `legder` gives.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    companion = np.zeros((n, n))
+    flat = companion.reshape(-1)
+    flat[1::n + 1] = flat[n::n + 1] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(companion)
+
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    der = np.zeros(n)
+    der[n - 1::-2] = 2.0 * np.arange(n - 1, -1, -2) + 1
+    dy = _legval(x, c)
+    df = _legval(x, der)
+    x -= dy / df
+
+    # scaled by their largest magnitudes against overflow
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
 
 
 # The quadrature integrates u = X / mean over [0, >= _QUAD_TAIL], in panels

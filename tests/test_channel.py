@@ -301,10 +301,12 @@ class TestGenerateFadingTrace:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_rss_rise_per_embedding_point(self, run_python):
-        # a fresh process, so the high-water mark is this trace's: w (16 B)
-        # and pocketfft's own working buffers for an m/2-point transform
-        # (16 B) per point, 32.3-32.7 B measured at 2^18 points; 50.1 B
-        # with one m-point transform, 73 B with a fresh array per step
+        # a fresh process, so the high-water mark is this trace's, 32.3-32.7 B
+        # per point measured at 2^18 points and reached twice: by the weights
+        # (the half covariance 8 B, the weights 8 B and the m-point irfft's
+        # buffers 16 B; 31.9-32.5 B on their own) and by the transform (w
+        # 16 B and pocketfft's buffers for an m/2-point transform 16 B);
+        # 50.1 B with one m-point transform, 73 B with a fresh array per step
         probe = """
 import numpy as np
 from pilotsched import LinkParams, generate_fading_trace

@@ -8,10 +8,10 @@ import re
 from concurrent.futures import Future
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import pilotsched.cli as cli
+import pilotsched.link_adaptation as link_adaptation
 from pilotsched import SPEED_OF_LIGHT, ExperimentConfig, load_config, run_policy
 from pilotsched.cli import main
 
@@ -177,7 +177,7 @@ class TestConfig:
         def refuse(n):
             raise AssertionError(f"reached the {n}-node rule")
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(link_adaptation, "_legendre_rule", refuse)
         cfg = write_config(tmp_path, quad_nodes=100_000)
         assert main(["goodput-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "quad_nodes must be from 8 to 1024, got 100000" in capsys.readouterr().err
@@ -295,6 +295,14 @@ class TestGoodputCurveCommand:
         main(["goodput-curve", "--config", str(cfg), "--out", str(out)])
         curve = load_reward_curve(out / "goodput_curve.csv")
         assert len(curve) == 15
+
+    def test_goodput_curve_leaves_numpy_polynomial_unloaded(self, run_python, tmp_path):
+        # the Gauss-Legendre rule is the package's own: importing
+        # numpy.polynomial for it cost each process about 3 ms
+        probe = ("import sys; from pilotsched.cli import main; "
+                 f"main(['goodput-curve', '--out', {str(tmp_path)!r}]); "
+                 "print('numpy.polynomial' in sys.modules)")
+        assert run_python(probe).split()[-1] == "False"
 
 
 class TestSolveCommand:
@@ -597,7 +605,6 @@ class TestSweepCommands:
 
     def test_build_table_reads_each_file_once(self, tmp_path, monkeypatch):
         import pilotsched.config as config
-        import pilotsched.link_adaptation as link_adaptation
         reads = []
         read = config.read_input_text
 

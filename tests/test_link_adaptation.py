@@ -558,6 +558,24 @@ def test_quadrature_rows_are_nondecreasing(table, scale, nodes):
         assert np.all(np.diff(x, axis=1) >= 0.0)
 
 
+def test_gauss_legendre_rule_is_numpys():
+    # the package computes numpy 2.4's leggauss itself: bit for bit on numpy
+    # 2.4 (every size from 8 to 1024 matched on 2.4.6).  Another numpy may
+    # round legval or the eigenvalues differently: a copy of the rule with
+    # legval's older form, (c1 * (nd - 1)) / nd for c1 * ((nd - 1) / nd),
+    # moved the nodes by up to 5 ulp and the weights by up to 1.04e-9
+    # relative (1023 nodes; 1817 ulp at 64 nodes), hence 8 ulp and 1e-8
+    copied = np.__version__.split(".")[:2] == ["2", "4"]
+    for n in [*range(8, 129), 255, 256, 257, 511, 512, 1023, 1024]:
+        x, w = link_adaptation._legendre_rule(n)
+        x_np, w_np = np.polynomial.legendre.leggauss(n)
+        if copied:
+            assert x.tobytes() == x_np.tobytes() and w.tobytes() == w_np.tobytes(), n
+        else:
+            assert np.all(np.abs(x - x_np) <= 8 * np.spacing(np.abs(x_np))), n
+            np.testing.assert_allclose(w, w_np, rtol=1e-8, atol=0, err_msg=str(n))
+
+
 # Operating points spanning the SNR axis at 15 mph and the speed axis at 20 dB,
 # down to a slow 0.155 mph point
 CURVE_POINTS = [(-4.5, 15.0), (24.5, 15.0), (20.0, 2.1), (20.0, 59.0), (20.0, 0.155)]
