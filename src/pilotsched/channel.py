@@ -326,7 +326,7 @@ def _ifft_head(w: np.ndarray, length: int) -> np.ndarray:
 
 
 def generate_fading_trace(params: LinkParams, length: int, seed: int,
-                          stride: int = 1) -> FadingTrace:
+                          stride: int = 1, shared_weights: dict | None = None) -> FadingTrace:
     """Draw one stationary complex Gaussian trace with the Jakes autocovariance.
 
     Circulant embedding: the covariance sequence is symmetrically extended to a
@@ -346,18 +346,11 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     the weights are freed, and the inverse transform runs in place as two of
     m/2 points after one radix-2 split pass (`_ifft_head`), from which only
     `length` samples are copied out.  The process RSS rises by about 32
-    bytes per embedding point (32.3-32.7 at 2^18 points, 32.0 at 2^21,
-    from `VmHWM`), and two phases each reach it.  The weights alone take
-    32.0-32.1 at 2^21 and 31.9-32.5 at 2^18: the half covariance (8), the
-    weights (8) and the m-point `irfft`'s own buffers (16).  The transform
-    takes w (16) and pocketfft's own working buffers for an m/2-point
-    transform (16), half what one m-point transform takes.  A smaller
-    transform therefore cannot lower the peak.  Nor can weights computed in
-    another rounding order: moving the eigenvalues by up to 4 ulp of the
-    largest one moved the samples by up to 2.9e-11 of the rms (3*10^5
-    samples at f_d*T_s = 0.054, where 45% of the weights are clipped),
-    through the square root near the clipped ones, some 300 times the
-    tests' 1e-13 bound.
+    bytes per embedding point, and two phases each reach that level: the
+    weights (the half covariance, the weights and the m-point `irfft`'s own
+    buffers) and the transform (w and pocketfft's buffers for an m/2-point
+    transform, half what one m-point transform takes).  A smaller transform
+    therefore cannot lower the peak; ROADMAP item 7 holds the measurements.
     The split changes the order in which the transform rounds, so the
     samples differ from those of one m-point `np.fft.ifft` by rounding only:
     at most 2e-15 of the rms from 1 to 2^17 samples at strides 1-12 and at
@@ -375,6 +368,14 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     length about 2 * length rather than 2 * P * length.  Its normalized
     Doppler P * f_d * T_s may exceed 0.5 (the spectrum aliases); rho(P * d)
     is still a valid covariance.
+
+    The weights depend on the params, the stride and m, not on the seed.
+    `shared_weights`, a dict the caller keeps across calls, holds them under
+    `(params, stride, m)`: a call finds them there or computes and stores
+    them, so traces that differ only in seed compute them once.  The samples
+    are the same bit for bit; the stored weights stay live through the
+    transform, 8 bytes per embedding point above the peak of an unshared
+    call.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -390,8 +391,13 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
         samples = np.full(length, h0, dtype=complex)
     else:
         m = 1 << max(2, int(2 * length - 1).bit_length())
-        weights = np.empty(m)
-        _spectral_weights(params, stride, weights)
+        key = (params, stride, m)
+        weights = None if shared_weights is None else shared_weights.get(key)
+        if weights is None:
+            weights = np.empty(m)
+            _spectral_weights(params, stride, weights)
+            if shared_weights is not None:
+                shared_weights[key] = weights
         w = np.empty(m, dtype=complex)  # weights * (re + 1j * im)
         for part in (w.real, w.imag):
             for sl, normal in _normal_blocks(rng, m):

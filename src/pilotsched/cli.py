@@ -110,8 +110,12 @@ def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float
         # a threshold at the baseline period runs the same schedules as the
         # baseline, so its runs serve both rows
         if period not in runs:
+            # the seeds' traces share one set of spectral weights, dropped
+            # with this dict once they have run
+            shared_weights: dict = {}
             runs[period] = [run_policy(period, params, table, cfg.horizon, seed, mode,
-                                       reward_curve=curve, nodes=cfg.quad_nodes)
+                                       reward_curve=curve, nodes=cfg.quad_nodes,
+                                       shared_weights=shared_weights)
                             for seed in cfg.seeds]
         results = runs[period]
         goodput = sum(r.avg_goodput for r in results) / len(results)

@@ -62,20 +62,23 @@ class SimulationResult:
     horizon: int
 
 
-def derive_streams(params: LinkParams, horizon: int, period: int, seed: int):
+def derive_streams(params: LinkParams, horizon: int, period: int, seed: int,
+                   shared_weights: dict | None = None):
     """Per-run randomness of a period-`period` schedule, at the slots that read it.
 
     Returns the fading trace at the K = ceil(horizon / period) pilot slots
     (slot k * period), K pilot-noise samples, and horizon - K decode draws,
     one per data slot in slot order.  The three streams are derived
-    independently from the seed.
+    independently from the seed.  `shared_weights` goes to
+    `generate_fading_trace`.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     root = np.random.default_rng(seed)
     fade_seed, noise_seed, decode_seed = (int(s) for s in root.integers(0, 2 ** 63, size=3))
     pilots = -(-horizon // period)
-    trace = generate_fading_trace(params, pilots, fade_seed, stride=period)
+    trace = generate_fading_trace(params, pilots, fade_seed, stride=period,
+                                  shared_weights=shared_weights)
     pilot_noise = _complex_normal(np.random.default_rng(noise_seed), pilots,
                                   math.sqrt(params.noise_variance / 2.0))
     decode_uniforms = np.random.default_rng(decode_seed).random(horizon - pilots)
@@ -130,7 +133,7 @@ def expected_total(values: np.ndarray, horizon: int, period: int) -> float:
 
 def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, seed: int,
                mode: str, reward_curve: RewardCurve | None = None,
-               nodes: int = 64) -> SimulationResult:
+               nodes: int = 64, shared_weights: dict | None = None) -> SimulationResult:
     """Simulate the schedule that pilots every `period` slots; deterministic given (seed, mode).
 
     Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
@@ -142,7 +145,9 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
     `reward_curve` with `nodes` quadrature nodes.  Realized mode evaluates
     its rewards in one vectorized pass over the data slots, and only it
     draws the fading trace and noise, and only when the schedule has data
-    slots.
+    slots; its trace's spectral weights are kept in `shared_weights` when
+    given (`generate_fading_trace`), so runs of one schedule at several seeds
+    compute them once.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -169,7 +174,8 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
                 values = np.concatenate([values, expected_goodputs(missing, params, table, nodes)])
             total_reward = expected_total(values, horizon, period)
         else:
-            trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed)
+            trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed,
+                                                                 shared_weights)
             # |y|^2 of the pilot observations y = sqrt(pp) * h + noise
             y = np.multiply(math.sqrt(params.pilot_power), trace.samples)
             y += pilot_noise

@@ -160,6 +160,26 @@ class TestGenerateFadingTrace:
         with pytest.raises(ValueError):
             generate_fading_trace(flat_params, 0, seed=1)
 
+    def test_shared_weights_computed_once_per_key(self, flat_params, monkeypatch):
+        # traces that differ only in seed read one stored weight set, and
+        # their samples are those of unshared calls bit for bit
+        want = {(seed, stride): generate_fading_trace(flat_params, 3000, seed, stride).samples
+                for seed in (1, 2) for stride in (1, 3)}
+        computed = []
+        spectral_weights = channel._spectral_weights
+
+        def counting_weights(params, stride, out):
+            computed.append((stride, out.size))
+            spectral_weights(params, stride, out)
+
+        monkeypatch.setattr(channel, "_spectral_weights", counting_weights)
+        shared = {}
+        for (seed, stride), samples in want.items():
+            got = generate_fading_trace(flat_params, 3000, seed, stride, shared_weights=shared)
+            assert got.samples.tobytes() == samples.tobytes()
+        assert computed == [(1, 8192), (3, 8192)]
+        assert set(shared) == {(flat_params, 1, 8192), (flat_params, 3, 8192)}
+
     def test_immutable_samples(self, flat_params):
         t = generate_fading_trace(flat_params, 100, seed=3)
         with pytest.raises(ValueError):
@@ -301,12 +321,11 @@ class TestGenerateFadingTrace:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_rss_rise_per_embedding_point(self, run_python):
-        # a fresh process, so the high-water mark is this trace's, 32.3-32.7 B
-        # per point measured at 2^18 points and reached twice: by the weights
-        # (the half covariance 8 B, the weights 8 B and the m-point irfft's
-        # buffers 16 B; 31.9-32.5 B on their own) and by the transform (w
-        # 16 B and pocketfft's buffers for an m/2-point transform 16 B);
-        # 50.1 B with one m-point transform, 73 B with a fresh array per step
+        # a fresh process, so the high-water mark is this trace's, about 32 B
+        # per point, reached both by the weights phase (half covariance,
+        # weights, the m-point irfft's buffers) and by the transform (w and
+        # pocketfft's buffers for an m/2-point transform); ROADMAP item 7
+        # holds the measurements
         probe = """
 import numpy as np
 from pilotsched import LinkParams, generate_fading_trace

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pilotsched.channel as channel
 import pilotsched.cli as cli
 import pilotsched.link_adaptation as link_adaptation
 from pilotsched import SPEED_OF_LIGHT, ExperimentConfig, load_config, run_policy
@@ -654,6 +655,30 @@ class TestSweepCommands:
         assert (threshold, baseline) == ("threshold", f"periodic-{cli.BASELINE_PERIOD}")
         assert calls == [cli.BASELINE_PERIOD] * 3
         assert a == b
+
+    def test_realized_seeds_share_one_weight_set_per_period(self, tmp_path, monkeypatch):
+        # a grid point's runs of one period differ only in seed, so their
+        # traces compute the spectral weights once, and each row is the mean
+        # of the same runs made without sharing
+        computed = []
+        spectral_weights = channel._spectral_weights
+
+        def counting_weights(params, stride, out):
+            computed.append((params, stride, out.size))
+            spectral_weights(params, stride, out)
+
+        monkeypatch.setattr(channel, "_spectral_weights", counting_weights)
+        cfg = load_config(write_config(tmp_path, seeds=[1, 2, 3]))
+        table = cli.build_table(cfg)
+        rows = cli._sweep_point(cfg, table, "speed_mph", 10.0, "realized")
+        periods = {period for *_, period in rows}
+        assert len(periods) == 2
+        assert len(computed) == len(set(computed)) == 2
+        params = cfg.link_params(speed_mph=10.0)
+        for _, _, goodput, period in rows:
+            runs = [run_policy(period, params, table, cfg.horizon, seed, "realized")
+                    for seed in cfg.seeds]
+            assert goodput == sum(r.avg_goodput for r in runs) / len(runs)
 
     def test_parallel_workers_same_output(self, tmp_path):
         cfg = write_config(tmp_path)

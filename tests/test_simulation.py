@@ -248,6 +248,16 @@ class TestRunPolicy:
         assert a.avg_goodput == b.avg_goodput
         assert a.age_histogram == b.age_histogram
 
+    def test_shared_weights_leave_realized_runs_unchanged(self, reference_params,
+                                                          default_table):
+        shared = {}
+        for seed in (1, 2):
+            a = run_policy(3, reference_params, default_table, 5000, seed, REALIZED)
+            b = run_policy(3, reference_params, default_table, 5000, seed, REALIZED,
+                           shared_weights=shared)
+            assert a.avg_goodput == b.avg_goodput
+        assert len(shared) == 1
+
     def test_expected_mode_seed_invariant_for_age_policies(self, reference_params,
                                                            default_table, reference_curve,
                                                            reference_solution):
