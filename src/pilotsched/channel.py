@@ -7,11 +7,10 @@ the embedded covariance is real and even, so its spectrum is the real
 transform of half of it.  The embedding's negative eigenvalues are clipped
 to 0, so the trace reproduces the target autocovariance at every lag shorter
 than the trace only up to that clipping: 0.02-0.9% of the spectral mass at
-5*10^5 samples for f_d*T_s from 0.45 down to 0.005 (see
-`generate_fading_trace`).  The inverse transform runs as two of half the
-circle's size, so the samples equal those of one whole-circle `np.fft.ifft`
-of the same weights and draws only up to rounding: within 2e-15 of the
-trace's rms wherever measured.
+5*10^5 samples for f_d*T_s from 0.45 down to 0.005 (ROADMAP item 7).  The
+inverse transform runs as two of half the circle's size, so the samples equal
+those of one whole-circle `np.fft.ifft` of the same weights and draws up to
+rounding only: within 2e-15 of the trace's rms wherever measured.
 """
 
 from __future__ import annotations
@@ -218,13 +217,15 @@ def _normal_blocks(rng, n: int):
         yield slice(start, stop), rng.standard_normal(out=buf[:stop - start])
 
 
-def _complex_normal(rng, n: int, scale: float) -> np.ndarray:
-    """scale * (re + 1j * im) for n standard normal draws re, then n more im."""
+def _complex_normal(rng, n: int, scale: float | None = None) -> np.ndarray:
+    """scale * (re + 1j * im) for n standard normal draws re, then n more im
+    (re + 1j * im itself when `scale` is None)."""
     z = np.empty(n, dtype=complex)
     for part in (z.real, z.imag):
         for sl, normal in _normal_blocks(rng, n):
             part[sl] = normal
-    z *= scale
+    if scale is not None:
+        z *= scale
     return z
 
 
@@ -326,7 +327,7 @@ def _ifft_head(w: np.ndarray, length: int) -> np.ndarray:
 
 
 def generate_fading_trace(params: LinkParams, length: int, seed: int,
-                          stride: int = 1, shared_weights: dict | None = None) -> FadingTrace:
+                          stride: int = 1) -> FadingTrace:
     """Draw one stationary complex Gaussian trace with the Jakes autocovariance.
 
     Circulant embedding: the covariance sequence is symmetrically extended to a
@@ -344,22 +345,15 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     imaginary-part normals, are drawn through one small buffer
     (`_normal_blocks`) and multiplied by the weights into w.real and w.imag;
     the weights are freed, and the inverse transform runs in place as two of
-    m/2 points after one radix-2 split pass (`_ifft_head`), from which only
-    `length` samples are copied out.  The process RSS rises by about 32
-    bytes per embedding point, and two phases each reach that level: the
-    weights (the half covariance, the weights and the m-point `irfft`'s own
-    buffers) and the transform (w and pocketfft's buffers for an m/2-point
-    transform, half what one m-point transform takes).  A smaller transform
-    therefore cannot lower the peak; ROADMAP item 7 holds the measurements.
-    The split changes the order in which the transform rounds, so the
-    samples differ from those of one m-point `np.fft.ifft` by rounding only:
-    at most 2e-15 of the rms from 1 to 2^17 samples at strides 1-12 and at
-    10^6 samples.
-    Traced memory (`tracemalloc` does not see pocketfft's buffers) peaks at
-    about 25 bytes per point while the weights and w are both live.  At
-    5*10^5 samples and stride 1
-    the clipped weights hold 0.02% of the spectral mass at f_d*T_s = 0.45,
-    0.4% at 0.05 and 0.9% at 0.005; strides 2, 3 and 12 gave 0.003-0.75%.
+    m/2 points after one radix-2 split pass (`_ifft_head`), which changes
+    only the order in which it rounds (module docstring).  The process RSS
+    rises by about 32 bytes per embedding point, reached both by the weights
+    phase (the half covariance, the weights and the m-point `irfft`'s own
+    buffers) and by the transform (w and pocketfft's buffers for m/2
+    points), so a smaller transform cannot lower the peak; traced memory
+    (`tracemalloc` does not see pocketfft's buffers) peaks at about 25 bytes
+    per point while the weights and w are both live.  ROADMAP item 7 holds
+    the measurements and the clipped share of the spectral mass.
     Deterministic for a given seed.
 
     With `stride` P the trace is the process read every P slots: sample k has
@@ -368,39 +362,39 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     length about 2 * length rather than 2 * P * length.  Its normalized
     Doppler P * f_d * T_s may exceed 0.5 (the spectrum aliases); rho(P * d)
     is still a valid covariance.
-
-    The weights depend on the params, the stride and m, not on the seed.
-    `shared_weights`, a dict the caller keeps across calls, holds them under
-    `(params, stride, m)`: a call finds them there or computes and stores
-    them, so traces that differ only in seed compute them once.  The samples
-    are the same bit for bit; the stored weights stay live through the
-    transform, 8 bytes per embedding point above the peak of an unshared
-    call.
     """
+    return next(fading_traces(params, length, [seed], stride))
+
+
+def fading_traces(params: LinkParams, length: int, seeds, stride: int = 1):
+    """Yield `generate_fading_trace(params, length, seed, stride)` for each of the
+    list `seeds` in turn, bit for bit, with the seed-free weights computed once:
+    live through every transform but the last, and no trace held between yields."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    held = []  # the weights, popped by the last trace
+    if params.normalized_doppler != 0.0:
+        held.append(np.empty(1 << max(2, int(2 * length - 1).bit_length())))
+        _spectral_weights(params, stride, held[0])
+    for i, seed in enumerate(seeds):
+        yield _draw_trace(params, length, seed, held, last=i == len(seeds) - 1)
 
+
+def _draw_trace(params: LinkParams, length: int, seed: int, held: list, last: bool):
+    """The trace at one seed; the last pops the weights, freed before its transform."""
     rng = np.random.default_rng(seed)
-
     if params.normalized_doppler == 0.0:
         # Degenerate spectrum: the process is a single coherent draw.
         re, im = rng.standard_normal(2)
         h0 = math.sqrt(params.channel_variance / 2.0) * complex(re, im)
         samples = np.full(length, h0, dtype=complex)
     else:
-        m = 1 << max(2, int(2 * length - 1).bit_length())
-        key = (params, stride, m)
-        weights = None if shared_weights is None else shared_weights.get(key)
-        if weights is None:
-            weights = np.empty(m)
-            _spectral_weights(params, stride, weights)
-            if shared_weights is not None:
-                shared_weights[key] = weights
-        w = np.empty(m, dtype=complex)  # weights * (re + 1j * im)
+        weights = held.pop() if last else held[0]
+        w = np.empty(weights.size, dtype=complex)  # weights * (re + 1j * im)
         for part in (w.real, w.imag):
-            for sl, normal in _normal_blocks(rng, m):
+            for sl, normal in _normal_blocks(rng, w.size):
                 np.multiply(normal, weights[sl], out=part[sl])
         del weights
         samples = _ifft_head(w, length)

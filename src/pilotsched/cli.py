@@ -19,7 +19,7 @@ from .config import ExperimentConfig, default_config, load_config
 from .link_adaptation import (McsTable, default_mcs_table, load_bler_table, load_mcs_rates,
                               load_reward_curve, parametric_mcs_table, build_reward_curve)
 from .scheduler import HorizonExhaustedError
-from .simulation import EXPECTED, MODES, run_policy
+from .simulation import EXPECTED, MODES, realized_runs, run_policy
 from .validation import oracle_deviations, run_all_checks, solve_curve
 
 ORACLE_TOLERANCE = 1e-6
@@ -90,69 +90,80 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if report["consistent"] else 1
 
 
-def _sweep_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float,
-                 mode: str) -> list:
-    """Both policies at one grid point of `axis` ('snr_db' or 'speed_mph').
-
-    `table` is the config's MCS table, built once per sweep.  The fourth
-    column is the mean pilot fraction on the SNR axis and the pilot period on
-    the speed axis.
-    """
+def _solve_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float) -> tuple:
+    """(link parameters, reward curve, threshold period) at one grid point of `axis`."""
     try:
         params = cfg.link_params(**{axis: value})
         curve = build_reward_curve(params, table, cfg.delta_max, cfg.quad_nodes)
-        sol = solve_curve(curve)
+        return params, curve, solve_curve(curve).period
     except ValueError as exc:
         raise ValueError(f"{axis} {value}: {exc}") from exc
-    rows, runs = [], {}
-    for name, period in (("threshold", sol.period),
-                         (f"periodic-{BASELINE_PERIOD}", BASELINE_PERIOD)):
-        # a threshold at the baseline period runs the same schedules as the
-        # baseline, so its runs serve both rows
-        if period not in runs:
-            # the seeds' traces share one set of spectral weights, dropped
-            # with this dict once they have run
-            shared_weights: dict = {}
-            runs[period] = [run_policy(period, params, table, cfg.horizon, seed, mode,
-                                       reward_curve=curve, nodes=cfg.quad_nodes,
-                                       shared_weights=shared_weights)
-                            for seed in cfg.seeds]
-        results = runs[period]
-        goodput = sum(r.avg_goodput for r in results) / len(results)
-        last = (sum(r.pilot_fraction for r in results) / len(results) if axis == "snr_db"
-                else period)
-        rows.append((float(value), name, goodput, last))
-    return rows
+
+
+def _run_group(cfg: ExperimentConfig, table: McsTable, mode: str, period: int,
+               points: list) -> list:
+    """The runs of the period-`period` schedule at each of `points`, (link,
+    curve) pairs that share their channel, one per seed in seed order."""
+    if mode == EXPECTED:
+        return [[run_policy(period, params, table, cfg.horizon, seed, mode, reward_curve=curve,
+                            nodes=cfg.quad_nodes) for seed in cfg.seeds]
+                for params, curve in points]
+    return realized_runs(period, [params for params, _ in points], table, cfg.horizon, cfg.seeds)
+
+
+def _map(fn, tasks: list, workers: int) -> list:
+    """[fn(*task) for task in tasks], on a pool of at most `workers` processes
+    and never more than the tasks, since a fork-started pool starts them all."""
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    # imported here: it pulls in multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _sweep(cfg: ExperimentConfig, out_dir: Path, command: str, axis: str, grid_key: str,
            mode: str, workers: int) -> int:
-    """Both policies at every point of the config's `grid_key` grid, as one CSV."""
+    """Both policies at every point of the config's `grid_key` grid, as one CSV.
+
+    Every point is solved first; its runs then go into groups by the channel
+    and the period, so each runs once and a realized group draws each seed's
+    streams once.  The fourth column is the mean pilot fraction on the SNR
+    axis and the pilot period on the speed axis.
+    """
     grid = getattr(cfg, grid_key)
     if not grid:
         raise ValueError(f"{grid_key} must be nonempty for {command}")
     if workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
-    cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     if workers > cpus:
         raise ValueError(f"--workers must be at most the {cpus} CPUs, got {workers}")
     points = sorted(grid)
     table = build_table(cfg)
-    # a fork-started pool starts all of its processes up front
-    workers = min(workers, len(points))
-    if workers > 1:
-        # imported here: the pool module pulls in multiprocessing, which a
-        # serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_point, cfg, table, axis, p, mode) for p in points]
-            results = [f.result() for f in futures]
-    else:
-        results = [_sweep_point(cfg, table, axis, p, mode) for p in points]
+    solved = _map(_solve_point, [(cfg, table, axis, p) for p in points], workers)
+    groups: dict = {}
+    for i, (params, _, period) in enumerate(solved):
+        for p in dict.fromkeys((period, BASELINE_PERIOD)):
+            key = (params.channel_variance, params.doppler_hz, params.sample_period, p)
+            groups.setdefault(key, []).append(i)
+    tasks = [(cfg, table, mode, key[-1], [solved[i][:2] for i in members])
+             for key, members in groups.items()]
+    results = {}
+    for (key, members), group in zip(groups.items(), _map(_run_group, tasks, workers)):
+        results.update(((i, key[-1]), runs) for i, runs in zip(members, group))
+    rows = []
+    for i, (value, (_, _, period)) in enumerate(zip(points, solved)):
+        for name, p in (("threshold", period), (f"periodic-{BASELINE_PERIOD}", BASELINE_PERIOD)):
+            runs = results[i, p]
+            goodput = sum(r.avg_goodput for r in runs) / len(runs)
+            last = sum(r.pilot_fraction for r in runs) / len(runs) if axis == "snr_db" else p
+            rows.append((float(value), name, goodput, last))
     path = out_dir / f"{command.replace('-', '_')}.csv"
     last = "pilot_fraction" if axis == "snr_db" else "period"
-    _write_csv(path, [axis, "policy", "avg_goodput", last],
-               [row for rows in results for row in rows])
+    _write_csv(path, [axis, "policy", "avg_goodput", last], rows)
     print(f"wrote {path}")
     return 0
 

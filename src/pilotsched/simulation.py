@@ -30,9 +30,10 @@ not trace samples or slot alignment: each period reads its own lattice of
 the channel, and a stream's k-th draw falls on a different slot under each
 period.  Their rewards are not paired slot by slot, so the difference of two
 realized averages gets little of the variance reduction that common random
-numbers would give.  Nothing here relies on that pairing: `_sweep_point`
-averages each policy over the seeds on its own, and the realized tests
-compare each policy with its own expected value.
+numbers would give.  Nothing here relies on that pairing: a sweep averages
+each policy over the seeds on its own, and the realized tests compare each
+policy with its own expected value.  The SNR points of one period read the
+same draws at each seed, the noise scaled to each (`realized_runs`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkParams, _complex_normal, generate_fading_trace
+from .channel import LinkParams, _complex_normal, fading_traces
 from .config import MAX_TABULATED_AGES
 from .estimation import sinr_gain
 from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodputs
@@ -52,6 +53,7 @@ REALIZED = "realized"
 MODES = (EXPECTED, REALIZED)
 
 MAX_HORIZON = 50_000_000
+_PILOT_BLOCK = 1 << 14  # pilots per block of |y|^2's complex temporaries (a power of two)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,27 +64,70 @@ class SimulationResult:
     horizon: int
 
 
-def derive_streams(params: LinkParams, horizon: int, period: int, seed: int,
-                   shared_weights: dict | None = None):
+def derive_streams(params: LinkParams, horizon: int, period: int, seed: int):
     """Per-run randomness of a period-`period` schedule, at the slots that read it.
 
     Returns the fading trace at the K = ceil(horizon / period) pilot slots
     (slot k * period), K pilot-noise samples, and horizon - K decode draws,
     one per data slot in slot order.  The three streams are derived
-    independently from the seed.  `shared_weights` goes to
-    `generate_fading_trace`.
+    independently from the seed (`_seed_streams`).
     """
+    trace, pilot_noise, decode_uniforms = next(_seed_streams(params, horizon, period, [seed]))
+    pilot_noise *= math.sqrt(params.noise_variance / 2.0)
+    return trace, pilot_noise, decode_uniforms
+
+
+def _seed_streams(params: LinkParams, horizon: int, period: int, seeds):
+    """Yield `derive_streams` at each of `seeds` in turn, with unit pilot noise and
+    one weight set (`fading_traces`), holding no stream between yields."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    root = np.random.default_rng(seed)
-    fade_seed, noise_seed, decode_seed = (int(s) for s in root.integers(0, 2 ** 63, size=3))
     pilots = -(-horizon // period)
-    trace = generate_fading_trace(params, pilots, fade_seed, stride=period,
-                                  shared_weights=shared_weights)
-    pilot_noise = _complex_normal(np.random.default_rng(noise_seed), pilots,
-                                  math.sqrt(params.noise_variance / 2.0))
-    decode_uniforms = np.random.default_rng(decode_seed).random(horizon - pilots)
-    return trace, pilot_noise, decode_uniforms
+    stream_seeds = [[int(s) for s in np.random.default_rng(seed).integers(0, 2 ** 63, size=3)]
+                    for seed in seeds]
+    traces = fading_traces(params, pilots, [s[0] for s in stream_seeds], stride=period)
+    for _, noise_seed, decode_seed in stream_seeds:
+        yield (next(traces), _complex_normal(np.random.default_rng(noise_seed), pilots),
+               np.random.default_rng(decode_seed).random(horizon - pilots))
+
+
+def _check_schedule(period: int, horizon: int) -> None:
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    if horizon < 1_000:
+        raise ValueError(f"horizon must be >= 1000, got {horizon}")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} exceeds the supported maximum {MAX_HORIZON}")
+
+
+def realized_runs(period: int, links: list, table: McsTable, horizon: int, seeds) -> list:
+    """`run_policy(period, link, table, horizon, seed, REALIZED)` as runs[i][j] for
+    `links[i]` at `seeds[j]`, bit for bit.  The links share their channel and
+    differ in noise, so each seed's draws serve them all, the unit noise
+    scaled per link; with no data slots, nothing is drawn."""
+    _check_schedule(period, horizon)
+    pilot_count, histogram = schedule_counts(horizon, period)
+    totals = [[] if pilot_count < horizon else [0.0] * len(seeds) for _ in links]
+    streams = _seed_streams(links[0], horizon, period, seeds) if pilot_count < horizon else ()
+    for trace, noise, uniforms in streams:  # enumerate's reused tuple would keep them live
+        for i, params in enumerate(links):
+            # |y|^2 of the pilots y = sqrt(pp) * h + sqrt(N0 / 2) * noise, in blocks
+            y_sq = np.empty(noise.size)
+            for sl in (slice(k, k + _PILOT_BLOCK) for k in range(0, noise.size, _PILOT_BLOCK)):
+                y = np.multiply(math.sqrt(params.pilot_power), trace.samples[sl])
+                y += math.sqrt(params.noise_variance / 2.0) * noise[sl]
+                np.abs(y, out=y_sq[sl])
+            np.square(y_sq, out=y_sq)
+            if i == len(links) - 1:
+                del trace, noise, y  # only |y|^2 is read below
+            # pilot k is followed by the data slots of ages 1 .. period-1, so
+            # the rows of this outer product, read in order, are the data slots
+            eta = (y_sq[:, None] * sinr_gain(np.arange(1, period), params)).ravel()
+            del y_sq
+            totals[i].append(float(_realized_rewards(eta[:uniforms.size], uniforms, table).sum()))
+        del eta, uniforms  # freed before the next seed's draws
+    return [[SimulationResult(total / horizon, pilot_count / horizon, dict(histogram), horizon)
+             for total in row] for row in totals]
 
 
 def _realized_rewards(eta: np.ndarray, uniforms: np.ndarray, table: McsTable) -> np.ndarray:
@@ -133,7 +178,7 @@ def expected_total(values: np.ndarray, horizon: int, period: int) -> float:
 
 def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, seed: int,
                mode: str, reward_curve: RewardCurve | None = None,
-               nodes: int = 64, shared_weights: dict | None = None) -> SimulationResult:
+               nodes: int = 64) -> SimulationResult:
     """Simulate the schedule that pilots every `period` slots; deterministic given (seed, mode).
 
     Slot 0 is the forced pilot; slot t >= 1 has age (t-1) % period + 1 and is
@@ -143,50 +188,30 @@ def run_policy(period: int, params: LinkParams, table: McsTable, horizon: int, s
     its cost is O(period) and independent of the horizon; it reads r only at
     ages 1 .. min(period-1, data slots), integrating those past
     `reward_curve` with `nodes` quadrature nodes.  Realized mode evaluates
-    its rewards in one vectorized pass over the data slots, and only it
-    draws the fading trace and noise, and only when the schedule has data
-    slots; its trace's spectral weights are kept in `shared_weights` when
-    given (`generate_fading_trace`), so runs of one schedule at several seeds
-    compute them once.
+    its rewards in one vectorized pass over the data slots (`realized_runs`),
+    and only it draws the fading trace and noise, and only when the schedule
+    has data slots.
     """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    _check_schedule(period, horizon)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if horizon < 1_000:
-        raise ValueError(f"horizon must be >= 1000, got {horizon}")
-    if horizon > MAX_HORIZON:
-        raise ValueError(f"horizon {horizon} exceeds the supported maximum {MAX_HORIZON}")
+    if mode == REALIZED:
+        return realized_runs(period, [params], table, horizon, [seed])[0][0]
 
     pilot_count, histogram = schedule_counts(horizon, period)
     data_slots = horizon - pilot_count
     total_reward = 0.0
     if data_slots:
-        if mode == EXPECTED:
-            max_needed = min(period - 1, data_slots)
-            values = reward_curve.values if reward_curve is not None else np.empty(0)
-            if values.size < max_needed:
-                if max_needed > MAX_TABULATED_AGES:
-                    raise ValueError(f"period {period} needs r(age) up to age {max_needed}, "
-                                     f"beyond the bound {MAX_TABULATED_AGES}")
-                # r(age) does not depend on the other ages tabulated with it
-                missing = np.arange(values.size + 1, max_needed + 1)
-                values = np.concatenate([values, expected_goodputs(missing, params, table, nodes)])
-            total_reward = expected_total(values, horizon, period)
-        else:
-            trace, pilot_noise, decode_uniforms = derive_streams(params, horizon, period, seed,
-                                                                 shared_weights)
-            # |y|^2 of the pilot observations y = sqrt(pp) * h + noise
-            y = np.multiply(math.sqrt(params.pilot_power), trace.samples)
-            y += pilot_noise
-            y_sq = np.abs(y)
-            np.square(y_sq, out=y_sq)
-            del trace, pilot_noise, y  # only |y|^2 is read below
-            # pilot k is followed by the data slots of ages 1 .. period-1, so
-            # the rows of this outer product, read in order, are the data slots
-            gains = sinr_gain(np.arange(1, period), params)
-            eta = (y_sq[:, None] * gains[None, :]).ravel()[:decode_uniforms.size]
-            total_reward = float(_realized_rewards(eta, decode_uniforms, table).sum())
+        max_needed = min(period - 1, data_slots)
+        values = reward_curve.values if reward_curve is not None else np.empty(0)
+        if values.size < max_needed:
+            if max_needed > MAX_TABULATED_AGES:
+                raise ValueError(f"period {period} needs r(age) up to age {max_needed}, "
+                                 f"beyond the bound {MAX_TABULATED_AGES}")
+            # r(age) does not depend on the other ages tabulated with it
+            missing = np.arange(values.size + 1, max_needed + 1)
+            values = np.concatenate([values, expected_goodputs(missing, params, table, nodes)])
+        total_reward = expected_total(values, horizon, period)
 
     return SimulationResult(
         avg_goodput=total_reward / horizon,

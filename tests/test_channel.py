@@ -160,11 +160,13 @@ class TestGenerateFadingTrace:
         with pytest.raises(ValueError):
             generate_fading_trace(flat_params, 0, seed=1)
 
-    def test_shared_weights_computed_once_per_key(self, flat_params, monkeypatch):
-        # traces that differ only in seed read one stored weight set, and
-        # their samples are those of unshared calls bit for bit
-        want = {(seed, stride): generate_fading_trace(flat_params, 3000, seed, stride).samples
-                for seed in (1, 2) for stride in (1, 3)}
+    @pytest.mark.parametrize("doppler_hz", [50.0, 0.0])
+    def test_seed_generator_equals_one_trace_per_seed(self, doppler_hz, monkeypatch):
+        # traces that differ only in seed read one weight set, computed before
+        # the first, and each equals its one-seed trace bit for bit
+        p = LinkParams(1.0, 1.0, 1.0, doppler_hz=doppler_hz)
+        want = {(seed, stride): generate_fading_trace(p, 3000, seed, stride).samples
+                for stride in (1, 3) for seed in (1, 2, 7)}
         computed = []
         spectral_weights = channel._spectral_weights
 
@@ -173,12 +175,12 @@ class TestGenerateFadingTrace:
             spectral_weights(params, stride, out)
 
         monkeypatch.setattr(channel, "_spectral_weights", counting_weights)
-        shared = {}
-        for (seed, stride), samples in want.items():
-            got = generate_fading_trace(flat_params, 3000, seed, stride, shared_weights=shared)
-            assert got.samples.tobytes() == samples.tobytes()
-        assert computed == [(1, 8192), (3, 8192)]
-        assert set(shared) == {(flat_params, 1, 8192), (flat_params, 3, 8192)}
+        for stride in (1, 3):
+            traces = channel.fading_traces(p, 3000, [1, 2, 7], stride)
+            for seed, trace in zip((1, 2, 7), traces, strict=True):
+                assert trace.seed == seed
+                assert trace.samples.tobytes() == want[seed, stride].tobytes()
+        assert computed == ([(1, 8192), (3, 8192)] if doppler_hz else [])
 
     def test_immutable_samples(self, flat_params):
         t = generate_fading_trace(flat_params, 100, seed=3)

@@ -5,7 +5,6 @@ import importlib.util
 import json
 import os
 import re
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ import pytest
 import pilotsched.channel as channel
 import pilotsched.cli as cli
 import pilotsched.link_adaptation as link_adaptation
+import pilotsched.simulation as simulation
 from pilotsched import SPEED_OF_LIGHT, ExperimentConfig, load_config, run_policy
 from pilotsched.cli import main
 
@@ -548,12 +548,14 @@ class TestSweepCommands:
 
     def test_pool_never_larger_than_the_grid(self, tmp_path, monkeypatch):
         # a fork-started pool starts all of its workers at once, so a stand-in
-        # records the size asked for and runs each point in this process
-        sizes = []
+        # records the size asked for and the tasks given, and runs each task
+        # in this process; the points, then the (channel, period) groups, each
+        # get a pool no larger than their task list
+        pools = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                pools.append([max_workers, 0])
 
             def __enter__(self):
                 return self
@@ -561,24 +563,27 @@ class TestSweepCommands:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                pools[-1][1] += len(tasks)
+                return [fn(*args) for args in tasks]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         cfg = write_config(tmp_path)
         serial, pooled = tmp_path / "a", tmp_path / "b"
         main(["sweep-snr", "--config", str(cfg), "--out", str(serial)])
         assert main(["sweep-snr", "--config", str(cfg), "--out", str(pooled),
                      "--workers", "64"]) == 0
-        assert sizes == [2]
+        # two SNR points, then one group per period: 2 and the threshold's 3
+        assert pools == [[2, 2], [2, 2]]
         assert (serial / "sweep_snr.csv").read_bytes() == (pooled / "sweep_snr.csv").read_bytes()
-        one_point = write_config(tmp_path, name="one.json", speed_grid_mph=[10.0])
+        pools.clear()
+        one_point = write_config(tmp_path, name="one.json", speed_grid_mph=[30.0])
         assert main(["sweep-mobility", "--config", str(one_point), "--out", str(pooled),
                      "--workers", "8"]) == 0
-        assert sizes == [2]
+        # one point, whose threshold runs at the baseline period: one group
+        assert pools == []
 
     def test_importing_the_cli_leaves_the_pool_module_unloaded(self, run_python):
         # the process pool is imported only when a sweep runs on workers > 1
@@ -587,16 +592,25 @@ class TestSweepCommands:
                  "'multiprocessing' in sys.modules)")
         assert run_python(probe).split() == ["False", "False"]
 
+    @pytest.mark.parametrize("affinity", [True, False])
     @pytest.mark.parametrize("command", ["sweep-snr", "sweep-mobility"])
-    def test_workers_above_the_cpu_count_exit_2(self, tmp_path, monkeypatch, capsys, command):
-        # the stand-in fails if a pool is built, so no process is ever started
+    def test_workers_above_the_cpu_count_exit_2(self, tmp_path, monkeypatch, capsys, command,
+                                                affinity):
+        # the cap is the CPUs this process may run on where the platform
+        # tells them (one here, of 64), else the CPU count; the stand-in fails
+        # if a pool is built, so no process is ever started
         class NoPool:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        cpus = 1 if affinity else 64
         cfg = write_config(tmp_path)
-        cpus = os.cpu_count() or 1
         for workers in (cpus + 1, 5_000, 10 ** 9):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
                          "--workers", str(workers)]) == 2
@@ -636,11 +650,11 @@ class TestSweepCommands:
         assert main(["sweep-snr", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(built) == 1
 
-    @pytest.mark.parametrize("mode", ["expected", "realized"])
-    @pytest.mark.parametrize("axis,value", [("snr_db", 25.0), ("speed_mph", 30.0)])
-    def test_threshold_at_the_baseline_period_runs_once(self, tmp_path, monkeypatch,
-                                                        axis, value, mode):
-        # both grid points solve to period 2, the baseline's, so each seed
+    @pytest.mark.parametrize("command,grid_key,value", [("sweep-snr", "snr_grid_db", 25.0),
+                                                        ("sweep-mobility", "speed_grid_mph", 30.0)])
+    def test_threshold_at_the_baseline_period_runs_once(self, tmp_path, monkeypatch, command,
+                                                        grid_key, value):
+        # the grid point solves to period 2, the baseline's, so each seed
         # runs once and the two rows agree
         calls = []
 
@@ -649,43 +663,97 @@ class TestSweepCommands:
             return run_policy(period, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run_policy", counting_run_policy)
-        cfg = load_config(write_config(tmp_path, seeds=[1, 2, 3]))
-        (_, threshold, *a), (_, baseline, *b) = cli._sweep_point(
-            cfg, cli.build_table(cfg), axis, value, mode)
+        cfg = write_config(tmp_path, seeds=[1, 2, 3], **{grid_key: [value]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        _, ((_, threshold, *a), (_, baseline, *b)) = read_csv(
+            out / f"{command.replace('-', '_')}.csv")
         assert (threshold, baseline) == ("threshold", f"periodic-{cli.BASELINE_PERIOD}")
         assert calls == [cli.BASELINE_PERIOD] * 3
         assert a == b
 
-    def test_realized_seeds_share_one_weight_set_per_period(self, tmp_path, monkeypatch):
-        # a grid point's runs of one period differ only in seed, so their
-        # traces compute the spectral weights once, and each row is the mean
-        # of the same runs made without sharing
-        computed = []
-        spectral_weights = channel._spectral_weights
+    @staticmethod
+    def counted_draws(monkeypatch):
+        """Record each weight set computed and each trace drawn, as
+        ((doppler_hz, stride, m), ...) and (stride, fade seed) lists."""
+        weights, traces = [], []
+        spectral_weights, fading_traces = channel._spectral_weights, simulation.fading_traces
 
         def counting_weights(params, stride, out):
-            computed.append((params, stride, out.size))
+            weights.append((params.doppler_hz, stride, out.size))
             spectral_weights(params, stride, out)
 
+        def counting_traces(params, length, seeds, stride=1):
+            for trace in fading_traces(params, length, seeds, stride):
+                traces.append((stride, trace.seed))
+                yield trace
+
         monkeypatch.setattr(channel, "_spectral_weights", counting_weights)
-        cfg = load_config(write_config(tmp_path, seeds=[1, 2, 3]))
+        monkeypatch.setattr(simulation, "fading_traces", counting_traces)
+        return weights, traces
+
+    def assert_rows_are_seed_means(self, path, cfg, axis):
+        # each row is the seed-order mean of the runs made one at a time
         table = cli.build_table(cfg)
-        rows = cli._sweep_point(cfg, table, "speed_mph", 10.0, "realized")
-        periods = {period for *_, period in rows}
-        assert len(periods) == 2
-        assert len(computed) == len(set(computed)) == 2
-        params = cfg.link_params(speed_mph=10.0)
-        for _, _, goodput, period in rows:
+        _, rows = read_csv(path)
+        for i, (value, _, goodput, last) in enumerate(rows):
+            params = cfg.link_params(**{axis: float(value)})
+            period = (cli.solve_curve(cli.build_reward_curve(params, table, cfg.delta_max,
+                                                             cfg.quad_nodes)).period
+                      if i % 2 == 0 else cli.BASELINE_PERIOD)
             runs = [run_policy(period, params, table, cfg.horizon, seed, "realized")
                     for seed in cfg.seeds]
-            assert goodput == sum(r.avg_goodput for r in runs) / len(runs)
+            assert float(goodput) == sum(r.avg_goodput for r in runs) / len(runs)
+            assert float(last) == (sum(r.pilot_fraction for r in runs) / len(runs)
+                                   if axis == "snr_db" else period)
 
-    def test_parallel_workers_same_output(self, tmp_path):
-        cfg = write_config(tmp_path)
+    def test_realized_sweep_snr_draws_each_period_and_seed_once(self, tmp_path, monkeypatch):
+        # 0 and 20 dB solve to period 3, and 25 dB to the baseline's 2: the
+        # three points share one channel, so each period computes one weight
+        # set and draws one trace per seed for all of its points
+        weights, traces = self.counted_draws(monkeypatch)
+        path = write_config(tmp_path, seeds=[1, 2, 3], snr_grid_db=[0.0, 20.0, 25.0])
+        out = tmp_path / "out"
+        assert main(["sweep-snr", "--config", str(path), "--out", str(out),
+                     "--mode", "realized"]) == 0
+        cfg = load_config(path)
+        _, rows = read_csv(out / "sweep_snr.csv")
+        assert [row[1] for row in rows[0::2]] == ["threshold"] * 3
+        assert len(weights) == len(set(weights)) == 2
+        assert sorted(stride for _, stride, _ in weights) == [2, 3]
+        assert len(traces) == len(set(traces)) == 6
+        monkeypatch.undo()
+        self.assert_rows_are_seed_means(out / "sweep_snr.csv", cfg, "snr_db")
+
+    def test_realized_sweep_mobility_one_weight_set_per_speed_and_period(self, tmp_path,
+                                                                         monkeypatch):
+        # 5, 10 and 30 mph solve to periods 4, 3 and 2: five (speed, period)
+        # pairs, each with its own channel
+        weights, traces = self.counted_draws(monkeypatch)
+        path = write_config(tmp_path, seeds=[1, 2], speed_grid_mph=[5.0, 10.0, 30.0])
+        out = tmp_path / "out"
+        assert main(["sweep-mobility", "--config", str(path), "--out", str(out),
+                     "--mode", "realized"]) == 0
+        cfg = load_config(path)
+        assert len(weights) == len(set(weights)) == 5
+        assert sorted(stride for _, stride, _ in weights) == [2, 2, 2, 3, 4]
+        assert len(traces) == 10
+        monkeypatch.undo()
+        self.assert_rows_are_seed_means(out / "sweep_mobility.csv", cfg, "speed_mph")
+
+    @pytest.mark.parametrize("mode", ["expected", "realized"])
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-mobility"])
+    def test_parallel_workers_same_output(self, tmp_path, monkeypatch, command, mode):
+        # the pool runs the grid points, then the (channel, period) groups; two
+        # allowed CPUs, whatever this machine grants, so the cap never refuses
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = write_config(tmp_path, seeds=[1, 2])
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["sweep-snr", "--config", str(cfg), "--out", str(out1)])
-        main(["sweep-snr", "--config", str(cfg), "--out", str(out2), "--workers", "2"])
-        assert (out1 / "sweep_snr.csv").read_bytes() == (out2 / "sweep_snr.csv").read_bytes()
+        name = f"{command.replace('-', '_')}.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out1), "--mode", mode]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(out2), "--mode", mode,
+                     "--workers", "2"]) == 0
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestSimulateCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -248,15 +249,24 @@ class TestRunPolicy:
         assert a.avg_goodput == b.avg_goodput
         assert a.age_histogram == b.age_histogram
 
-    def test_shared_weights_leave_realized_runs_unchanged(self, reference_params,
-                                                          default_table):
-        shared = {}
-        for seed in (1, 2):
-            a = run_policy(3, reference_params, default_table, 5000, seed, REALIZED)
-            b = run_policy(3, reference_params, default_table, 5000, seed, REALIZED,
-                           shared_weights=shared)
-            assert a.avg_goodput == b.avg_goodput
-        assert len(shared) == 1
+    @pytest.mark.parametrize("period", [3, 1])
+    def test_realized_runs_equal_each_link_run_alone(self, reference_params, default_table,
+                                                     period):
+        # links that differ only in noise variance read one draw per seed, and
+        # each run is the link's own run at that seed, bit for bit
+        links = [dataclasses.replace(reference_params, noise_variance=v)
+                 for v in (0.01, 0.1, 3.0)]
+        runs = simulation.realized_runs(period, links, default_table, 5000, [1, 2])
+        for params, row in zip(links, runs, strict=True):
+            for seed, got in zip((1, 2), row, strict=True):
+                want = run_policy(period, params, default_table, 5000, seed, REALIZED)
+                assert (got.avg_goodput, got.pilot_fraction, got.age_histogram, got.horizon) == \
+                    (want.avg_goodput, want.pilot_fraction, want.age_histogram, want.horizon)
+        goodputs = {tuple(r.avg_goodput for r in row) for row in runs}
+        if period == 1:
+            assert goodputs == {(0.0, 0.0)}
+        else:
+            assert len(goodputs) == 3
 
     def test_expected_mode_seed_invariant_for_age_policies(self, reference_params,
                                                            default_table, reference_curve,
@@ -343,7 +353,7 @@ class TestRunPolicy:
         def refuse(*args, **kwargs):
             raise AssertionError("expected mode must not draw the random streams")
 
-        monkeypatch.setattr(simulation, "derive_streams", refuse)
+        monkeypatch.setattr(simulation, "_seed_streams", refuse)
         res = run_policy(4, reference_params, default_table, 10_000, seed=1,
                          mode=EXPECTED, reward_curve=reference_curve)
         assert res.pilot_fraction == 0.25
@@ -357,7 +367,7 @@ class TestRunPolicy:
         def refuse(*args, **kwargs):
             raise AssertionError("a run without data slots must not draw the random streams")
 
-        monkeypatch.setattr(simulation, "derive_streams", refuse)
+        monkeypatch.setattr(simulation, "_seed_streams", refuse)
         res = run_policy(1, reference_params, default_table, 10_000, seed=1, mode=REALIZED)
         assert res.avg_goodput == 0.0
         assert res.pilot_fraction == 1.0
