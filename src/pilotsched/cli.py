@@ -244,20 +244,34 @@ COMMANDS = (
 )
 
 
-def main(argv=None) -> int:
+def _parser(commands) -> argparse.ArgumentParser:
+    """The command line parser with the subcommands of `commands`, entries of
+    COMMANDS; its usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="pilotsched",
         description="Pilot/data scheduling over a time-correlated fading link: "
                     "goodput curves, optimal thresholds, policy sweeps, validation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, flags in COMMANDS:
+    # left unset for the full table, since a metavar would also rename the
+    # subcommand in the "required" and "invalid choice" errors
+    metavar = (None if len(commands) == len(COMMANDS)
+               else "{" + ",".join(name for name, _, _ in COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, flags in commands:
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config",
                              help="experiment config JSON (defaults apply if omitted)")
         command.add_argument("--out", help="output directory (default: config output_dir)")
         for flag, kwargs in flags:
             command.add_argument(flag, **kwargs)
+    return parser
 
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand is built; with none named (no argument, -h or
+    # an unknown name) all are, for the help and the error that lists them
+    named = [c for c in COMMANDS if argv and c[0] == argv[0]]
+    parser = _parser(named or COMMANDS)
     flags = vars(parser.parse_args(argv))
     name, config, out = flags.pop("command"), flags.pop("config"), flags.pop("out")
     seed = flags.pop("seed", None)

@@ -66,6 +66,9 @@ class LogisticBlerCurve:
         """The exact threshold (McsTable.feasibility_thresholds), positive
         since the curve is 1 at -inf dB: the logistic inverted in closed
         form, then the float where this rounded curve crosses (`_crossing`).
+        For the shipped table at e_max 0.3 to 1e-3 the closed form lies
+        within `_WINDOW` floats of the crossing, so each threshold takes one
+        curve call on one array of floats.
 
         Why the rounded curve crosses only there: near the crossing one input
         ULP moves the curve by 3 to 9 output ULPs (shipped table, e_max 0.3
@@ -110,7 +113,9 @@ class TabulatedBlerCurve:
         """The exact threshold (McsTable.feasibility_thresholds): 0 when the
         first point, which holds down to -inf dB, meets e_max; +inf when the
         last does not; else the first segment reaching e_max inverted in dB,
-        then the float where the rounded interpolation crosses (`_crossing`).
+        then the float where the rounded interpolation crosses (`_crossing`),
+        in one curve call on an array of floats when the inversion lies
+        within `_WINDOW` floats of it.
         """
         meets = self.bler <= e_max
         if meets[0]:
@@ -217,36 +222,43 @@ def _to_db(snr_linear, out=None) -> np.ndarray:
     return out
 
 
+# Floats either side of the closed-form guess in the first window of `_crossing`
+_WINDOW = 8
+
+
 def _crossing(curve, e_max: float, guess_db: float) -> float:
     """The smallest positive float x with curve(_to_db(x)) <= e_max, or +inf;
     the caller has checked that x <= 0 misses the ceiling.
 
     Positive floats are ordered as their bit patterns, so the search runs on
-    integers: from the float nearest 10^(guess_db / 10) it gallops 1, 2, 4
-    ... floats toward the crossing until the curve changes side, then
-    bisects: two evaluations when the guess is the crossing float, and under
-    130 wherever it lies.
+    integers, one curve call on a window of n = 2 * _WINDOW + 1 of them at a
+    time.  The first window is the consecutive floats around the float
+    nearest 10^(guess_db / 10), so one call settles it when the crossing
+    lies within _WINDOW floats of the guess.  A window the crossing lies
+    beyond is followed by one past its far edge with 4 times the spacing;
+    once the crossing is bracketed, the bracket is cut into n + 1 even parts
+    per call.  Under 60 calls wherever it lies, down to 5e-324 and up to the
+    largest float.
     """
-    def meets(bits: int) -> bool:
-        return curve(_to_db(np.int64(bits).view(np.float64))) <= e_max
-
+    n = 2 * _WINDOW + 1
     # 0.0 misses; +inf stands for "no finite float meets it"
     lo, hi = 0, int(np.float64(np.inf).view(np.int64))
     # 10.0 ** 308.3 overflows; a guess of 0.0 or 1e308 only starts the search
-    x = int(np.float64(10.0 ** (min(guess_db, 3080.0) / 10.0)).view(np.int64))
-    step = 1
-    while lo < x < hi:
-        if meets(x):
-            hi, x = x, x - step
-        else:
-            lo, x = x, x + step
-        step *= 2
+    guess = int(np.float64(10.0 ** (min(guess_db, 3080.0) / 10.0)).view(np.int64))
+    start, step = max(guess - _WINDOW, 1), 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
+        if hi - lo <= step * (n + 1):  # a window this wide spans the bracket
+            step = -(-(hi - lo) // (n + 1))
+            start = lo + step
+        bits = np.arange(start, min(start + n * step, hi), step, dtype=np.int64)
+        met = curve(_to_db(bits.view(np.float64))) <= e_max
+        k = int(np.argmax(met)) if met.any() else len(bits)
+        if k < len(bits):
+            hi = int(bits[k])
+        if k > 0:
+            lo = int(bits[k - 1])
+        step *= 4
+        start = lo + step if k == len(bits) else hi - n * step
     return float(np.int64(hi).view(np.float64))
 
 

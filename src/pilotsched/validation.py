@@ -181,14 +181,15 @@ def solve_curve(curve: RewardCurve) -> ThresholdSolution:
 
     A curve too short to hold the optimal pilot period raises a
     HorizonExhaustedError naming delta_max, the config field that sets the
-    curve length.  A flat positive curve, which is what a static channel
-    (speed 0) gives, has no optimal finite period at any length, and its
-    error names speed.
+    curve length.  A flat positive curve of two or more ages, which is what
+    a static channel (speed 0) gives, has no optimal finite period at any
+    length, and its error names speed; a one-age curve says nothing about
+    the channel, so its error names delta_max.
     """
     try:
         return solve_threshold(curve)
     except HorizonExhaustedError as exc:
-        if np.all(curve.values == curve.values[0]):
+        if len(curve) > 1 and np.all(curve.values == curve.values[0]):
             raise HorizonExhaustedError(
                 f"r(age) is {float(curve.values[0])!r} at every age, as on a static "
                 "channel (speed 0), so no finite pilot period is optimal") from exc

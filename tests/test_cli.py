@@ -120,6 +120,10 @@ class TestConfig:
         ({"speed": 0}, ["validate"], "as on a static channel (speed 0)"),
         ({"delta_max": 5, "speed": 0.15}, ["validate"],
          "no pilot period found within the 5 tabulated ages (delta_max)"),
+        # one age is flat by itself, and says nothing of the channel
+        ({"delta_max": 1}, ["solve"],
+         "no pilot period found within the 1 tabulated ages (delta_max)"),
+        ({"delta_max": 1}, ["simulate"], "no pilot period found within the 1 tabulated ages"),
         ({"pilot_power": 0}, ["goodput-curve"], "pilot_power must be positive, got 0"),
         ({"data_power": 0}, ["solve"], "data_power must be positive, got 0"),
         ({"channel_variance": 0}, ["simulate"], "channel_variance must be positive, got 0"),
@@ -234,6 +238,40 @@ class TestConfig:
     def test_explicit_noise_used(self):
         cfg = ExperimentConfig(noise_variance=0.25)
         assert cfg.link_params().noise_variance == 0.25
+
+
+def exit_and_output(parse, argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of `parse(argv)`, which must exit."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestParser:
+    """`main` builds only the subcommand its first argument names, yet every
+    help, usage and error text equals that of the parser with all of them."""
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]]
+                             + [[name, "--help"] for name, _, _ in cli.COMMANDS]
+                             + [[name, "--bogus"] for name, _, _ in cli.COMMANDS])
+    def test_texts_match_the_parser_of_every_command(self, capsys, argv):
+        full = cli._parser(cli.COMMANDS)
+        assert exit_and_output(main, argv, capsys) == exit_and_output(full.parse_args, argv,
+                                                                      capsys)
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, err = exit_and_output(main, ["--help"], capsys)
+        assert code == 0 and err == ""
+        for name, help_text, _ in cli.COMMANDS:
+            assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.MULTILINE)
+
+    def test_console_entry_reads_sys_argv(self, run_python, tmp_path):
+        # the console script calls main() with no arguments
+        cfg, out = write_config(tmp_path), tmp_path / "out"
+        argv = ["pilotsched", "goodput-curve", "--config", str(cfg), "--out", str(out)]
+        probe = f"import sys\nfrom pilotsched.cli import main\nsys.argv = {argv!r}\nmain()"
+        assert run_python(probe) == f"wrote {out / 'goodput_curve.csv'}\n"
 
 
 class TestDopplerFrequency:

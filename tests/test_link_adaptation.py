@@ -356,6 +356,25 @@ class TestFeasibilityThresholds:
             x = (np.float64(t).view(np.int64) + steps).view(np.float64)
             assert np.array_equal(x >= t, entry.bler_curve(link_adaptation._to_db(x)) <= e_max)
 
+    @pytest.mark.parametrize("e_max", [0.3, 0.1, 0.01, 1e-3])
+    def test_default_thresholds_take_one_curve_call_per_entry(self, e_max):
+        # the closed form lands within the first window of floats, so each
+        # entry's search ends with the one array call on that window
+        calls = []
+
+        class Counted(LogisticBlerCurve):
+            def __call__(self, snr_db):
+                calls.append(snr_db)
+                return super().__call__(snr_db)
+
+        default = default_mcs_table(e_max=e_max)
+        table = McsTable(entries=[
+            McsEntry(index=e.index, rate=e.rate,
+                     bler_curve=Counted(e.bler_curve.slope_per_db, e.bler_curve.midpoint_db))
+            for e in default.entries], e_max=e_max)
+        assert np.array_equal(table.feasibility_thresholds, default.feasibility_thresholds)
+        assert len(calls) == len(table.entries)
+
     def test_threshold_is_the_crossing_float(self):
         curve = LogisticBlerCurve(1.5, 4.4)
         x = curve.threshold(0.1)
