@@ -20,8 +20,18 @@ from .channel import LinkParams, autocorrelation
 
 
 def _mmse_terms(rho, params: LinkParams) -> tuple:
-    """(MMSE gain, residual error variance) for the autocovariance rho = rho(age)."""
+    """(MMSE gain, residual error variance) for the autocovariance rho = rho(age).
+
+    |rho| <= rho0 at every age and rounding is monotone, so when P_p * rho0^2
+    and the denominator are finite no product below overflows; otherwise the
+    error variance would come out -inf or NaN, and a ValueError says so.
+    """
     den = pilot_second_moment(params)
+    if not (math.isfinite(params.pilot_power * params.channel_variance * params.channel_variance)
+            and math.isfinite(den)):
+        raise ValueError(f"channel_variance {params.channel_variance!r} and pilot_power "
+                         f"{params.pilot_power!r}: P_p * rho0^2 or P_p * rho0 + noise_variance "
+                         "overflows the largest float")
     return (math.sqrt(params.pilot_power) * rho / den,
             params.channel_variance - params.pilot_power * rho * rho / den)
 

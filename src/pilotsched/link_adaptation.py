@@ -6,14 +6,17 @@ over all MCS entries whose BLER stays below e_max, and the age curve r(d) is
 the exponential-measure integral of that maximum, evaluated by deterministic
 composite Gauss-Legendre quadrature split at the MCS feasibility thresholds
 (the integrand jumps there, so plain Gauss rules would stall at low accuracy).
-All ages of a curve are integrated together.  MCS selection has one method,
-`_BlockSelector.__call__`: it takes cache-sized blocks (`_blocks`) of rows
-of nondecreasing points, bands each row by its two end nodes, and returns
-the results row by row in band order, the choice of entry and its BLER only
-when asked, so each caller scatters back or gathers only what it reads.
-Single points are one-node rows.  The quadrature's rows are its panels,
-whose nodes lie between two feasibility cuts and so share one band; it
-reduces each block with one numpy row sum per panel, not a BLAS dot product.
+All ages of a curve are integrated together.  MCS selection works on
+cache-sized blocks (`_blocks`) of rows of nondecreasing points in two steps
+of `_BlockSelector`: `bands` bands each row by its two end nodes and sorts
+the rows by band, and `rows` runs each band's candidates on its range of
+points, returning the results in band order, the choice of entry and its
+BLER only when asked, so each caller scatters back or gathers only what it
+reads.  Single points are one-node rows, selected by `__call__`.  The
+quadrature's rows are its panels, whose nodes lie between two feasibility
+cuts and so share one band: it bands each panel by its end nodes alone and
+forms the nodes in band order (`_nodes`), and reduces each block with one
+numpy row sum per panel, not a BLAS dot product.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class LogisticBlerCurve:
         z = np.subtract(snr_db, self.midpoint_db)
         out = z if isinstance(z, np.ndarray) else None
         z *= self.slope_per_db
-        z = np.minimum(np.maximum(z, -700.0, out=out), 700.0, out=out)
+        z = np.clip(z, -700.0, 700.0, out=out)
         z = np.exp(z, out=out)
         z += 1.0
         return np.divide(1.0, z, out=out)
@@ -213,11 +216,14 @@ def _to_db(snr_linear, out=None) -> np.ndarray:
     `out`, if given, receives the result; it may be the input itself.
     """
     x = np.asarray(snr_linear, dtype=float)
-    positive = x > 0
     if out is None:
         out = np.empty(x.shape)
-    np.log10(x, out=out, where=positive)
-    np.copyto(out, -np.inf, where=~positive)
+    if x.size and x.min() > 0:  # NaN fails this test, as x > 0 does
+        np.log10(x, out=out)
+    else:
+        positive = x > 0
+        np.log10(x, out=out, where=positive)
+        np.copyto(out, -np.inf, where=~positive)
     out *= 10.0
     return out
 
@@ -263,16 +269,18 @@ def _crossing(curve, e_max: float, guess_db: float) -> float:
 
 
 # Points per block of MCS selection.  A block's working arrays (SINRs in dB,
-# the goodputs, choices and BLERs in band order, and the BLER evaluations)
-# take about 40 bytes per point, plus about a dozen per row for its band
-# codes and sort order: about 50 per single point, and a fifth of a byte more
-# per node of a 64-node panel.  A 2^16-point block is served mostly from a
-# 4 MB L2 cache, and the half millisecond of per-band Python calls that every
-# block costs is spread over enough points.
-# On a 2-vCPU Xeon with 4 MB of L2 per core, 10^6 points took about 70 ns per
-# point in 2^16-point blocks, 73-82 in 2^15, 69-77 in 2^17 and 100-106 in one
-# pass.  The quadrature, the Monte Carlo oracle and realized mode cut their
-# inputs by the same rule (`_blocks`).
+# the goodputs, choices and BLERs in band order, a goodput and two masks of
+# scratch, and each BLER evaluation) take about 50 bytes per point, plus
+# about a dozen per row for its band codes and sort order.  A 2^16-point
+# block is served mostly from a 4 MB L2 cache, and the per-band Python calls
+# that every block costs are spread over enough points.
+# On a 2-vCPU Xeon with 4 MB of L2 per core (numpy 2.4, Python 3.11), the
+# point path took 20-36 ns per point on 10^6 spread SINRs of the shipped
+# table in 2^16-point blocks as the machine's speed drifted (about 10% more
+# with the choices); in the same runs 2^15-point blocks took 10-20% longer,
+# 2^17 about the same, and one pass 1.6-2 times as long.  The quadrature,
+# the Monte Carlo oracle and realized mode cut their inputs by the same rule
+# (`_blocks`).
 _BLOCK_POINTS = 1 << 16
 
 
@@ -289,6 +297,12 @@ def _blocks(n: int, points_per_item: int = 1) -> list:
 class _BlockSelector:
     """MCS selection for `table` on one block of at most `size` points per call.
 
+    Selection has two steps.  `bands` bands rows of nondecreasing points by
+    their first and last nodes and stable-sorts them by band; `rows` then
+    selects rows given in that order, running each band's candidates on one
+    contiguous range of points (`choose`).  The quadrature forms its panels'
+    nodes directly in band order between the two; `__call__` selects single
+    points, one-node rows that it takes into band order itself.
     Every array a block needs beyond its sort order and the BLER evaluations
     is allocated once, here, and reused by each call: the allocator hands
     freed block-sized arrays back to the system, so fresh ones would be
@@ -303,101 +317,143 @@ class _BlockSelector:
         self.zeros = int(np.count_nonzero(edges == 0.0))
         self.cuts = np.append(edges[self.zeros:], np.inf)
         self.band = np.empty(size, np.min_scalar_type(len(self.candidates)))
-        self.hit = np.empty(size, bool)
+        self.mask = np.empty(size, bool)
+        self.better = np.empty(size, bool)
+        self.goodput = np.empty(size)
         self.snr_db = np.empty(size)
         # goodput, chosen index and its BLER in band order
         self.sorted = (np.empty(size), np.empty(size, np.int64), np.empty(size))
 
-    def __call__(self, x: np.ndarray, choices: bool = False) -> tuple:
-        """(order, goodput, chosen_index, chosen_bler) at the points of the
-        C-ordered (rows, nodes) array `x`, each row nondecreasing: row k of
-        each result belongs to row order[k] of x.  At each node the goodput
-        is the best rate * (1 - BLER) over the entries within the ceiling,
-        ties to the first entry, and the choice is -1 with BLER 1.0 where no
-        entry is feasible: what a scan over every entry gives there, bit for
-        bit, +inf included.  Without `choices` only the goodput is computed,
-        and the last two are None.  The results are views of the selector's
-        arrays that the next call overwrites.
-
-        A row is banded by its first and last node, which bound the bands of
-        the nodes between.  Rows whose ends share a band are selected as
-        units: stable-sorted by band, taken in that order, and each band runs
-        its candidates, in table order with the BLER check kept, on one
-        contiguous range of rows.  A row whose ends straddle a band edge goes
-        back through this method as single-node rows, and its results come
-        last.
+    def bands(self, ends: np.ndarray) -> tuple:
+        """(order, counts) for the rows whose first and last nodes are the
+        columns of `ends` (one column for single-node rows): `order` sorts
+        the rows stably by band, and counts[g] is the number of rows in band
+        g.  A row whose ends lie in different bands straddles a band edge;
+        the straddling rows come last, counted in counts[-1].
         """
-        rows, nodes = x.shape
-        ends = x[:, ::max(1, nodes - 1)]  # the first and last node, or the only one
         band = self.band[:ends.size].reshape(ends.shape)
         band.fill(self.zeros)
         for cut in self.cuts:
-            band += np.greater_equal(ends, cut, out=self.hit[:ends.size].reshape(ends.shape))
+            band += np.greater_equal(ends, cut, out=self.mask[:ends.size].reshape(ends.shape))
         # a straddling row gets the code past the last band, and the stable
         # sort of small unsigned codes (a radix sort) puts it last
         code = band[:, 0]
-        code[code != band[:, -1]] = len(self.candidates)
-        order = np.argsort(code, kind="stable")
-        counts = np.bincount(code, minlength=len(self.candidates) + 1)
-        unit, straddle = order[:rows - counts[-1]], order[rows - counts[-1]:]
-        k = unit.size * nodes
-        results = [values[:x.size] for values in self.sorted[:3 if choices else 1]]
-        # the selector's arrays are reused below, so the straddling rows go
-        # first, scattered back into node order
-        tail = []
-        if straddle.size:
-            tail_order, *tail_sorted = self(x[straddle].reshape(-1, 1), choices)
-            for values in tail_sorted[:len(results)]:
-                tail.append(np.empty(values.size, values.dtype))
-                tail[-1][tail_order] = values.ravel()
-        # the indices are valid; mode "clip" writes straight into `out`,
-        # where the default "raise" goes through a temporary
-        snr_db = np.take(x, unit, axis=0, out=self.snr_db[:k].reshape(-1, nodes), mode="clip")
-        snr_db = _to_db(snr_db, out=snr_db).ravel()
+        if ends.shape[1] > 1:
+            code[code != band[:, -1]] = len(self.candidates)
+        return (np.argsort(code, kind="stable"),
+                np.bincount(code, minlength=len(self.candidates) + 1))
+
+    def choose(self, snr_db: np.ndarray, counts, choices: bool = False) -> list:
+        """[goodput] or, with `choices`, [goodput, chosen_index, chosen_bler]
+        at the dB SINRs `snr_db`, which hold counts[g] points of band g, band
+        after band: views of the selector's arrays that the next call
+        overwrites.
+
+        At each point the goodput is the best rate * (1 - BLER) over the
+        entries within the ceiling, ties to the first entry, and the choice
+        is -1 with BLER 1.0 where no entry is feasible: what a scan over
+        every entry gives there, bit for bit, +inf included.  Every candidate
+        of a finite band meets the ceiling there
+        (`McsTable.selection_groups`, whose thresholds are exact), so the
+        first one's goodput starts the maximum and no BLER is checked; only
+        the +inf band, whose candidates are all entries, checks it.
+        """
+        table, last = self.table, len(self.candidates) - 1
+        results = [values[:snr_db.size] for values in self.sorted[:3 if choices else 1]]
         best = results[0]
-        if choices:
-            chosen, chosen_bler = results[1], results[2]
-            best[:k].fill(-1.0)
-            chosen[:k].fill(-1)
-            chosen_bler[:k].fill(1.0)
-        else:
-            # a feasible entry's goodput is never below 0
-            best[:k].fill(0.0)
-        table = self.table
         stop = 0
-        for members, count in zip(self.candidates, counts * nodes):
+        for g, (members, count) in enumerate(zip(self.candidates, counts)):
             start, stop = stop, stop + count
             if count == 0:
                 continue
             db, b = snr_db[start:stop], best[start:stop]
-            for i in members:
+            chosen = [values[start:stop] for values in results[1:]]
+            goodput, better = self.goodput[:count], self.better[:count]
+            # every candidate of a finite band but band 0, which has none,
+            # meets the ceiling
+            feasible = 0 < g < last
+            if feasible:
+                first, *rest = members
+                e = table.entries[first].bler_curve(db)
+                np.subtract(1.0, e, out=b)
+                b *= table.entries[first].rate
+                for values, chosen_value in zip(chosen, (first, e)):
+                    values[...] = chosen_value
+            else:
+                # a feasible entry's goodput is never below 0, and -1 lets a
+                # scan choose even one whose goodput rounds to 0
+                rest = members
+                b.fill(-1.0 if choices else 0.0)
+                for values, none in zip(chosen, (-1, 1.0)):
+                    values.fill(none)
+            for i in rest:
                 entry = table.entries[i]
                 e = entry.bler_curve(db)
-                goodput = entry.rate * (1.0 - e)
-                better = (e <= table.e_max) & (goodput > b)
+                np.subtract(1.0, e, out=goodput)
+                goodput *= entry.rate
+                np.greater(goodput, b, out=better)
+                if not feasible:
+                    better &= np.less_equal(e, table.e_max, out=self.mask[:count])
                 np.copyto(b, goodput, where=better)
-                if choices:
-                    np.copyto(chosen_bler[start:stop], e, where=better)
-                    np.copyto(chosen[start:stop], i, where=better)
-        if choices:
-            best[:k][chosen[:k] < 0] = 0.0
+                for values, chosen_value in zip(chosen, (i, e)):
+                    np.copyto(values, chosen_value, where=better)
+            if choices and not feasible:
+                np.copyto(b, 0.0, where=np.less(chosen[0], 0, out=better))
+        return results
+
+    def rows(self, x: np.ndarray, counts, choices: bool = False) -> list:
+        """[goodput] or, with `choices`, [goodput, chosen_index, chosen_bler]
+        at the points of the C-ordered (rows, nodes) array `x`, shaped like
+        it: views of the selector's arrays that the next call overwrites.
+        Each row of x is nondecreasing, and the rows come in the order that
+        `bands` gave with these `counts`, the straddling rows last.  x is
+        overwritten (its SINRs become dB) and is none of the selector's own
+        arrays.
+
+        The rows of each band are selected as units (`choose`), and each
+        node of a straddling row as a point (`__call__`).
+        """
+        rows, nodes = x.shape
+        k = rows - counts[-1]
+        # the point path fills the arrays that `choose` fills, so the
+        # straddling rows go first, scattered back into node order
+        tail = []
+        if counts[-1]:
+            order, *results = self(x[k:].ravel(), choices)
+            for values in results[:3 if choices else 1]:
+                tail.append(np.empty_like(values))
+                tail[-1][order] = values
+        self.choose(_to_db(x[:k], out=x[:k]).ravel(), counts[:-1] * nodes, choices)
+        results = [values[:x.size].reshape(rows, nodes)
+                   for values in self.sorted[:3 if choices else 1]]
         for values, tail_values in zip(results, tail):
-            values[k:] = tail_values
-        results = [values.reshape(rows, nodes) for values in results]
+            values[k:] = tail_values.reshape(-1, nodes)
+        return results
+
+    def __call__(self, x: np.ndarray, choices: bool = False) -> tuple:
+        """(order, goodput, chosen_index, chosen_bler) at the 1-D points `x`:
+        entry k of each result belongs to x[order[k]], the points taken in
+        band order (`bands`, `choose`).  Without `choices` the last two are
+        None.  The results are views of the selector's arrays that the next
+        call overwrites.
+        """
+        order, counts = self.bands(x[:, None])
+        # the indices are valid; mode "clip" writes straight into `out`,
+        # where the default "raise" goes through a temporary
+        snr_db = np.take(x, order, out=self.snr_db[:x.size], mode="clip")
+        results = self.choose(_to_db(snr_db, out=snr_db), counts[:-1], choices)
         return order, *results, *[None] * (3 - len(results))
 
 
 def _select_blocks(x: np.ndarray, table: McsTable, choices: bool):
     """Yield (slice, (order, goodput, chosen_index, chosen_bler)) for each
-    block of the 1-D points `x`: `_BlockSelector.__call__` on x[slice] as
-    single-node rows, its results raveled; they are views that the next
-    block overwrites."""
+    block of the 1-D points `x`: `_BlockSelector.__call__` on x[slice], whose
+    results are views that the next block overwrites."""
     blocks = _blocks(x.size)
     if blocks:
         select = _BlockSelector(table, -(-x.size // len(blocks)))  # the longest block
         for sl in blocks:
-            yield sl, tuple(None if r is None else r.ravel()
-                            for r in select(x[sl].reshape(-1, 1), choices))
+            yield sl, select(x[sl], choices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,6 +586,20 @@ def _panels(scale: np.ndarray, thresholds: np.ndarray) -> tuple:
     return owner[piece], lo, hi
 
 
+def _nodes(neg_hw, mid, neg_scale, x_ref, neg_u=None, x=None) -> tuple:
+    """(-u, x) at the rule's nodes `x_ref` of panels with half-widths hw,
+    midpoints mid and SINR scales: -u = -hw * x_ref - mid and x = -u * -scale,
+    one panel per row, into `neg_u` and `x` if given.
+
+    Round-to-nearest is symmetric in sign, so these are exactly -(hw * x_ref
+    + mid) and (hw * x_ref + mid) * scale, and any subset of the nodes comes
+    out bit for bit as in the full grid.
+    """
+    neg_u = np.multiply(neg_hw[:, None], x_ref, out=neg_u)
+    neg_u -= mid[:, None]
+    return neg_u, np.multiply(neg_u, neg_scale[:, None], out=x)
+
+
 def expected_goodputs(ages, params: LinkParams, table: McsTable, nodes: int = 64) -> np.ndarray:
     """r(age), the expected slot goodput at CSI age `age`, for every age in
     `ages` (all >= 1), by composite Gauss-Legendre quadrature of `nodes`
@@ -537,8 +607,11 @@ def expected_goodputs(ages, params: LinkParams, table: McsTable, nodes: int = 64
 
     E[G(sinr_gain(age) * X)] with X exponential of mean P_p*rho0 + noise_var.
     The region below the lowest feasibility threshold contributes exactly
-    zero.  Panels of all ages are evaluated together in chunks, and MCS
-    selection takes each panel as one row (`_BlockSelector`).  Each panel's
+    zero.  Panels of all ages are evaluated together in chunks: each chunk's
+    panels are banded by their end nodes, their nodes formed in band order
+    (`_nodes`), and each band's candidates run on them at once
+    (`_BlockSelector.rows`); a panel that straddles a band edge takes the
+    point path, node by node.  Each panel's
     weighted sum is one numpy row sum, whose pairwise order depends only on
     the node count, and it is added to its age in panel order, so an age's
     value does not depend on which other ages are tabulated with it.
@@ -556,24 +629,22 @@ def expected_goodputs(ages, params: LinkParams, table: McsTable, nodes: int = 64
     x_ref, w_ref = _gauss_legendre(nodes)
     panels = max(1, _BLOCK_POINTS // nodes)
     select = _BlockSelector(table, panels * nodes)
-    # a chunk's nodes and SINRs, reused like the selector's arrays
-    u_buf, x_buf = np.empty((panels, nodes)), np.empty((panels, nodes))
+    # a chunk's -u and SINRs, reused like the selector's arrays
+    neg_u_buf, x_buf = np.empty((panels, nodes)), np.empty((panels, nodes))
     for first in range(0, ages.size, _AGE_BLOCK):
         owner, lo, hi = _panels(scale[first:first + _AGE_BLOCK], thresholds)
         owner += first
         for sl in _blocks(owner.size, nodes):
             hw = 0.5 * (hi[sl] - lo[sl])
-            # u = mid + hw * x_ref in place; float addition commutes exactly
-            u = np.multiply(hw[:, None], x_ref, out=u_buf[:hw.size])
-            u += (0.5 * (lo[sl] + hi[sl]))[:, None]
-            x = np.multiply(u, scale[owner[sl], None], out=x_buf[:hw.size])
-            order, g, _, _ = select(x)
-            # rows = w_ref * (g * exp(-u)) in the selector's panel order, in
-            # x's array (its values were read above); float multiplication
-            # commutes exactly
-            rows = np.take(u, order, axis=0, out=x, mode="clip")
-            np.exp(np.negative(rows, out=rows), out=rows)
-            rows *= g
+            neg_hw, mid, neg_scale = -hw, 0.5 * (lo[sl] + hi[sl]), -scale[owner[sl]]
+            # each panel is banded by its end nodes, then its nodes are formed
+            # in band order, the straddling panels last
+            order, counts = select.bands(_nodes(neg_hw, mid, neg_scale, x_ref[[0, -1]])[1])
+            neg_u, x = _nodes(neg_hw[order], mid[order], neg_scale[order], x_ref,
+                              neg_u_buf[:hw.size], x_buf[:hw.size])
+            # rows = w_ref * (g * exp(-u)); float multiplication commutes exactly
+            rows = np.exp(neg_u, out=neg_u)
+            rows *= select.rows(x, counts)[0]
             rows *= w_ref
             # one fixed-order (numpy pairwise) row sum per panel, put back in
             # panel order

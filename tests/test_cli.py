@@ -7,6 +7,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pilotsched.channel as channel
@@ -143,6 +144,17 @@ class TestConfig:
         ({"data_power": 1e-300, "channel_variance": 1e-300}, ["solve"],
          "snr_db 20.0 gives no finite positive noise variance with data_power 1e-300 "
          "and channel_variance 1e-300"),
+        # rho0^2 overflows: the error variance would be -inf, and the curve 0
+        ({"channel_variance": 1e300}, ["goodput-curve"],
+         "channel_variance 1e+300 and pilot_power 1.0: P_p * rho0^2"),
+        ({"channel_variance": 1e160}, ["solve"], "channel_variance 1e+160 and pilot_power 1.0"),
+        ({"pilot_power": 1e300, "channel_variance": 1e10}, ["simulate"],
+         "channel_variance 10000000000.0 and pilot_power 1e+300"),
+        # P_p * rho0^2 is finite, but P_p * rho0 + noise_variance is not
+        ({"pilot_power": 1.7e308, "channel_variance": 0.99, "data_power": 1e300,
+          "snr_db": -71.0}, ["goodput-curve"],
+         "channel_variance 0.99 and pilot_power 1.7e+308: P_p * rho0^2 or P_p * rho0 "
+         "+ noise_variance overflows"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, overrides, argv, named):
         # {tmp} is the test's directory, which holds a subdirectory a_dir, two
@@ -334,6 +346,20 @@ class TestGoodputCurveCommand:
         main(["goodput-curve", "--config", str(cfg), "--out", str(out)])
         curve = load_reward_curve(out / "goodput_curve.csv")
         assert len(curve) == 15
+
+    def test_write_csv_bytes_equal_csv_writer(self, tmp_path):
+        header = ["snr_db", "policy", "avg_goodput", "period"]
+        rows = [(0.0, "threshold", 1.25, 7), (-4.5, "periodic-2", float("inf"), 2),
+                (1e-300, "threshold", 0.1 + 0.2, 600), (20.0, "periodic-2", 5e-324, 1),
+                (np.float64(2.5), "threshold", np.float64(1 / 3), np.int64(12))]
+        cli._write_csv(tmp_path / "one_write.csv", header, rows)
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                             for row in rows)
+        assert ((tmp_path / "one_write.csv").read_bytes()
+                == (tmp_path / "writer.csv").read_bytes())
 
     def test_goodput_curve_leaves_numpy_polynomial_unloaded(self, run_python, tmp_path):
         # the Gauss-Legendre rule is the package's own: importing

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -550,8 +551,16 @@ class TestBuildRewardCurve:
         assert np.all(c.values <= default_table.max_rate)
 
 
-# The selector itself, before any test patches it
-_SELECT_ROWS = link_adaptation._BlockSelector.__call__
+# The banding step itself, before any test patches it
+_BANDS = link_adaptation._BlockSelector.bands
+
+
+def select_rows(select, x, choices=False):
+    """(order, goodput[, chosen_index, chosen_bler]) at the rows of `x` by
+    the quadrature's two steps: `bands` on their end nodes, then `rows` on
+    a copy of x in that order; row k of each result is row order[k] of x."""
+    order, counts = select.bands(x[:, ::max(1, x.shape[1] - 1)])  # the end nodes
+    return order, *select.rows(x[order], counts, choices)
 
 
 @given(st.one_of(tabulated_tables(), st.integers(0, 2 ** 32 - 1).map(
@@ -563,18 +572,19 @@ def test_quadrature_rows_are_nondecreasing(table, scale, nodes):
     # the selector bands each row by its end nodes, which bound the bands of
     # the nodes between only when the row is monotone: form the panel nodes
     # and SINRs as expected_goodputs does (at a sample of node counts from 8
-    # to 1024, since each new count costs a Gauss-Legendre eigenproblem)
+    # to 1024, since each new count costs a Gauss-Legendre eigenproblem), and
+    # the end nodes alone, which must equal the grid's bit for bit
     thresholds, _ = table.selection_groups
     assume(thresholds.size)
     scale = np.array(scale)
     owner, lo, hi = link_adaptation._panels(scale, thresholds)
     x_ref, _ = link_adaptation._gauss_legendre(nodes)
     for sl in link_adaptation._blocks(owner.size, nodes):
-        hw = 0.5 * (hi[sl] - lo[sl])
-        u = np.multiply(hw[:, None], x_ref)
-        u += (0.5 * (lo[sl] + hi[sl]))[:, None]
-        x = np.multiply(u, scale[owner[sl], None])
+        args = -0.5 * (hi[sl] - lo[sl]), 0.5 * (lo[sl] + hi[sl]), -scale[owner[sl]]
+        x = link_adaptation._nodes(*args, x_ref)[1]
         assert np.all(np.diff(x, axis=1) >= 0.0)
+        ends = link_adaptation._nodes(*args, x_ref[[0, -1]])[1]
+        assert ends.tobytes() == x[:, [0, -1]].tobytes()
 
 
 def test_gauss_legendre_rule_is_numpys():
@@ -645,7 +655,7 @@ class TestBatchedQuadrature:
                       np.linspace(t[1], np.nextafter(t[2], 0.0), 64),
                       np.linspace(0.5 * t[0], 2.0 * t[0], 64)])
         select = link_adaptation._BlockSelector(default_table, x.size)
-        order, goodput, _, _ = select(x)
+        order, goodput = select_rows(select, x)
         assert order.tolist() == [2, 0, 1, 3]  # by band, then the straddling rows
         want = max_goodput_matrix(x, default_table)[0]
         assert np.array_equal(goodput, want[order])
@@ -674,22 +684,24 @@ class TestBatchedQuadrature:
             row[0], row[-1] = first, last
         x = x.view(float)
         select = link_adaptation._BlockSelector(table, x.size)
-        order, *got = select(x, choices=True)
+        order, *got = select_rows(select, x, choices=True)
         for values, want in zip(got, max_goodput_matrix(x, table)):
             assert np.array_equal(values, want[order])
 
     @staticmethod
-    def _select_every_node(select, x, choices=False):
-        """`_BlockSelector.__call__` with each node of `x` its own single-node row."""
-        order, goodput, _, _ = _SELECT_ROWS(select, x.reshape(-1, 1))
-        by_node = np.empty(x.size)
-        by_node[order] = goodput.ravel()
-        return np.arange(x.shape[0]), by_node.reshape(x.shape), None, None
+    def _every_panel_straddles(select, ends):
+        """`_BlockSelector.bands` with every panel counted as straddling, so
+        that the quadrature selects each of its nodes alone, as a point."""
+        if ends.shape[1] == 1:
+            return _BANDS(select, ends)
+        counts = np.zeros(len(select.candidates) + 1, np.int64)
+        counts[-1] = ends.shape[0]
+        return np.arange(ends.shape[0]), counts
 
     def assert_panel_selection_matches_point_selection(self, table, params, ages):
         got = expected_goodputs(ages, params, table)
-        with mock.patch.object(link_adaptation._BlockSelector, "__call__",
-                               self._select_every_node):
+        with mock.patch.object(link_adaptation._BlockSelector, "bands",
+                               self._every_panel_straddles):
             want = expected_goodputs(ages, params, table)
         assert np.array_equal(got, want)
 
@@ -734,6 +746,125 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(link_adaptation, "_AGE_BLOCK", 7)
         got = build_reward_curve(reference_params, default_table, 300).values
         assert np.array_equal(got, want)
+
+
+class _CeilingCounted(np.ndarray):
+    """A BLER array that records the size of each ceiling test it enters."""
+
+    tests: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.less_equal:
+            self.tests.append(self.size)
+        inputs = [a.view(np.ndarray) if isinstance(a, _CeilingCounted) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class _PointCounted(LogisticBlerCurve):
+    """The logistic curve, recording how many points each call evaluates and
+    returning BLERs that record their ceiling tests."""
+
+    points: list = []
+
+    def __call__(self, snr_db):
+        self.points.append(np.size(snr_db))
+        return np.asarray(super().__call__(snr_db)).view(_CeilingCounted)
+
+
+def counted_default_table(e_max=None) -> McsTable:
+    default = default_mcs_table(e_max)
+    table = McsTable(entries=[
+        McsEntry(index=e.index, rate=e.rate,
+                 bler_curve=_PointCounted(e.bler_curve.slope_per_db, e.bler_curve.midpoint_db))
+        for e in default.entries], e_max=default.e_max)
+    table.selection_groups  # the threshold search, before anything is counted
+    _PointCounted.points.clear()
+    _CeilingCounted.tests.clear()
+    return table
+
+
+def band_of(x, table) -> np.ndarray:
+    """The selection band of each SINR: the number of edges that are 0 or
+    <= x, and the last band at +inf."""
+    edges, candidates = table.selection_groups
+    band = np.where(x > 0, np.searchsorted(edges, x, side="right"), np.count_nonzero(edges == 0.0))
+    return np.where(x == np.inf, len(candidates) - 1, band)
+
+
+class TestSelectionWork:
+    """Work counters for the cost claims of `_BlockSelector`: a point is
+    evaluated once for each candidate of its band, and the BLER ceiling is
+    tested only in the +inf band."""
+
+    @pytest.mark.parametrize("choices", [False, True])
+    def test_point_path_evaluates_each_band_candidate_once(self, choices, rng):
+        table = counted_default_table()
+        edges, candidates = table.selection_groups
+        x = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, -1.0, 5e-324, np.inf, np.inf],
+                            rng.lognormal(0.0, 4.0, 3000)])
+        got = select_points(x, table)
+        sizes = np.array([len(c) for c in candidates])
+        band = band_of(x, table)
+        assert sum(_PointCounted.points) == sizes[band].sum()
+        assert _CeilingCounted.tests == [2] * len(table.entries)  # the two +inf points
+        for values, want in zip(got, max_goodput_matrix(x, default_mcs_table())):
+            assert np.array_equal(values, want)
+
+    def test_quadrature_evaluates_each_node_once_per_candidate(self, reference_params):
+        # every node of a panel lies in its panel's band, and a straddling
+        # panel's nodes are banded one by one: either way a node costs the
+        # candidates of its own band, and no node is at +inf
+        table = counted_default_table()
+        ages = np.arange(1, 41)
+        expected_goodputs(ages, reference_params, table)
+        scale = (link_adaptation.sinr_gain(ages, reference_params)
+                 * link_adaptation.pilot_second_moment(reference_params))
+        owner, lo, hi = link_adaptation._panels(scale, table.selection_groups[0])
+        x_ref, _ = link_adaptation._gauss_legendre(64)
+        x = link_adaptation._nodes(-0.5 * (hi - lo), 0.5 * (lo + hi), -scale[owner], x_ref)[1]
+        sizes = np.array([len(c) for c in table.selection_groups[1]])
+        assert sum(_PointCounted.points) == sizes[band_of(x, table)].sum()
+        assert _CeilingCounted.tests == []
+
+
+@pytest.mark.parametrize("e_max", [0.3, 0.1, 0.01, 1e-3])
+def test_default_band_candidates_meet_the_ceiling_across_the_band(e_max):
+    assert_band_candidates_feasible(default_mcs_table(e_max))
+
+
+@given(st.one_of(tabulated_tables(), st.integers(0, 2 ** 32 - 1).map(
+           lambda seed: random_logistic_table(np.random.default_rng(seed)))))
+@settings(max_examples=150, deadline=None)
+def test_band_candidates_meet_the_ceiling_across_the_band(table):
+    assert_band_candidates_feasible(table)
+
+
+def assert_band_candidates_feasible(table):
+    """Every candidate of each finite band meets the ceiling at the band's
+    lower edge (0, -inf dB, for a zero edge) and at the float just below the
+    next edge (the largest float in the last finite band): `choose` skips
+    the BLER check there."""
+    edges, candidates = table.selection_groups
+    upper = np.append(np.nextafter(edges[1:], 0.0), np.finfo(float).max)
+    for g, (lower, top) in enumerate(zip(edges, upper), start=1):
+        if lower > top:  # tied edges leave this band empty
+            continue
+        x = link_adaptation._to_db(np.array([lower, top]))
+        for j in candidates[g]:
+            assert np.all(table.entries[j].bler_curve(x) <= table.e_max), (g, j)
+
+
+def test_to_db_exact_without_warnings():
+    x = [-1.0, -0.0, 0.0, 5e-324, 1.0, np.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = link_adaptation._to_db(x)
+        positive = link_adaptation._to_db(x[3:])  # the unmasked path
+        empty = link_adaptation._to_db([])
+    want = [-np.inf, -np.inf, -np.inf, 10.0 * np.log10(5e-324), 0.0, np.inf]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert positive.tobytes() == got[3:].tobytes()
+    assert empty.shape == (0,)
 
 
 class TestLoadBlerTable:
