@@ -50,10 +50,11 @@ def _write_csv(path: Path, header: list, rows) -> None:
         fh.write("\r\n".join(lines))
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_json(path: Path, doc: dict) -> str:
+    text = json.dumps(doc, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+    return text
 
 
 def _link(cfg: ExperimentConfig, tabulate: bool = True) -> tuple:
@@ -87,8 +88,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
                              f"{len(curve)} ages of the reward curve") from exc
     report["tolerance"] = ORACLE_TOLERANCE
     report["consistent"] = report["max_deviation"] <= ORACLE_TOLERANCE
-    _write_json(out_dir / "solve.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_write_json(out_dir / "solve.json", report))
     return 0 if report["consistent"] else 1
 
 

@@ -479,64 +479,51 @@ class RewardCurve:
         return np.concatenate(([0.0], np.cumsum(self.values)))
 
 
-_GL_CACHE: dict = {}
+# The default rule, 64 nodes on [-1, 1], as data: the 32 positive nodes of
+# numpy 2.4.6's leggauss(64), ascending, and their weights, in float literals
+# that round-trip exactly.  leggauss's nodes are exactly antisymmetric and its
+# weights exactly symmetric, so their mirror image is the whole rule, and a
+# default curve solves no eigenproblem and imports no numpy.polynomial.
+_GL64_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+    0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+    0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+    0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+    0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+)
+_GL64_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+    0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+    0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+    0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+    0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+    0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+)
 
 
-def _gauss_legendre(n: int):
+def _frozen(*arrays) -> tuple:
+    for a in arrays:  # a cached rule is shared by every caller
+        a.flags.writeable = False
+    return arrays
+
+
+_GL_CACHE = {64: _frozen(np.concatenate((np.negative(_GL64_NODES[::-1]), _GL64_NODES)),
+                         np.concatenate((_GL64_WEIGHTS[::-1], _GL64_WEIGHTS)))}
+
+
+def _gauss_legendre(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [-1, 1], (nodes, weights), read-only
+    and computed once per process: 64 nodes are stored, and any other count
+    comes from numpy's leggauss."""
     if n not in _GL_CACHE:
-        _GL_CACHE[n] = _legendre_rule(n)
+        from numpy.polynomial.legendre import leggauss
+        _GL_CACHE[n] = _frozen(*leggauss(n))
     return _GL_CACHE[n]
-
-
-def _legval(x: np.ndarray, c) -> np.ndarray:
-    """The Legendre series with coefficients c[0..L-1] (L >= 2) at x, by
-    Clenshaw's recursion written operation for operation as
-    `numpy.polynomial.legendre.legval` writes it."""
-    nd = len(c)
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, nd + 1):
-        tmp = c0
-        nd -= 1
-        c0 = c[-i] - c1 * ((nd - 1) / nd)
-        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def _legendre_rule(n: int) -> tuple:
-    """The n-node Gauss-Legendre rule (n >= 2) on [-1, 1]: bit for bit
-    `numpy.polynomial.legendre.leggauss(n)` of numpy 2.4, whose algorithm
-    this is, without importing `numpy.polynomial` (3 ms, more than the
-    rule takes to compute).
-
-    The nodes are the eigenvalues of L_n's symmetric companion matrix, each
-    refined by one Newton step; the weights come from L_n' and L_{n-1} at
-    the refined nodes, symmetrized and scaled to sum to 2.  L_n' is the
-    series sum of (2k + 1) L_k over k = n-1, n-3, ..., whose coefficients
-    are the exact integers numpy's `legder` gives.
-    """
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    companion = np.zeros((n, n))
-    flat = companion.reshape(-1)
-    flat[1::n + 1] = flat[n::n + 1] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    x = np.linalg.eigvalsh(companion)
-
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    der = np.zeros(n)
-    der[n - 1::-2] = 2.0 * np.arange(n - 1, -1, -2) + 1
-    dy = _legval(x, c)
-    df = _legval(x, der)
-    x -= dy / df
-
-    # scaled by their largest magnitudes against overflow
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    return x, w
 
 
 # The quadrature integrates u = X / mean over [0, >= _QUAD_TAIL], in panels

@@ -130,14 +130,18 @@ def check_quadrature_vs_mc(table: McsTable) -> CheckResult:
     """Quadrature r(age) against an independent Monte Carlo of 10^6 draws at
     10 random operating points, within 1e-3 relative.
 
-    Points whose goodput is below 5% of the top rate are redrawn: a relative
-    comparison there tests only Monte Carlo shot noise.
+    Points whose goodput is below 5% of the top rate the table can select at
+    a finite SINR are redrawn: a relative comparison there tests only Monte
+    Carlo shot noise.  A table for which 1,000 draws do not give 10 points
+    raises ValueError.
     """
-    count, n_samples, rel_tol = 10, 1_000_000, 1e-3
+    count, n_samples, rel_tol, max_draws = 10, 1_000_000, 1e-3, 1000
+    finite = np.isfinite(table.feasibility_thresholds)
+    top = max((e.rate for e, ok in zip(table.entries, finite) if ok), default=math.inf)
     rng = np.random.default_rng(59)
     worst = 0.0
     checked = 0
-    while checked < count:
+    for _ in range(max_draws):
         snr_db = rng.uniform(0.0, 20.0)
         fd_ts = rng.uniform(0.02, 0.08)
         age = int(rng.integers(1, 6))
@@ -146,13 +150,18 @@ def check_quadrature_vs_mc(table: McsTable) -> CheckResult:
             noise_variance=10.0 ** (-snr_db / 10.0),
             channel_variance=1.0, doppler_hz=fd_ts * 1000.0, sample_period=1e-3)
         quad_val = float(expected_goodputs([age], params, table)[0])
-        if quad_val < 0.05 * table.max_rate:
+        if quad_val < 0.05 * top:
             continue
         mc_val, se = mc_expected_goodput(age, params, table, n_samples,
                                          seed=int(rng.integers(0, 2 ** 63)))
         rel = abs(quad_val - mc_val) / mc_val
         worst = max(worst, rel)
         checked += 1
+        if checked == count:
+            break
+    else:
+        raise ValueError(f"bler_table/mcs_config: {checked} of {max_draws} random operating "
+                         f"points reach 5% of the top feasible rate {top}, not {count}")
     return CheckResult(
         name="quadrature-vs-monte-carlo",
         passed=bool(worst <= rel_tol),

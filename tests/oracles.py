@@ -47,7 +47,7 @@ from pilotsched import (EXPECTED, FadingTrace, HorizonExhaustedError,
 from pilotsched.channel import (_DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ,
                                 _SQ2OPI)
 from pilotsched.estimation import mmse_gain, pilot_second_moment, sinr_gain
-from pilotsched.link_adaptation import _MAX_PANEL, _QUAD_TAIL
+from pilotsched.link_adaptation import _MAX_PANEL, _QUAD_TAIL, _gauss_legendre
 from pilotsched.simulation import MODES
 
 PILOT = "pilot"
@@ -471,7 +471,9 @@ def reward_curve_panels(ages, params, table, nodes=64, exact_sums=False):
     """r(age) at each of `ages` by composite Gauss-Legendre quadrature of
     `nodes` nodes per panel, one age and one panel at a time.
 
-    The u-axis (|y|^2 in units of its mean) is cut at every feasibility
+    The rule is the package's (`_gauss_legendre`), which its own test pins to
+    numpy's leggauss, so this checks the quadrature and not the rule.  The
+    u-axis (|y|^2 in units of its mean) is cut at every feasibility
     threshold up to the package's tail (_QUAD_TAIL), each piece is split into
     panels no longer than its _MAX_PANEL, and each panel's weighted sum,
     `(w_ref * (g * exp(-u))).sum()`, is added to the age's total in order.
@@ -479,7 +481,7 @@ def reward_curve_panels(ages, params, table, nodes=64, exact_sums=False):
     summed with math.fsum instead.
     """
     feasibility = bisect_thresholds(table)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
+    x_ref, w_ref = _gauss_legendre(nodes)
     out = []
     for age in ages:
         gain = sinr_gain(int(age), params)

@@ -194,7 +194,7 @@ class TestConfig:
         def refuse(n):
             raise AssertionError(f"reached the {n}-node rule")
 
-        monkeypatch.setattr(link_adaptation, "_legendre_rule", refuse)
+        monkeypatch.setattr("numpy.polynomial.legendre.leggauss", refuse)
         cfg = write_config(tmp_path, quad_nodes=100_000)
         assert main(["goodput-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "quad_nodes must be from 8 to 1024, got 100000" in capsys.readouterr().err
@@ -369,15 +369,27 @@ class TestGoodputCurveCommand:
                  "print('numpy.polynomial' in sys.modules)")
         assert run_python(probe).split()[-1] == "False"
 
+    def test_goodput_curve_solves_no_eigenproblem(self, run_python, tmp_path):
+        # the default 64-node rule is stored, so no eigvalsh runs for it; the
+        # 63-node rule, from leggauss, shows that the count sees eigvalsh
+        probe = ("import numpy.linalg; calls = []; real = numpy.linalg.eigvalsh\n"
+                 "numpy.linalg.eigvalsh = lambda *a: calls.append(1) or real(*a)\n"
+                 "from pilotsched.cli import main; from pilotsched import link_adaptation\n"
+                 f"main(['goodput-curve', '--out', {str(tmp_path)!r}]); print(len(calls))\n"
+                 "link_adaptation._gauss_legendre(63); print(len(calls))")
+        assert run_python(probe).split()[-2:] == ["0", "1"]
+
 
 class TestSolveCommand:
-    def test_synthetic_hand_curve(self, tmp_path):
+    def test_synthetic_hand_curve(self, tmp_path, capsys):
         reward = tmp_path / "r.csv"
         lines = ["age,reward"] + [f"{a},{1.0 if a <= 3 else 0.0}" for a in range(1, 21)]
         reward.write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path, reward_csv=str(reward))
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        # the report is printed as written
+        assert capsys.readouterr().out == (out / "solve.json").read_text()
         report = json.loads((out / "solve.json").read_text())
         assert report["beta"] == 0.75
         assert report["period"] == 4
@@ -908,6 +920,29 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "cqi 4" in capsys.readouterr().err
         assert not (out / "validate.json").exists()
+
+    def test_top_rate_unreachable_at_finite_sinr_ends(self, tmp_path, run_python):
+        # CQI 15 has the top rate but meets the ceiling at no finite SINR:
+        # the Monte Carlo check once redrew its points without end, waiting
+        # for 5% of that rate
+        rows = ["cqi,snr_db,bler"]
+        for entry in link_adaptation.default_mcs_table().entries:
+            for snr_db in range(-30, 42, 2):
+                bler = 0.5 if entry.index == 15 else float(entry.bler_curve(snr_db))
+                rows.append(f"{entry.index},{snr_db!r},{bler!r}")
+        (tmp_path / "bler.csv").write_text("\n".join(rows) + "\n")
+        rates, e_max = link_adaptation._load_default_rates()
+        rates[15] = 1000.0
+        (tmp_path / "rates.json").write_text(json.dumps(
+            {"e_max": e_max, "rates": {str(cqi): rate for cqi, rate in rates.items()}}))
+        cfg = write_config(tmp_path, bler_table=str(tmp_path / "bler.csv"),
+                           mcs_config=str(tmp_path / "rates.json"))
+        out = tmp_path / "out"
+        # in a fresh interpreter, under run_python's timeout
+        probe = ("from pilotsched.cli import main; "
+                 f"print(main(['validate', '--config', {str(cfg)!r}, '--out', {str(out)!r}]))")
+        assert run_python(probe).split()[-1] == "0"
+        assert json.loads((out / "validate.json").read_text())["all_passed"] is True
 
 
 def load_cli_outputs():

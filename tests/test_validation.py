@@ -3,9 +3,10 @@ import tracemalloc
 import pytest
 
 from oracles import mc_expected_goodput_full_outputs, orthogonality_metrics
-from pilotsched import ExperimentConfig, LinkParams, build_reward_curve, default_mcs_table
-from pilotsched.validation import (check_orthogonality, check_scheduler_triangle,
-                                  mc_expected_goodput, solve_curve)
+from pilotsched import (ExperimentConfig, LinkParams, LogisticBlerCurve, McsEntry, McsTable,
+                        TabulatedBlerCurve, build_reward_curve, default_mcs_table)
+from pilotsched.validation import (check_orthogonality, check_quadrature_vs_mc,
+                                  check_scheduler_triangle, mc_expected_goodput, solve_curve)
 
 
 class TestCheckOrthogonality:
@@ -42,6 +43,17 @@ class TestSolveCurve:
         with pytest.raises(ValueError, match=r"static channel \(speed 0\)") as info:
             check_scheduler_triangle(curve, count=0)
         assert "delta_max" not in str(info.value)
+
+
+class TestQuadratureVsMonteCarlo:
+    @pytest.mark.parametrize("curve", [LogisticBlerCurve(1.5, 60.0),
+                                       TabulatedBlerCurve([0.0, 40.0], [0.5, 0.5])])
+    def test_unreachable_rate_names_the_table(self, curve):
+        # an entry feasible only past 60 dB, or at no finite SINR: no point
+        # drawn from 0-20 dB reaches 5% of the table's top feasible rate
+        table = McsTable(entries=[McsEntry(index=15, rate=5.0, bler_curve=curve)])
+        with pytest.raises(ValueError, match="bler_table/mcs_config: 0 of 1000 random"):
+            check_quadrature_vs_mc(table)
 
 
 class TestMonteCarloOracle:
