@@ -5,8 +5,8 @@ estimation, BLER-constrained MCS selection, the threshold pilot-scheduling
 solver with two independent optimality oracles, and a closed-loop simulator.
 """
 
-from .channel import (LinkParams, FadingTrace, SPEED_OF_LIGHT, MPH_TO_MPS, bessel_j0,
-                      autocorrelation, generate_fading_trace, empirical_autocorrelation)
+from .channel import (LinkParams, SPEED_OF_LIGHT, MPH_TO_MPS, bessel_j0,
+                      autocorrelation, fading_traces, empirical_autocorrelation)
 from .estimation import mmse_gain, sinr_gain, error_variance, pilot_second_moment
 from .link_adaptation import (McsEntry, McsTable, RewardCurve,
                               LogisticBlerCurve, TabulatedBlerCurve,
@@ -16,7 +16,7 @@ from .link_adaptation import (McsEntry, McsTable, RewardCurve,
 from .scheduler import (ThresholdSolution, HorizonExhaustedError,
                         index_gamma, hitting_age, solve_threshold,
                         brute_force_optimal_period, policy_iteration)
-from .simulation import EXPECTED, REALIZED, SimulationResult, run_policy, derive_streams
+from .simulation import EXPECTED, REALIZED, SimulationResult, run_policy
 from .config import ExperimentConfig, load_config, default_config
 
 __version__ = "0.1.0"

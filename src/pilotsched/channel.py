@@ -2,7 +2,8 @@
 
 The channel is a zero-mean circularly-symmetric complex Gaussian process whose
 autocovariance at lag d is  rho(d) = rho0 * J0(2*pi*f_d*T_s*d).  Traces are
-synthesized in the frequency domain (circulant embedding of the covariance);
+read-only complex arrays, one per seed from `fading_traces`, synthesized in
+the frequency domain (circulant embedding of the covariance);
 the embedded covariance is real and even, so its spectrum is the real
 transform of half of it.  The embedding's negative eigenvalues are clipped
 to 0, so the trace reproduces the target autocovariance at every lag shorter
@@ -58,18 +59,6 @@ class LinkParams:
     @property
     def normalized_doppler(self) -> float:
         return self.doppler_hz * self.sample_period
-
-
-@dataclass(frozen=True, eq=False)
-class FadingTrace:
-    """A sampled realization of the fading process, immutable after creation."""
-
-    samples: np.ndarray
-    params: LinkParams
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 # Rational approximations for J0 (Cephes Math Library, Moshier).  Peak
@@ -326,9 +315,10 @@ def _ifft_head(w: np.ndarray, length: int) -> np.ndarray:
     return samples
 
 
-def generate_fading_trace(params: LinkParams, length: int, seed: int,
-                          stride: int = 1) -> FadingTrace:
-    """Draw one stationary complex Gaussian trace with the Jakes autocovariance.
+def fading_traces(params: LinkParams, length: int, seeds, stride: int = 1):
+    """Yield a stationary complex Gaussian trace with the Jakes autocovariance
+    for each of the list `seeds` in turn, as a read-only array of `length`
+    samples; deterministic for a given seed, whatever the other seeds.
 
     Circulant embedding: the covariance sequence is symmetrically extended to a
     power-of-two circle of m points, whose FFT gives the spectral weights,
@@ -340,85 +330,77 @@ def generate_fading_trace(params: LinkParams, length: int, seed: int,
     the whole circle), and the circle itself is never built; the Jakes
     embedding has negative weights, clipped to 0 (`_spectral_weights`).
 
-    The weights go into a real array of m points, and the trace into one
-    complex array w of m points: the real-part normals, then the
-    imaginary-part normals, are drawn through one small buffer
-    (`_normal_blocks`) and multiplied by the weights into w.real and w.imag;
-    the weights are freed, and the inverse transform runs in place as two of
-    m/2 points after one radix-2 split pass (`_ifft_head`), which changes
-    only the order in which it rounds (module docstring).  The process RSS
-    rises by about 32 bytes per embedding point, reached both by the weights
-    phase (the half covariance, the weights and the m-point `irfft`'s own
-    buffers) and by the transform (w and pocketfft's buffers for m/2
-    points), so a smaller transform cannot lower the peak; traced memory
-    (`tracemalloc` does not see pocketfft's buffers) peaks at about 25 bytes
-    per point while the weights and w are both live.  ROADMAP item 7 holds
-    the measurements and the clipped share of the spectral mass.
-    Deterministic for a given seed.
+    The weights go into a real array of m points, computed once for all the
+    seeds, and each trace into one complex array w of m points: the
+    real-part normals, then the imaginary-part normals, are drawn through
+    one small buffer (`_normal_blocks`) and multiplied by the weights into
+    w.real and w.imag; the last seed frees the weights, and the inverse
+    transform runs in place as two of m/2 points after one radix-2 split
+    pass (`_ifft_head`), which changes only the order in which it rounds
+    (module docstring).  No embedding-size array outlives its trace, so
+    between yields only the weights (while seeds remain) and the trace the
+    caller holds are live.  For one seed the process RSS rises by about 32
+    bytes per embedding point, reached both by the weights phase (the half
+    covariance, the weights and the m-point `irfft`'s own buffers) and by
+    the transform (w and pocketfft's buffers for m/2 points), so a smaller
+    transform cannot lower the peak; traced memory (`tracemalloc` does not
+    see pocketfft's buffers) peaks at about 25 bytes per point while the
+    weights and w are both live.  ROADMAP item 7 holds the measurements and
+    the clipped share of the spectral mass.
 
-    With `stride` P the trace is the process read every P slots: sample k has
-    the law of the slot-kP sample, with autocovariance rho(P * d) at lag d.
-    That subsequence is stationary too, so the same embedding works at
+    With `stride` P each trace is the process read every P slots: sample k
+    has the law of the slot-kP sample, with autocovariance rho(P * d) at lag
+    d.  That subsequence is stationary too, so the same embedding works at
     length about 2 * length rather than 2 * P * length.  Its normalized
     Doppler P * f_d * T_s may exceed 0.5 (the spectrum aliases); rho(P * d)
     is still a valid covariance.
     """
-    return next(fading_traces(params, length, [seed], stride))
-
-
-def fading_traces(params: LinkParams, length: int, seeds, stride: int = 1):
-    """Yield `generate_fading_trace(params, length, seed, stride)` for each of the
-    list `seeds` in turn, bit for bit, with the seed-free weights computed once:
-    live through every transform but the last, and no trace held between yields."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    held = []  # the weights, popped by the last trace
-    if params.normalized_doppler != 0.0:
-        held.append(np.empty(1 << max(2, int(2 * length - 1).bit_length())))
-        _spectral_weights(params, stride, held[0])
+    static = params.normalized_doppler == 0.0
+    if not static:
+        weights = np.empty(1 << max(2, int(2 * length - 1).bit_length()))
+        _spectral_weights(params, stride, weights)
     for i, seed in enumerate(seeds):
-        yield _draw_trace(params, length, seed, held, last=i == len(seeds) - 1)
+        rng = np.random.default_rng(seed)
+        if static:
+            # Degenerate spectrum: the process is a single coherent draw.
+            re, im = rng.standard_normal(2)
+            h0 = math.sqrt(params.channel_variance / 2.0) * complex(re, im)
+            trace = np.full(length, h0, dtype=complex)
+        else:
+            w = np.empty(weights.size, dtype=complex)  # weights * (re + 1j * im)
+            for part in (w.real, w.imag):
+                for sl, normal in _normal_blocks(rng, w.size):
+                    np.multiply(normal, weights[sl], out=part[sl])
+            if i == len(seeds) - 1:
+                del weights  # freed before the last transform
+            trace = _ifft_head(w, length)
+            del w, part, normal  # w, a view of it and the draw buffer: none outlives a yield
+        trace.flags.writeable = False
+        handoff = [trace]
+        del trace  # a suspended frame keeps its locals: the caller alone holds the trace
+        yield handoff.pop()
 
 
-def _draw_trace(params: LinkParams, length: int, seed: int, held: list, last: bool):
-    """The trace at one seed; the last pops the weights, freed before its transform."""
-    rng = np.random.default_rng(seed)
-    if params.normalized_doppler == 0.0:
-        # Degenerate spectrum: the process is a single coherent draw.
-        re, im = rng.standard_normal(2)
-        h0 = math.sqrt(params.channel_variance / 2.0) * complex(re, im)
-        samples = np.full(length, h0, dtype=complex)
-    else:
-        weights = held.pop() if last else held[0]
-        w = np.empty(weights.size, dtype=complex)  # weights * (re + 1j * im)
-        for part in (w.real, w.imag):
-            for sl, normal in _normal_blocks(rng, w.size):
-                np.multiply(normal, weights[sl], out=part[sl])
-        del weights
-        samples = _ifft_head(w, length)
-
-    samples.flags.writeable = False
-    return FadingTrace(samples=samples, params=params, seed=seed)
-
-
-def empirical_autocorrelation(trace: FadingTrace, max_lag: int) -> np.ndarray:
-    """Sample autocovariance Re{mean of h_t conj(h_{t-d})} for d = 0 .. max_lag.
+def empirical_autocorrelation(samples: np.ndarray, max_lag: int) -> np.ndarray:
+    """Sample autocovariance Re{mean of h_t conj(h_{t-d})} of the trace
+    `samples` for d = 0 .. max_lag.
 
     Each lag averages over its N-d available products (unbiased in the mean),
     so a constant trace of value c returns |c|^2 at every lag.
     """
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    n = len(trace.samples)
+    n = len(samples)
     if n <= 10 * max_lag:
         raise ValueError(
             f"trace length {n} too short for max_lag {max_lag} (need > {10 * max_lag})")
-    h = trace.samples
     out = np.empty(max_lag + 1)
     for d in range(max_lag + 1):
-        tail = h[d:]
-        head = h[:n - d] if d else h
+        tail = samples[d:]
+        head = samples[:n - d] if d else samples
         out[d] = np.vdot(head, tail).real / (n - d)
     return out

@@ -105,10 +105,11 @@ def _solve_point(cfg: ExperimentConfig, table: McsTable, axis: str, value: float
 def _run_group(cfg: ExperimentConfig, table: McsTable, mode: str, period: int,
                points: list) -> list:
     """The runs of the period-`period` schedule at each of `points`, (link,
-    curve) pairs that share their channel, one per seed in seed order."""
+    curve) pairs that share their channel, one per seed in seed order.  An
+    expected run reads no seed, so it runs once per point and stands for each."""
     if mode == EXPECTED:
-        return [[run_policy(period, params, table, cfg.horizon, seed, mode, reward_curve=curve,
-                            nodes=cfg.quad_nodes) for seed in cfg.seeds]
+        return [[run_policy(period, params, table, cfg.horizon, cfg.seeds[0], mode,
+                            reward_curve=curve, nodes=cfg.quad_nodes)] * len(cfg.seeds)
                 for params, curve in points]
     return realized_runs(period, [params for params, _ in points], table, cfg.horizon, cfg.seeds)
 

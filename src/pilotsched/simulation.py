@@ -20,7 +20,8 @@ ages the CSI by one.  Two reward modes:
 
 Realized mode draws only what the schedule reads: the fading trace and the
 pilot noise at the pilot slots 0, P, 2P, ..., and one decode draw per data
-slot, from three independent streams derived from one run seed.  A data slot
+slot, from three independent streams derived from one run seed
+(`_seed_streams`, whose traces come from `channel.fading_traces`).  A data slot
 depends on the channel only through its last pilot and its age, so this is
 the same model as a trace at every slot.  A run with no data slots draws
 nothing.
@@ -64,24 +65,16 @@ class SimulationResult:
     horizon: int
 
 
-def derive_streams(params: LinkParams, horizon: int, period: int, seed: int):
-    """Per-run randomness of a period-`period` schedule, at the slots that read it.
-
-    Returns the fading trace at the K = ceil(horizon / period) pilot slots
-    (slot k * period), K pilot-noise samples, and horizon - K decode draws,
-    one per data slot in slot order.  The three streams are derived
-    independently from the seed (`_seed_streams`).
-    """
-    trace, pilot_noise, decode_uniforms = next(_seed_streams(params, horizon, period, [seed]))
-    pilot_noise *= math.sqrt(params.noise_variance / 2.0)
-    return trace, pilot_noise, decode_uniforms
-
-
 def _seed_streams(params: LinkParams, horizon: int, period: int, seeds):
-    """Yield `derive_streams` at each of `seeds` in turn, with unit pilot noise and
-    one weight set (`fading_traces`), holding no stream between yields."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    """Yield the per-run randomness of a period-`period` schedule at each of
+    `seeds` in turn, at the slots that read it, holding no stream between yields.
+
+    Each is the fading trace at the K = ceil(horizon / period) pilot slots
+    (slot k * period), K unit pilot-noise samples, and horizon - K decode
+    draws, one per data slot in slot order.  The three streams are seeded
+    independently from the run seed, and the traces share one weight set
+    (`fading_traces`).
+    """
     pilots = -(-horizon // period)
     stream_seeds = [[int(s) for s in np.random.default_rng(seed).integers(0, 2 ** 63, size=3)]
                     for seed in seeds]
@@ -114,15 +107,16 @@ def realized_runs(period: int, links: list, table: McsTable, horizon: int, seeds
             # |y|^2 of the pilots y = sqrt(pp) * h + sqrt(N0 / 2) * noise, in blocks
             y_sq = np.empty(noise.size)
             for sl in (slice(k, k + _PILOT_BLOCK) for k in range(0, noise.size, _PILOT_BLOCK)):
-                y = np.multiply(math.sqrt(params.pilot_power), trace.samples[sl])
+                y = np.multiply(math.sqrt(params.pilot_power), trace[sl])
                 y += math.sqrt(params.noise_variance / 2.0) * noise[sl]
                 np.abs(y, out=y_sq[sl])
             np.square(y_sq, out=y_sq)
             if i == len(links) - 1:
                 del trace, noise, y  # only |y|^2 is read below
             # pilot k is followed by the data slots of ages 1 .. period-1, so
-            # the rows of this outer product, read in order, are the data slots
-            eta = (y_sq[:, None] * sinr_gain(np.arange(1, period), params)).ravel()
+            # the rows of this outer product, read in order, are the data
+            # slots; none is older than horizon - 1
+            eta = (y_sq[:, None] * sinr_gain(np.arange(1, min(period, horizon)), params)).ravel()
             del y_sq
             totals[i].append(float(_realized_rewards(eta[:uniforms.size], uniforms, table).sum()))
         del eta, uniforms  # freed before the next seed's draws

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import (LinkParams, _complex_normal, autocorrelation,
-                      empirical_autocorrelation, generate_fading_trace)
+                      empirical_autocorrelation, fading_traces)
 from .estimation import mmse_gain, pilot_second_moment, sinr_gain
 from .link_adaptation import McsTable, RewardCurve, _select_blocks, expected_goodputs
 from .scheduler import (HorizonExhaustedError, ThresholdSolution,
@@ -33,7 +33,7 @@ def check_autocorrelation_fidelity(params: LinkParams) -> CheckResult:
     """Empirical lag autocovariance of a 10^6-slot trace vs the Jakes curve,
     RMSE over lags 0..100 within 2% of the channel power."""
     max_lag = 100
-    trace = generate_fading_trace(params, 1_000_000, seed=7)
+    trace = next(fading_traces(params, 1_000_000, [7]))
     empirical = empirical_autocorrelation(trace, max_lag)
     theory = autocorrelation(np.arange(max_lag + 1), params)
     rmse = float(np.sqrt(np.mean((empirical - theory) ** 2)))

@@ -11,13 +11,14 @@ reward-curve oracle integrates one age and one quadrature panel at a time,
 with the MCS feasibility thresholds found by bisection and the best MCS by
 an argmax over all entries.  `step` advances
 the closed loop one slot at a time, the slot-level reference for the array
-pass of `run_policy`, and `slot_streams` lays the realized streams out by
-slot for it.
+pass of `run_policy`, and `slot_streams` lays one run's streams
+(`simulation._seed_streams`, the noise scaled here) out by slot for it.
 `fading_trace_unstrided` is the trace synthesis with every slot read and
 `fading_trace_strided` the strided synthesis with a fresh embedding-size
-array per step, both with one m-point `np.fft.ifft`: `generate_fading_trace`
-splits that transform in two of m/2 points, so it must equal them within
-rounding (1e-13 of their rms) at stride 1 and at every stride.
+array per step, both one seed's trace array with one m-point
+`np.fft.ifft`: `fading_traces` splits that transform in two of m/2 points,
+so each trace it yields must equal them within rounding (1e-13 of their
+rms) at stride 1 and at every stride.
 `embedding_weights` is the strided synthesis' spectral weights from the
 whole half covariance and `np.fft.hfft`, which the block-wise
 `_spectral_weights` must equal bit for bit.
@@ -41,14 +42,13 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from pilotsched import (EXPECTED, FadingTrace, HorizonExhaustedError,
-                        RewardCurve, ThresholdSolution, autocorrelation, derive_streams,
-                        expected_goodputs, hitting_age, index_gamma)
+from pilotsched import (EXPECTED, HorizonExhaustedError, RewardCurve, ThresholdSolution,
+                        autocorrelation, expected_goodputs, hitting_age, index_gamma)
 from pilotsched.channel import (_DR1, _DR2, _PIO4, _PP, _PQ, _QP, _QQ, _RP, _RQ,
                                 _SQ2OPI)
 from pilotsched.estimation import mmse_gain, pilot_second_moment, sinr_gain
 from pilotsched.link_adaptation import _MAX_PANEL, _QUAD_TAIL, _gauss_legendre
-from pilotsched.simulation import MODES
+from pilotsched.simulation import MODES, _seed_streams
 
 PILOT = "pilot"
 DATA = "data"
@@ -149,7 +149,7 @@ def orthogonality_metrics(params, age: int, n: int, seed: int) -> dict:
     return {"stat": stat, "three_se": 3 * se}
 
 
-def fading_trace_unstrided(params, length: int, seed: int) -> FadingTrace:
+def fading_trace_unstrided(params, length: int, seed: int) -> np.ndarray:
     """The circulant-embedding trace synthesis with every slot read (no stride)."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -182,7 +182,7 @@ def fading_trace_unstrided(params, length: int, seed: int) -> FadingTrace:
         samples = np.fft.ifft(w)[:length].copy()
 
     samples.flags.writeable = False
-    return FadingTrace(samples=samples, params=params, seed=seed)
+    return samples
 
 
 def embedding_weights(params, m: int, stride: int = 1) -> np.ndarray:
@@ -198,7 +198,7 @@ def embedding_weights(params, m: int, stride: int = 1) -> np.ndarray:
     return lam
 
 
-def fading_trace_strided(params, length: int, seed: int, stride: int = 1) -> FadingTrace:
+def fading_trace_strided(params, length: int, seed: int, stride: int = 1) -> np.ndarray:
     """The strided trace synthesis with a fresh embedding-size array per step:
     the weights from `np.fft.hfft`, one normals buffer, the complex weights
     and the out-of-place inverse transform."""
@@ -226,7 +226,7 @@ def fading_trace_strided(params, length: int, seed: int, stride: int = 1) -> Fad
         samples = np.fft.ifft(w)[:length].copy()
 
     samples.flags.writeable = False
-    return FadingTrace(samples=samples, params=params, seed=seed)
+    return samples
 
 
 def gamma_brute(values, age: int, tau_max: int) -> float:
@@ -531,22 +531,23 @@ class SchedulerState:
 
 
 def slot_streams(params, horizon: int, period: int, seed: int):
-    """`derive_streams` laid out by slot: (trace, pilot_noise, decode_uniforms),
+    """A run's streams laid out by slot: (trace, pilot_noise, decode_uniforms),
     each of length `horizon`, NaN at every slot that must not be read.
 
     The trace and noise hold their draws at the pilot slots 0, period,
-    2*period, ... and the decode draws fill the data slots in order.
+    2*period, ..., the noise scaled to the link's, and the decode draws fill
+    the data slots in order.
     """
-    trace, noise, uniforms = derive_streams(params, horizon, period, seed)
+    trace, noise, uniforms = next(_seed_streams(params, horizon, period, [seed]))
     samples = np.full(horizon, complex(np.nan, np.nan))
     pilot_noise = np.full(horizon, complex(np.nan, np.nan))
     decode = np.full(horizon, np.nan)
-    samples[::period] = trace.samples
-    pilot_noise[::period] = noise
+    samples[::period] = trace
+    pilot_noise[::period] = noise * math.sqrt(params.noise_variance / 2.0)
     data = np.ones(horizon, dtype=bool)
     data[::period] = False
     decode[data] = uniforms
-    return FadingTrace(samples=samples, params=params, seed=trace.seed), pilot_noise, decode
+    return samples, pilot_noise, decode
 
 
 def decide(age: int, solution, gamma) -> str:
@@ -572,7 +573,7 @@ def step(state: SchedulerState, action: str, trace, params, table, mode: str, *,
     if action == PILOT:
         if pilot_noise is None:
             raise ValueError("a pilot slot needs a fresh noise sample")
-        y = math.sqrt(params.pilot_power) * trace.samples[state.slot] + pilot_noise
+        y = math.sqrt(params.pilot_power) * trace[state.slot] + pilot_noise
         return SchedulerState(age=1, last_pilot_value=y, slot=state.slot + 1), 0.0
 
     if action != DATA:

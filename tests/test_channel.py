@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import pilotsched.channel as channel
 from oracles import (bessel_j0_unblocked, embedding_weights, fading_trace_strided,
                      fading_trace_unstrided, j0_series)
-from pilotsched import (FadingTrace, LinkParams, autocorrelation, bessel_j0,
-                        empirical_autocorrelation, generate_fading_trace)
+from pilotsched import (LinkParams, autocorrelation, bessel_j0, empirical_autocorrelation,
+                        fading_traces)
 
 J0_FIRST_ZEROS = [2.404825557695773, 5.520078110286311, 8.653727912911012,
                   11.791534439014281, 14.930917708487786]
@@ -140,32 +140,32 @@ class TestLinkParamsValidation:
             LinkParams(1.0, 1.0, 1.0, doppler_hz=600.0, sample_period=1e-3)
 
 
-class TestGenerateFadingTrace:
+class TestTraceSynthesis:
     def test_deterministic_in_seed(self, flat_params):
-        a = generate_fading_trace(flat_params, 5000, seed=99)
-        b = generate_fading_trace(flat_params, 5000, seed=99)
-        assert np.array_equal(a.samples, b.samples)
+        a = next(fading_traces(flat_params, 5000, [99]))
+        b = next(fading_traces(flat_params, 5000, [99]))
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, flat_params):
-        a = generate_fading_trace(flat_params, 1000, seed=1)
-        b = generate_fading_trace(flat_params, 1000, seed=2)
-        assert not np.array_equal(a.samples, b.samples)
+        a = next(fading_traces(flat_params, 1000, [1]))
+        b = next(fading_traces(flat_params, 1000, [2]))
+        assert not np.array_equal(a, b)
 
     def test_static_channel_constant_trace(self):
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=0.0)
-        t = generate_fading_trace(p, 200, seed=5)
-        assert np.all(t.samples == t.samples[0])
+        t = next(fading_traces(p, 200, [5]))
+        assert np.all(t == t[0])
 
     def test_zero_length_rejected(self, flat_params):
         with pytest.raises(ValueError):
-            generate_fading_trace(flat_params, 0, seed=1)
+            next(fading_traces(flat_params, 0, [1]))
 
     @pytest.mark.parametrize("doppler_hz", [50.0, 0.0])
     def test_seed_generator_equals_one_trace_per_seed(self, doppler_hz, monkeypatch):
         # traces that differ only in seed read one weight set, computed before
         # the first, and each equals its one-seed trace bit for bit
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=doppler_hz)
-        want = {(seed, stride): generate_fading_trace(p, 3000, seed, stride).samples
+        want = {(seed, stride): next(fading_traces(p, 3000, [seed], stride))
                 for stride in (1, 3) for seed in (1, 2, 7)}
         computed = []
         spectral_weights = channel._spectral_weights
@@ -178,25 +178,25 @@ class TestGenerateFadingTrace:
         for stride in (1, 3):
             traces = channel.fading_traces(p, 3000, [1, 2, 7], stride)
             for seed, trace in zip((1, 2, 7), traces, strict=True):
-                assert trace.seed == seed
-                assert trace.samples.tobytes() == want[seed, stride].tobytes()
+                assert not trace.flags.writeable
+                assert trace.tobytes() == want[seed, stride].tobytes()
         assert computed == ([(1, 8192), (3, 8192)] if doppler_hz else [])
 
     def test_immutable_samples(self, flat_params):
-        t = generate_fading_trace(flat_params, 100, seed=3)
+        t = next(fading_traces(flat_params, 100, [3]))
         with pytest.raises(ValueError):
-            t.samples[0] = 0.0
+            t[0] = 0.0
 
     def test_lag0_within_one_percent_at_1e6(self):
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=50.0, sample_period=1e-3)
-        t = generate_fading_trace(p, 1_000_000, seed=7)
+        t = next(fading_traces(p, 1_000_000, [7]))
         lag0 = empirical_autocorrelation(t, 1)[0]
         assert abs(lag0 - 1.0) <= 0.01
 
     def test_autocovariance_matches_jakes(self):
         # fd*Ts = 0.05, length 1e6: RMSE over lags 0..100 within 2% of rho0
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=50.0, sample_period=1e-3)
-        t = generate_fading_trace(p, 1_000_000, seed=7)
+        t = next(fading_traces(p, 1_000_000, [7]))
         emp = empirical_autocorrelation(t, 100)
         theory = autocorrelation(np.arange(101), p)
         rmse = math.sqrt(float(np.mean((emp - theory) ** 2)))
@@ -208,10 +208,10 @@ class TestGenerateFadingTrace:
         p = LinkParams(1.0, 1.0, 1.0, channel_variance=2.5, doppler_hz=doppler_hz,
                        sample_period=1e-3)
         for seed in (0, 11):
-            want = fading_trace_unstrided(p, length, seed).samples
-            got = generate_fading_trace(p, length, seed).samples
+            want = fading_trace_unstrided(p, length, seed)
+            got = next(fading_traces(p, length, [seed]))
             assert_within_rounding(got, want)
-            assert generate_fading_trace(p, length, seed, stride=1).samples.tobytes() == \
+            assert next(fading_traces(p, length, [seed], stride=1)).tobytes() == \
                 got.tobytes()
 
     @pytest.mark.parametrize("doppler_hz, stride", [(5.0, 1), (50.0, 1), (450.0, 1),
@@ -236,7 +236,7 @@ class TestGenerateFadingTrace:
         # at 50 Hz x 12 and 450 Hz x 3 the lattice's normalized Doppler is
         # 0.6 and 1.35, beyond 0.5, so its spectrum aliases
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=doppler_hz, sample_period=1e-3)
-        t = generate_fading_trace(p, 500_000, seed=7, stride=stride)
+        t = next(fading_traces(p, 500_000, [7], stride=stride))
         emp = empirical_autocorrelation(t, 20)
         theory = autocorrelation(stride * np.arange(21), p)
         rmse = math.sqrt(float(np.mean((emp - theory) ** 2)))
@@ -244,12 +244,12 @@ class TestGenerateFadingTrace:
 
     def test_strided_static_channel_constant_trace(self):
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=0.0)
-        t = generate_fading_trace(p, 200, seed=5, stride=7)
-        assert np.array_equal(t.samples, generate_fading_trace(p, 200, seed=5).samples)
+        t = next(fading_traces(p, 200, [5], stride=7))
+        assert np.array_equal(t, next(fading_traces(p, 200, [5])))
 
     def test_zero_stride_rejected(self, flat_params):
         with pytest.raises(ValueError, match="stride"):
-            generate_fading_trace(flat_params, 100, seed=1, stride=0)
+            next(fading_traces(flat_params, 100, [1], stride=0))
 
     @pytest.mark.parametrize("doppler_hz", [0.0, 50.0, 450.0])
     @pytest.mark.parametrize("stride", [1, 2, 3, 12])
@@ -260,8 +260,8 @@ class TestGenerateFadingTrace:
                        sample_period=1e-3)
         for length in (1, 3, 1000, 40_000):
             for seed in (0, 11):
-                want = fading_trace_strided(p, length, seed, stride).samples
-                got = generate_fading_trace(p, length, seed, stride=stride).samples
+                want = fading_trace_strided(p, length, seed, stride)
+                got = next(fading_traces(p, length, [seed], stride=stride))
                 assert_within_rounding(got, want)
 
     @pytest.mark.parametrize("doppler_hz, stride", [(5.0, 1), (50.0, 1), (450.0, 1),
@@ -301,11 +301,11 @@ class TestGenerateFadingTrace:
         # blocks shorter than the small twiddle table's rows, and longer;
         # m/2 from 2 to 2^16, so also a single block shorter than the patch
         lengths = (1, 3, 700, 40_000, 1 << 15)
-        want = [generate_fading_trace(flat_params, n, 5, stride=stride).samples
+        want = [next(fading_traces(flat_params, n, [5], stride=stride))
                 for n in lengths]
         monkeypatch.setattr(channel, "_SPLIT_BLOCK", block)
         for n, samples in zip(lengths, want):
-            assert generate_fading_trace(flat_params, n, 5, stride=stride).samples.tobytes() \
+            assert next(fading_traces(flat_params, n, [5], stride=stride)).tobytes() \
                 == samples.tobytes()
 
     @given(st.floats(0.0, 0.5, exclude_max=True), st.integers(1, 12), st.integers(1, 5_000),
@@ -315,11 +315,11 @@ class TestGenerateFadingTrace:
             self, doppler, stride, length, seed):
         # normalized Doppler doppler_hz * sample_period, exactly `doppler`
         p = LinkParams(1.0, 1.0, 1.0, doppler_hz=doppler, sample_period=1.0)
-        got = generate_fading_trace(p, length, seed, stride=stride).samples
+        got = next(fading_traces(p, length, [seed], stride=stride))
         assert np.all(np.isfinite(got))
-        assert generate_fading_trace(p, length, seed, stride=stride).samples.tobytes() == \
+        assert next(fading_traces(p, length, [seed], stride=stride)).tobytes() == \
             got.tobytes()
-        assert_within_rounding(got, fading_trace_strided(p, length, seed, stride).samples)
+        assert_within_rounding(got, fading_trace_strided(p, length, seed, stride))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_rss_rise_per_embedding_point(self, run_python):
@@ -330,16 +330,16 @@ class TestGenerateFadingTrace:
         # holds the measurements
         probe = """
 import numpy as np
-from pilotsched import LinkParams, generate_fading_trace
+from pilotsched import LinkParams, fading_traces
 
 def status(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(key))
 
 p = LinkParams(1.0, 1.0, 1.0, doppler_hz=50.0)
-generate_fading_trace(p, 1000, seed=1)
+next(fading_traces(p, 1000, [1]))
 before = status("VmRSS:")
-generate_fading_trace(p, 1 << 17, seed=2)
+next(fading_traces(p, 1 << 17, [2]))
 print((status("VmHWM:") - before) * 1024)
 """
         assert int(run_python(probe)) <= 34 * (1 << 18)
@@ -353,47 +353,63 @@ print((status("VmHWM:") - before) * 1024)
         # pocketfft's own working buffers)
         length = 1 << 17
         points = 1 << (2 * length - 1).bit_length()
-        generate_fading_trace(flat_params, length, seed=1, stride=stride)  # warm caches
+        next(fading_traces(flat_params, length, [1], stride=stride))  # warm caches
         tracemalloc.start()
         try:
-            generate_fading_trace(flat_params, length, seed=2, stride=stride)
+            next(fading_traces(flat_params, length, [2], stride=stride))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 26 * points
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_memory_between_yields(self, flat_params, stride):
+        # between yields only the weights (8 bytes per point), while seeds
+        # remain, and the trace the caller holds (16 bytes per sample) are
+        # live: no embedding-size array outlives its trace
+        length = 1 << 17
+        points = 1 << (2 * length - 1).bit_length()
+        slack = 64 << 10
+        next(fading_traces(flat_params, length, [1], stride=stride))  # warm caches
+        held = []
+        tracemalloc.start()
+        try:
+            for trace in fading_traces(flat_params, length, [2, 3, 4], stride=stride):
+                held.append(tracemalloc.get_traced_memory()[0])
+            del trace
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 3
+        assert all(current <= 8 * points + 16 * length + slack for current in held[:-1])
+        assert held[-1] <= 16 * length + slack
+
     def test_mean_near_zero(self, flat_params):
-        t = generate_fading_trace(flat_params, 500_000, seed=13)
-        assert abs(t.samples.mean()) <= 0.02
+        t = next(fading_traces(flat_params, 500_000, [13]))
+        assert abs(t.mean()) <= 0.02
 
 
 class TestEmpiricalAutocorrelation:
-    def _trace(self, samples):
-        p = LinkParams(1.0, 1.0, 1.0, doppler_hz=0.0)
-        return FadingTrace(samples=np.asarray(samples, dtype=complex), params=p, seed=0)
-
     def test_constant_trace(self):
         c = 0.7 - 0.4j
-        t = self._trace(np.full(1000, c))
+        t = np.full(1000, c)
         out = empirical_autocorrelation(t, 10)
         assert np.allclose(out, abs(c) ** 2, rtol=1e-12)
 
     def test_lag0_equals_second_moment(self, flat_params):
-        t = generate_fading_trace(flat_params, 20_000, seed=21)
+        t = next(fading_traces(flat_params, 20_000, [21]))
         out = empirical_autocorrelation(t, 5)
-        assert out[0] == pytest.approx(float(np.mean(np.abs(t.samples) ** 2)), rel=1e-12)
+        assert out[0] == pytest.approx(float(np.mean(np.abs(t) ** 2)), rel=1e-12)
 
     def test_white_noise_decorrelated(self):
         gen = np.random.default_rng(17)
         n = 200_000
-        samples = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / math.sqrt(2)
-        t = self._trace(samples)
+        t = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / math.sqrt(2)
         out = empirical_autocorrelation(t, 10)
         assert out[0] == pytest.approx(1.0, abs=3 / math.sqrt(n))
         se = 1.0 / math.sqrt(2 * n)  # SE of Re of a complex lag estimate
         assert np.all(np.abs(out[1:]) <= 3 * se)
 
     def test_short_trace_rejected(self, flat_params):
-        t = generate_fading_trace(flat_params, 1000, seed=1)
+        t = next(fading_traces(flat_params, 1000, [1]))
         with pytest.raises(ValueError):
             empirical_autocorrelation(t, 100)

@@ -11,8 +11,8 @@ import pilotsched.simulation as simulation
 from oracles import (DATA, PILOT, SchedulerState, decide, max_goodput_matrix,
                      realized_rewards_per_slot, slot_streams, step)
 from pilotsched import (EXPECTED, REALIZED, McsEntry, McsTable, RewardCurve, TabulatedBlerCurve,
-                        build_reward_curve, derive_streams, generate_fading_trace, index_gamma,
-                        run_policy, sinr_gain, solve_threshold)
+                        build_reward_curve, fading_traces, index_gamma, run_policy, sinr_gain,
+                        solve_threshold)
 
 
 @pytest.fixture(scope="module")
@@ -25,46 +25,60 @@ def reference_solution(reference_curve):
     return solve_threshold(reference_curve)
 
 
+@pytest.fixture(scope="module")
+def step_streams(reference_params):
+    """The trace and pilot noise of a 1000-slot run at seed 5 that pilots every slot."""
+    trace, noise, _ = slot_streams(reference_params, 1000, 1, seed=5)
+    return trace, noise
+
+
+def stream_seeds(seed: int) -> list:
+    """The (fade, noise, decode) seeds that a run seed derives its streams from."""
+    return [int(s) for s in np.random.default_rng(seed).integers(0, 2 ** 63, size=3)]
+
+
 class TestStep:
     """The slot-level reference loop, and the realized statistics of the shipped path."""
 
-    def test_pilot_reward_zero_and_age_reset(self, reference_params, default_table):
-        trace, noise, _ = derive_streams(reference_params, 1000, 1, seed=5)
+    def test_pilot_reward_zero_and_age_reset(self, step_streams, reference_params, default_table):
+        trace, noise = step_streams
         state = SchedulerState(age=7, last_pilot_value=None, slot=0)
         nxt, reward = step(state, PILOT, trace, reference_params, default_table,
                            EXPECTED, pilot_noise=complex(noise[0]))
         assert reward == 0.0
         assert nxt.age == 1
         assert nxt.slot == 1
-        expected_y = math.sqrt(reference_params.pilot_power) * trace.samples[0] + noise[0]
+        expected_y = math.sqrt(reference_params.pilot_power) * trace[0] + noise[0]
         assert nxt.last_pilot_value == expected_y
 
-    def test_data_increments_age(self, reference_params, default_table, reference_curve):
-        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
+    def test_data_increments_age(self, step_streams, reference_params, default_table,
+                                 reference_curve):
+        trace, _ = step_streams
         state = SchedulerState(age=5, last_pilot_value=1.0 + 0.5j, slot=3)
         nxt, _ = step(state, DATA, trace, reference_params, default_table,
                       EXPECTED, reward_curve=reference_curve)
         assert nxt.age == 6
         assert nxt.last_pilot_value == state.last_pilot_value
 
-    def test_expected_reward_is_curve_value(self, reference_params, default_table, reference_curve):
-        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
+    def test_expected_reward_is_curve_value(self, step_streams, reference_params, default_table,
+                                            reference_curve):
+        trace, _ = step_streams
         state = SchedulerState(age=2, last_pilot_value=0.3 - 1.2j, slot=10)
         _, reward = step(state, DATA, trace, reference_params, default_table,
                          EXPECTED, reward_curve=reference_curve)
         assert reward == reference_curve.values[1]
 
-    def test_expected_reward_without_curve_uses_quadrature(self, reference_params,
+    def test_expected_reward_without_curve_uses_quadrature(self, step_streams, reference_params,
                                                            default_table, reference_curve):
-        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
+        trace, _ = step_streams
         state = SchedulerState(age=2, last_pilot_value=0.3 - 1.2j, slot=10)
         _, with_curve = step(state, DATA, trace, reference_params, default_table,
                              EXPECTED, reward_curve=reference_curve)
         _, without = step(state, DATA, trace, reference_params, default_table, EXPECTED)
         assert without == with_curve
 
-    def test_data_before_first_pilot_rejected(self, reference_params, default_table):
-        trace, _, _ = derive_streams(reference_params, 1000, 1, seed=5)
+    def test_data_before_first_pilot_rejected(self, step_streams, reference_params, default_table):
+        trace, _ = step_streams
         state = SchedulerState(age=1, last_pilot_value=None, slot=0)
         with pytest.raises(ValueError, match="first pilot"):
             step(state, DATA, trace, reference_params, default_table, EXPECTED)
@@ -89,15 +103,15 @@ class TestStep:
         horizon = 100_000
         res = run_policy(2, reference_params, default_table, horizon, seed=8, mode=REALIZED)
         trace, noise, uniforms = slot_streams(reference_params, horizon, 2, seed=8)
-        y = math.sqrt(reference_params.pilot_power) * trace.samples[0::2] + noise[0::2]
+        y = math.sqrt(reference_params.pilot_power) * trace[0::2] + noise[0::2]
         eta = sinr_gain(1, reference_params) * np.abs(y) ** 2
         rewards = simulation._realized_rewards(eta, uniforms[1::2], default_table)
         assert 2 * res.avg_goodput == rewards.mean()
         se = rewards.std(ddof=1) / math.sqrt(len(rewards))
         assert rewards.mean() == pytest.approx(reference_curve.values[0], abs=3 * se)
 
-    def test_unknown_mode_rejected(self, reference_params, default_table):
-        trace, noise, _ = derive_streams(reference_params, 1000, 1, seed=5)
+    def test_unknown_mode_rejected(self, step_streams, reference_params, default_table):
+        trace, noise = step_streams
         state = SchedulerState(age=1, last_pilot_value=None, slot=0)
         with pytest.raises(ValueError, match="mode"):
             step(state, PILOT, trace, reference_params, default_table, "typo",
@@ -217,6 +231,20 @@ class TestRunPolicy:
         assert peak < 64 * 1024
         assert res.pilot_fraction == 3_333_334 / 10_000_000
 
+    def test_realized_gains_only_at_the_ages_read(self, monkeypatch, reference_params,
+                                                  default_table):
+        # no data slot is older than horizon - 1, whatever the period
+        ages = []
+
+        def counting_gain(age, params):
+            ages.append(np.size(age))
+            return sinr_gain(age, params)
+
+        monkeypatch.setattr(simulation, "sinr_gain", counting_gain)
+        for period in (3, 2000, 5000, 10 ** 7):
+            run_policy(period, reference_params, default_table, 2000, seed=1, mode=REALIZED)
+        assert ages == [2, 1999, 1999, 1999]
+
     def test_realized_mode_peak_memory(self, reference_params, default_table):
         # 41,667 pilot slots embed on 2^17 points: the trace synthesis's 32
         # bytes per point and the run's per-slot arrays (4.8 MB measured; 6.2
@@ -315,12 +343,14 @@ class TestRunPolicy:
     def test_matches_step_loop_exactly(self, reference_params, default_table, reference_curve,
                                        reference_solution):
         # the vectorized reward pass must reproduce the one-slot reference path;
-        # the threshold run takes its actions from the index rule
+        # the threshold run takes its actions from the index rule.  Period 5000
+        # pilots once in the 2000 slots (realized only: the expected loop would
+        # integrate r(age) one slot at a time past the curve's 160 ages)
         horizon = 2000
         sol = reference_solution
         gamma = index_gamma(reference_curve)
         for mode in (EXPECTED, REALIZED):
-            for period in (sol.period, 3):
+            for period in (sol.period, 3) + ((5000,) if mode == REALIZED else ()):
                 res = run_policy(period, reference_params, default_table, horizon,
                                  seed=17, mode=mode, reward_curve=reference_curve)
                 trace, noise, uniforms = slot_streams(reference_params, horizon, period,
@@ -375,22 +405,23 @@ class TestRunPolicy:
     @pytest.mark.parametrize("horizon, period", [(1000, 2), (1001, 2), (1000, 3), (1000, 7),
                                                  (1006, 7), (1000, 1000), (1000, 1)])
     def test_streams_cover_exactly_the_read_slots(self, reference_params, horizon, period):
-        trace, noise, uniforms = derive_streams(reference_params, horizon, period, seed=3)
+        trace, noise, uniforms = next(simulation._seed_streams(reference_params, horizon,
+                                                               period, [3]))
         pilots = len(range(0, horizon, period))
         assert len(trace) == noise.size == pilots
         assert uniforms.size == horizon - pilots
         # the trace is the channel at the pilot slots, `period` slots apart
-        lattice = generate_fading_trace(reference_params, pilots, trace.seed, stride=period)
-        assert np.array_equal(trace.samples, lattice.samples)
+        lattice = next(fading_traces(reference_params, pilots, stream_seeds(3)[:1],
+                                     stride=period))
+        assert np.array_equal(trace, lattice)
 
     @pytest.mark.parametrize("horizon, period", [(125_000, 2), (1000, 7)])
     def test_pilot_noise_equals_the_temporaries(self, reference_params, horizon, period):
         # 62,500 draws per half cross three whole draw blocks and a partial one
-        _, noise, _ = derive_streams(reference_params, horizon, period, seed=3)
-        noise_seed = int(np.random.default_rng(3).integers(0, 2 ** 63, size=3)[1])
-        rng = np.random.default_rng(noise_seed)
-        sigma = math.sqrt(reference_params.noise_variance / 2.0)
-        want = sigma * (rng.standard_normal(noise.size) + 1j * rng.standard_normal(noise.size))
+        # (unit noise: each link scales it to its own)
+        _, noise, _ = next(simulation._seed_streams(reference_params, horizon, period, [3]))
+        rng = np.random.default_rng(stream_seeds(3)[1])
+        want = rng.standard_normal(noise.size) + 1j * rng.standard_normal(noise.size)
         assert noise.tobytes() == want.tobytes()
 
     def test_realized_matches_expected_in_mean(self, reference_params, default_table,
